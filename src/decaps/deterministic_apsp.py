@@ -27,6 +27,7 @@ from collections import deque
 from .errors import (
     InvalidEpsilon,
     InvalidRange,
+    InvariantViolation,
     NodeOutOfRange,
     RateViolation,
     UnknownCenter,
@@ -199,7 +200,9 @@ class DetCenterCover:
                     skip[y] = True
                 continue
             j = mc.open(x)
-            assert j == len(self.collected)
+            if j != len(self.collected):
+                raise InvariantViolation(
+                    f"opened center id {j}, expected {len(self.collected)}")
             self.collected.append(set())
             self.radius2.append(q)  # r^j = q/2
 
@@ -220,7 +223,8 @@ class DetCenterCover:
             d = mc.distance(j, u)
             if d is not INF and 2 * d <= self.radius2[j]:
                 candidates.append(j)
-        assert len(candidates) <= 1, f"ball disjointness violated: {candidates}"
+        if len(candidates) > 1:
+            raise InvariantViolation(f"ball disjointness violated: {candidates}")
         if candidates:
             j = candidates[0]
             comp = self.g.component_of(mc.location[j])

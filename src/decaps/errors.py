@@ -53,6 +53,10 @@ class UnknownCenter(GraphError):
     pass
 
 
+class InvariantViolation(GraphError):
+    """An internal invariant of a data structure does not hold."""
+
+
 class RateViolation(GraphError):
     """More than one open/move for a center between consecutive deletions."""
 

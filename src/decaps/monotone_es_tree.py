@@ -16,7 +16,8 @@ Two backends:
   lists L(u) (revalidated on pop, deduplicated through a membership set) so
   parents stay retrievable in O(1) amortized.
 
-Both backends produce identical levels after every event.
+Both backends produce identical levels after every event; ``counter`` is
+the default.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     OrderViolation,
     UnknownEdge,
 )
-from .graph_core import DELETE, INCREASE, INF, INSERT, UpdateEvent
+from .graph_core import DELETE, INCREASE, INF, INSERT
 
 HEAP = "heap"
 COUNTER = "counter"
@@ -44,7 +45,7 @@ def depth_bound_floor(Q: int, alpha: int, beta: int, tau: int) -> int:
 
 class MonotoneEsTree:
     def __init__(self, n: int, h0: dict, root: int, Q: int, alpha: int = 1,
-                 beta: int = 2, tau: int = 1, backend: str = HEAP,
+                 beta: int = 2, tau: int = 1, backend: str = COUNTER,
                  report_threshold=None):
         """Initialize on the emulator snapshot ``h0`` ({(u, v): weight}).
 
@@ -183,27 +184,32 @@ class MonotoneEsTree:
     # -- updates ---------------------------------------------------------------
 
     def apply_batch(self, events) -> set[int]:
-        """Process one ordered event batch; returns report-threshold crossings."""
-        dropped: set[int] = set()
+        """Process one ordered event batch; returns report-threshold crossings.
+
+        The event order is checked before any event is applied, so an
+        OrderViolation or an unknown event kind leaves the tree unchanged.
+        """
+        batch = list(events)
         saw_non_insert = False
-        for ev in events:
-            kind = ev.kind if isinstance(ev, UpdateEvent) else ev[0]
-            u, v, w = (ev.u, ev.v, ev.weight) if isinstance(ev, UpdateEvent) else ev[1:]
+        for kind, u, v, _ in batch:
             if kind == INSERT:
                 if saw_non_insert:
                     raise OrderViolation(
                         f"insert of ({u}, {v}) after a non-insert event in one batch")
-                self._apply_insert(u, v, w)
-            elif kind == INCREASE:
+            elif kind == INCREASE or kind == DELETE:
                 saw_non_insert = True
-                self._apply_increase(u, v, w)
-                dropped |= self._update_levels(u, v)
-            elif kind == DELETE:
-                saw_non_insert = True
-                self._apply_delete(u, v)
-                dropped |= self._update_levels(u, v)
             else:
                 raise UnknownEdge(f"unknown event kind {kind!r}")
+        dropped: set[int] = set()
+        for kind, u, v, w in batch:
+            if kind == INSERT:
+                self._apply_insert(u, v, w)
+                continue
+            if kind == INCREASE:
+                self._apply_increase(u, v, w)
+            else:
+                self._apply_delete(u, v)
+            dropped |= self._update_levels(u, v)
         return dropped
 
     def _apply_insert(self, u: int, v: int, w) -> None:

@@ -2,15 +2,16 @@
 locally persevering emulator.
 
 A random center cover samples centers with probability min(1, a*ln(n)/q) and
-keeps, per center, two single-source estimators over the emulator: one with
-range q whose threshold crossings maintain the per-node cover lists S_x, and
-one with range Q that answers distance queries. The APSP index layers
-ceil(log n) covers (layer p serves distances 2^p..2^{p+1}) above one shared
-emulator and adds a small-distance patch: a monotone tree rooted at every
-node with range ~(4+16)/eps_hat. Queries binary-search the minimal usable
-layer and take the minimum with the patch estimate, giving
-dist <= answer <= (1+eps)*dist + 2 with high probability, and the
-(2+eps, 0) wrapper answers adjacent pairs exactly from the adjacency bitset.
+keeps one single-source estimator per center over the emulator: a monotone
+tree with range Q that answers distance queries and whose threshold reports
+(nodes leaving the range-q depth bound) maintain the per-node cover lists
+S_x. The APSP index layers ceil(log n) covers (layer p serves distances
+2^p..2^{p+1}) above one shared emulator and adds a small-distance patch: a
+monotone tree rooted at every node with range ~(4+16)/eps_hat. Queries
+binary-search the minimal usable layer and take the minimum with the patch
+estimate, giving dist <= answer <= (1+eps)*dist + 2 with high probability,
+and the (2+eps, 0) wrapper answers adjacent pairs exactly from the graph's
+adjacency check.
 """
 
 from __future__ import annotations
@@ -21,16 +22,35 @@ import random
 from .emulator import LocallyPerseveringEmulator
 from .errors import InvalidEpsilon, InvalidRange, NodeOutOfRange, UnknownCenter
 from .graph_core import INF, DecrementalGraph
-from .monotone_es_tree import HEAP, MonotoneEsTree
+from .monotone_es_tree import MonotoneEsTree, depth_bound_floor
 
 
 class RandomCenterCover:
-    """Approximate center cover with fixed random center locations."""
+    """Approximate center cover with fixed random center locations.
+
+    Each center keeps one range-Q tree built with ``report_threshold`` equal
+    to the cover threshold b(q) = floor((1 + 2/tau) * q + 2), the depth bound
+    of a range-q tree. Center j is in node x's cover list S_x while x's level
+    in j's tree is at most b(q); the tree reports x in the batch that raises
+    it past b(q).
+
+    A separate range-q tree is not needed: its levels always equal the
+    range-Q tree's levels cut off at b(q), T(l) = l if l <= b(q) else INF.
+    Both start from the same Dijkstra levels, cut at different bounds. After
+    a batch, a monotone tree's levels are the fixpoint
+    L'(y) = max(L(y), min_v L'(v) + w(y, v)), set to INF past the depth
+    bound. Every emulator weight is at least 1, so a minimum of at most b(q)
+    is attained at a neighbour v with L'(v) < b(q), where T(L'(v)) = L'(v),
+    and a minimum above b(q) stays above it when the terms are cut off.
+    Since T commutes with max, induction on the level value gives
+    L'_q = T(L'_Q) from L_q = T(L_Q), and a node leaves [0, b(q)] in the
+    Q-tree exactly when the q-tree would drop it.
+    """
 
     def __init__(self, g: DecrementalGraph, q: int, Q: int,
                  emulator: LocallyPerseveringEmulator | None = None,
                  eps: float | None = None, seed=None, rng: random.Random | None = None,
-                 centers=None, sampling_constant: float = 3.0, backend: str = HEAP):
+                 centers=None, sampling_constant: float = 3.0):
         if not 1 <= q <= Q:
             raise InvalidRange(f"need 1 <= q <= Q, got q={q}, Q={Q}")
         if emulator is None:
@@ -51,17 +71,14 @@ class RandomCenterCover:
 
         tau = emulator.tau
         h0 = emulator.snapshot()
-        self._tree_q = [MonotoneEsTree(n, h0, c, q, 1, 2, tau, backend=backend)
+        self.cover_threshold = depth_bound_floor(q, 1, 2, tau)
+        self._tree_Q = [MonotoneEsTree(n, h0, c, Q, 1, 2, tau,
+                                       report_threshold=self.cover_threshold)
                         for c in self.centers]
-        self._tree_Q = [MonotoneEsTree(n, h0, c, Q, 1, 2, tau, backend=backend)
-                        for c in self.centers]
-        # covered threshold = the q-tree depth bound = floor((1 + 2/tau)q + 2)
-        self.cover_threshold = self._tree_q[0].bound if self.centers else None
         self._cover: list[dict[int, bool]] = [dict() for _ in range(n)]
-        for j, tq in enumerate(self._tree_q):
-            level = tq.level
-            for x in range(n):
-                if level[x] is not INF:
+        for j, tree in enumerate(self._tree_Q):
+            for x, lx in enumerate(tree.level):
+                if lx <= self.cover_threshold:
                     self._cover[x][j] = True
 
     def delete(self, u: int, v: int) -> None:
@@ -69,12 +86,10 @@ class RandomCenterCover:
         self.on_batch(self.emulator.on_delete(u, v))
 
     def on_batch(self, batch) -> None:
-        """Feed one emulator event batch to every estimator tree."""
-        for j, (tq, tQ) in enumerate(zip(self._tree_q, self._tree_Q)):
-            dropped = tq.apply_batch(batch)
-            for x in dropped:
+        """Feed one emulator event batch to every center's tree."""
+        for j, tree in enumerate(self._tree_Q):
+            for x in tree.apply_batch(batch):
                 self._cover[x].pop(j, None)
-            tQ.apply_batch(batch)
 
     def _check_center(self, j: int) -> None:
         if not 0 <= j < len(self.centers):
@@ -104,8 +119,7 @@ class ApspIndexRandom:
     """(1+eps, 2)- and (2+eps, 0)-approximate decremental APSP."""
 
     def __init__(self, g: DecrementalGraph, eps: float, seed=None,
-                 sampling_constant: float = 3.0, backend: str = HEAP,
-                 hubs=None):
+                 sampling_constant: float = 3.0, hubs=None):
         if not 0 < eps <= 1:
             raise InvalidEpsilon(f"eps must be in (0, 1], got {eps}")
         self.g = g
@@ -130,12 +144,12 @@ class ApspIndexRandom:
             self.layer_params.append((q_p, Q_p))
             self.layers.append(RandomCenterCover(
                 g, q_p, Q_p, emulator=self.emulator, rng=self.rng,
-                sampling_constant=sampling_constant, backend=backend))
+                sampling_constant=sampling_constant))
         self.patch_range = math.ceil(20.0 / self.eps_hat)
         h0 = self.emulator.snapshot()
         tau = self.emulator.tau
-        self.patch = [MonotoneEsTree(n, h0, x, self.patch_range, 1, 2, tau,
-                                     backend=backend) for x in range(n)]
+        self.patch = [MonotoneEsTree(n, h0, x, self.patch_range, 1, 2, tau)
+                      for x in range(n)]
 
     def delete(self, u: int, v: int) -> None:
         batch = self.emulator.on_delete(u, v)

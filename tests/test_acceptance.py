@@ -179,8 +179,7 @@ def rand_grid():
             idx = ApspIndexRandom(g, eps, seed=seed)
             oracle = NumpyBfsOracle(g)
             snapshots = [dict(idx.emulator.snapshot())]
-            trees = [t for layer in idx.layers
-                     for t in (*layer._tree_q, *layer._tree_Q)] + idx.patch
+            trees = [t for layer in idx.layers for t in layer._tree_Q] + idx.patch
             prev_levels = [list(t.level) for t in trees]
             inserted = set()
             log_pos = 0

@@ -72,11 +72,21 @@ def test_pure_inserts_change_no_levels(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_insert_then_noninsert_order_enforced(backend):
     t = MonotoneEsTree(5, path_h0(4), 0, 6, 1, 2, 2, backend=backend)
+    levels = t.levels()
+    adj = [dict(a) for a in t._adj]
     with pytest.raises(OrderViolation):
         t.apply_batch([
             UpdateEvent(DELETE, 0, 1, INF),
             UpdateEvent(INSERT, 0, 4, 1),
         ])
+    # rejected before any event applied: the delete of (0, 1) did not happen
+    assert t.levels() == levels
+    assert t._adj == adj
+    # and the tree still repairs like a fresh one
+    fresh = MonotoneEsTree(5, path_h0(4), 0, 6, 1, 2, 2, backend=backend)
+    batch = [UpdateEvent(DELETE, 0, 1, INF)]
+    assert t.apply_batch(batch) == fresh.apply_batch(batch)
+    assert t.levels() == fresh.levels()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -104,7 +114,8 @@ def test_unknown_edge_and_bad_weight(backend):
         t.apply_batch([UpdateEvent(INCREASE, 0, 1, 1)])
 
 
-def test_matches_classic_tree_without_insertions():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_matches_classic_tree_without_insertions(backend):
     # low-degree graph, no hubs: the emulator is the graph itself and never
     # inserts, so the monotone tree must track an exact tree on H step by step
     rng = random.Random(5)
@@ -112,7 +123,7 @@ def test_matches_classic_tree_without_insertions():
         8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7), (2, 6)])
     em = LocallyPerseveringEmulator(g, 1.0, hubs=[])
     Q = 8
-    mono = MonotoneEsTree(8, em.snapshot(), 0, Q, 1, 2, em.tau)
+    mono = MonotoneEsTree(8, em.snapshot(), 0, Q, 1, 2, em.tau, backend=backend)
     exact = EsTree.from_weighted(
         8, [(u, v, w) for (u, v), w in em.snapshot().items()], 0, mono.bound)
     order = g.edges()
@@ -177,6 +188,42 @@ def test_backend_equality_and_invariants(data):
                 if p is not None:
                     w = backend_tree._adj[x][p]
                     assert backend_tree.level_query(x) >= backend_tree.level_query(p) + w
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_threshold_reports_match_truncated_tree(backend, data):
+    # a range-Q tree reporting crossings of bound(q) stands in for a range-q
+    # tree: its levels cut off at bound(q) are the q-tree's levels, and it
+    # reports exactly the nodes the q-tree drops. Sparse graphs, few hubs and
+    # a small q put nodes at bound(q) that the Q-tree keeps after reporting.
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(4, 16))
+    g, order = random_graph_and_trace(rng, n, data.draw(st.integers(n, 2 * n)))
+    eps = data.draw(st.sampled_from([0.5, 1.0]))
+    hubs = sorted(rng.sample(range(n), data.draw(st.integers(0, n // 3))))
+    em = LocallyPerseveringEmulator(g, eps, hubs=hubs)
+    root = data.draw(st.integers(0, n - 1))
+    q = data.draw(st.integers(1, 3))
+    Q = q + data.draw(st.integers(0, n))
+    h0 = em.snapshot()
+    small = MonotoneEsTree(n, h0, root, q, 1, 2, em.tau, backend=backend)
+    big = MonotoneEsTree(n, h0, root, Q, 1, 2, em.tau, backend=backend,
+                         report_threshold=small.bound)
+
+    def truncated():
+        return [lx if lx <= small.bound else INF for lx in big.levels()]
+
+    assert truncated() == small.levels()
+    for u, v in order:
+        before = small.levels()
+        batch = em.on_delete(u, v)
+        reported = big.apply_batch(batch)
+        assert reported == small.apply_batch(batch)
+        assert truncated() == small.levels()
+        assert reported == {x for x, lx in enumerate(small.levels())
+                            if lx is INF and before[x] is not INF}
 
 
 @settings(max_examples=15, deadline=None)
