@@ -17,6 +17,24 @@ Three pieces:
   hence answer exactly for distances up to 2^{p+2}; the remaining layers give
   the (1 + 2*eps_int) guarantee for larger distances. The public eps is
   halved internally so queries satisfy dist <= answer <= (1+eps)*dist.
+
+A deletion costs work in proportion to what it changes, not to n:
+
+* The candidate center is looked up in u's cover list only. A ball has
+  radius r^j <= q/2 and levels are integers, so a ball that holds u puts u
+  within q // 2 <= cover_radius of its center, and u lists that center.
+* Component checks are bounded BFS (``DecrementalGraph.small_component``):
+  only "is the component smaller than the limit" matters, so the search
+  stops once the limit is reached.
+* After the construction's full scan, every node is covered or marked
+  small. Coverage is only lost when a node leaves a cover list, when the
+  moved center's old ball is popped or a tree reports a node past the cover
+  radius, so the greedy pass re-checks exactly those nodes, in ascending id
+  order. Opens only add coverage, so it opens the same centers as a full
+  scan would.
+* A counter-backend tree is repaired only when u and v sit on adjacent
+  levels; otherwise the deleted edge supported neither endpoint and the
+  repair would change nothing.
 """
 
 from __future__ import annotations
@@ -78,19 +96,23 @@ class MovingCenters:
         self._trees.append(tree)
         self.opens += 1
         self._round_ops.add(j)
-        level = tree.level
-        rho = self.cover_radius
-        for y in range(self.g.n):
-            if level[y] is not INF and level[y] <= rho:
-                self._cover[y][j] = True
+        self._add_cover(j, tree)
         return j
 
-    def move(self, j: int, x: int, distance=None) -> None:
+    def _add_cover(self, j: int, tree: EsTree) -> None:
+        rho = self.cover_radius
+        cover = self._cover
+        for y, ly in enumerate(tree.level):
+            if ly <= rho:  # INF never is
+                cover[y][j] = True
+
+    def move(self, j: int, x: int, distance=None) -> list[int]:
         """Relocate center j to x, rebuilding its tree from scratch.
 
         ``distance`` is the moving distance to charge (distance between old
         and new location in the pre-move graph); by default it is measured by
-        BFS in the current graph.
+        BFS in the current graph. Returns the nodes of the old ball, which
+        were popped from their cover lists.
         """
         self._check_center(j)
         if not 0 <= x < self.g.n:
@@ -101,20 +123,16 @@ class MovingCenters:
         self._round_ops.add(j)
         if distance is None:
             distance = self._bfs_distance(self.location[j], x)
-        old_tree = self._trees[j]
         rho = self.cover_radius
-        level = old_tree.level
-        for y in range(self.g.n):
-            if level[y] is not INF and level[y] <= rho:
-                self._cover[y].pop(j, None)
+        popped = [y for y, ly in enumerate(self._trees[j].level) if ly <= rho]
+        for y in popped:
+            self._cover[y].pop(j, None)
         self.moving_distance += distance
         self.location[j] = x
         tree = self._build_tree(x)
         self._trees[j] = tree
-        level = tree.level
-        for y in range(self.g.n):
-            if level[y] is not INF and level[y] <= rho:
-                self._cover[y][j] = True
+        self._add_cover(j, tree)
+        return popped
 
     def _bfs_distance(self, a: int, b: int):
         if a == b:
@@ -142,11 +160,27 @@ class MovingCenters:
         self.g.delete_edge(u, v)
         self.after_delete(u, v)
 
-    def after_delete(self, u: int, v: int) -> None:
-        """Repair every tree after the shared graph lost (u, v)."""
+    def after_delete(self, u: int, v: int) -> set[int]:
+        """Repair the trees after the shared graph lost (u, v).
+
+        Returns the nodes popped from cover lists. A counter tree is called
+        only when u and v sit on adjacent levels, the one case where the
+        edge supported an endpoint; heap trees are all called, so their
+        ``heap_ops`` stay those of a full dispatch.
+        """
+        cover = self._cover
+        freed: set[int] = set()
+        counter = self._backend == COUNTER
         for j, tree in enumerate(self._trees):
+            if counter:
+                level = tree.level
+                # INF on either side gives inf or nan here, never +-1
+                if level[u] - level[v] not in (1, -1):
+                    continue
             for x in tree.after_delete(u, v):
-                self._cover[x].pop(j, None)
+                cover[x].pop(j, None)
+                freed.add(x)
+        return freed
 
     def distance(self, j: int, x: int):
         """dist(location(j), x) if at most Q, else INF; O(1)."""
@@ -166,17 +200,28 @@ class MovingCenters:
 
 class DetCenterCover:
     """Deterministic center cover: every node in a component of size >= q has
-    a center within the cover radius after every deletion."""
+    a center within the cover radius after every deletion.
+
+    ``cover_radius`` (default q) must be at least 2 * (q // 2). Centers open
+    more than cover_radius apart, and only then are balls of integer radius
+    at most q // 2 around them disjoint; a smaller radius lets two balls
+    overlap, and a later deletion would raise InvariantViolation. The bound
+    implies cover_radius >= q // 2, which the candidate lookup needs: every
+    ball lies inside its center's cover lists.
+    """
 
     def __init__(self, g: DecrementalGraph, q: int, Q: int, cover_radius=None,
                  backend: str = COUNTER):
         if not 1 <= q <= Q:
             raise InvalidRange(f"need 1 <= q <= Q, got q={q}, Q={Q}")
+        if cover_radius is None:
+            cover_radius = q
+        if cover_radius < 2 * (q // 2):
+            raise InvalidRange(
+                f"need cover_radius >= 2 * (q // 2), got {cover_radius} for q={q}")
         self.g = g
         self.q = q
         self.Q = Q
-        if cover_radius is None:
-            cover_radius = q
         self.mc = MovingCenters(g, cover_radius, Q, backend=backend)
         self.collected: list[set[int]] = []   # T^j
         self.radius2: list[int] = []          # 2 * r^j, exact in half-units
@@ -185,16 +230,21 @@ class DetCenterCover:
 
     # -- Alg. 3 --------------------------------------------------------------
 
-    def _greedy_open(self) -> None:
+    def _greedy_open(self, nodes=None) -> None:
+        """Open a center at each uncovered node whose component has >= q nodes.
+
+        Visits ``nodes`` (default: every node) in ascending id order.
+        """
         mc = self.mc
+        cover = mc._cover
         g = self.g
         q = self.q
         skip = self._skip_small
-        for x in range(g.n):
-            if skip[x] or mc.find_center(x) is not None:
+        for x in range(g.n) if nodes is None else sorted(nodes):
+            if skip[x] or cover[x]:
                 continue
-            comp = g.component_of(x)
-            if len(comp) < q:
+            comp = g.small_component(x, q)
+            if comp is not None:
                 # small components never grow back; skip every member for good
                 for y in comp:
                     skip[y] = True
@@ -215,29 +265,30 @@ class DetCenterCover:
         """Coverage maintenance once the shared graph already lost (u, v)."""
         mc = self.mc
         mc.begin_deletion()
+        trees = mc._trees
         # the moving-centers trees still reflect the pre-deletion graph, so
-        # distance(j, u) is dist_{G_i}(cen_j, u): find the (at most one)
-        # center whose radius-r^j ball contained u
-        candidates = []
-        for j in mc.centers():
-            d = mc.distance(j, u)
-            if d is not INF and 2 * d <= self.radius2[j]:
-                candidates.append(j)
+        # level[u] in j's tree is dist_{G_i}(cen_j, u): find the (at most one)
+        # center whose radius-r^j ball contained u; u's cover list holds it
+        candidates = [j for j in mc._cover[u]
+                      if 2 * trees[j].level[u] <= self.radius2[j]]
         if len(candidates) > 1:
-            raise InvariantViolation(f"ball disjointness violated: {candidates}")
+            raise InvariantViolation(
+                f"ball disjointness violated: {sorted(candidates)}")
+        freed = set()
         if candidates:
             j = candidates[0]
-            comp = self.g.component_of(mc.location[j])
-            if 2 * len(comp) < self.radius2[j]:
+            # 2 * |comp| < radius2  <=>  |comp| < ceil(radius2 / 2)
+            comp = self.g.small_component(mc.location[j], (self.radius2[j] + 1) // 2)
+            if comp is not None:
                 y = v if u in comp else u
-                move_dist = mc.distance(j, y)  # still the pre-deletion distance
+                move_dist = trees[j].level[y]  # still the pre-deletion distance
                 self.collected[j] |= comp
                 self.radius2[j] -= 2 * len(comp)
                 for z in comp:
                     self._skip_small[z] = True
-                mc.move(j, y, distance=move_dist)
-        mc.after_delete(u, v)
-        self._greedy_open()
+                freed.update(mc.move(j, y, distance=move_dist))
+        freed |= mc.after_delete(u, v)
+        self._greedy_open(freed)
 
     # -- queries ---------------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Versioned decremental graph, deletion traces, and the update-event vocabulary.
 
 Nodes are dense integer ids 0..n-1. The edge set only shrinks; every applied
-deletion bumps the version counter by one. Adjacency is kept as per-node sets
-plus, for n <= BITSET_LIMIT, per-node bitmasks so has_edge is a constant-time
-bit test (needed by the (2+eps, 0) query wrapper).
+deletion bumps the version counter by one. Adjacency is kept as per-node sets,
+so has_edge (needed by the (2+eps, 0) query wrapper) is a constant-time
+membership test.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .errors import (
 )
 
 INF = math.inf
-
-BITSET_LIMIT = 4096
 
 INSERT = "insert"
 DELETE = "delete"
@@ -49,7 +47,7 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 class DecrementalGraph:
     """Unweighted undirected graph under a sequence of single-edge deletions."""
 
-    __slots__ = ("n", "version", "m0", "_adj", "_bits", "_m")
+    __slots__ = ("n", "version", "m0", "_adj", "_m")
 
     def __init__(self, n: int):
         if n < 0:
@@ -59,7 +57,6 @@ class DecrementalGraph:
         self.m0 = 0
         self._m = 0
         self._adj: list[set[int]] = [set() for _ in range(n)]
-        self._bits: list[int] | None = [0] * n if n <= BITSET_LIMIT else None
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DecrementalGraph":
@@ -73,9 +70,6 @@ class DecrementalGraph:
                 raise DuplicateEdge(f"duplicate edge ({u}, {v})")
             g._adj[u].add(v)
             g._adj[v].add(u)
-            if g._bits is not None:
-                g._bits[u] |= 1 << v
-                g._bits[v] |= 1 << u
             g._m += 1
         g.m0 = g._m
         return g
@@ -92,8 +86,6 @@ class DecrementalGraph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
-        if self._bits is not None:
-            return bool(self._bits[u] >> v & 1)
         return v in self._adj[u]
 
     def degree(self, u: int) -> int:
@@ -119,15 +111,22 @@ class DecrementalGraph:
             raise EdgeAbsent(f"edge ({u}, {v}) not present at version {self.version}")
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-        if self._bits is not None:
-            self._bits[u] &= ~(1 << v)
-            self._bits[v] &= ~(1 << u)
         self._m -= 1
         self.version += 1
 
     def component_of(self, x: int) -> set[int]:
         """BFS-computed connected component of x at the current version."""
+        return self.small_component(x, self.n + 1)  # no component reaches n + 1
+
+    def small_component(self, x: int, limit: int) -> set[int] | None:
+        """x's component if it has fewer than ``limit`` nodes, else None.
+
+        The BFS stops as soon as it has seen ``limit`` nodes, so it scans the
+        adjacency of fewer than ``limit`` nodes whatever the component's size.
+        """
         self._check_node(x)
+        if limit <= 1:
+            return None
         seen = {x}
         queue = deque((x,))
         adj = self._adj
@@ -136,6 +135,8 @@ class DecrementalGraph:
             for z in adj[y]:
                 if z not in seen:
                     seen.add(z)
+                    if len(seen) >= limit:
+                        return None
                     queue.append(z)
         return seen
 

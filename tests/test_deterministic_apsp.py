@@ -14,6 +14,7 @@ from decaps.errors import (
     UnknownCenter,
 )
 from decaps.graph_core import INF, DecrementalGraph
+from decaps.harness import ExperimentConfig, build_graph, generate_trace, gnm_graph
 from decaps.oracle import bfs_apsp
 
 from conftest import random_graph_and_trace
@@ -106,6 +107,17 @@ def test_cc_validation(fig_graph):
         DetCenterCover(fig_graph, 0, 4)
     with pytest.raises(InvalidRange):
         DetCenterCover(fig_graph, 5, 4)
+
+
+def test_cc_rejects_cover_radius_below_half_q():
+    # below q // 2 u's cover list may miss the ball holding u; below
+    # 2 * (q // 2) two centers' balls may overlap
+    g = fig3_path(8)
+    for q, rho in ((4, 1), (5, 1), (8, 3), (2, 1), (4, 3), (5, 3), (8, 7)):
+        with pytest.raises(InvalidRange):
+            DetCenterCover(g, q, 16, cover_radius=rho)
+    for q, rho in ((1, 0), (2, 2), (3, 2), (5, 4), (8, 8)):
+        DetCenterCover(g, q, 16, cover_radius=rho)
 
 
 def test_cc_fig3_open_then_move():
@@ -201,6 +213,68 @@ def test_cover_ledger_invariants(data):
         for x in range(n):
             if g.component_size(x) >= q:
                 assert cov.find_center(x) is not None, "coverage"
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_incremental_greedy_matches_full_scan(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(2, 20))
+    g, order = random_graph_and_trace(rng, n, data.draw(st.integers(n, 3 * n)))
+    q = data.draw(st.integers(1, 4))
+    rho = data.draw(st.integers(2 * (q // 2), q))
+    cov = DetCenterCover(g, q, 4 * q, cover_radius=rho)
+    mc = cov.mc
+    for u, v in order:
+        # the trees still hold the pre-deletion levels, as in on_deleted
+        def in_ball(j):
+            d = mc.distance(j, u)
+            return d is not INF and 2 * d <= cov.radius2[j]
+        scanned = [j for j in mc.centers() if in_ball(j)]
+        listed = sorted(j for j in mc._cover[u] if in_ball(j))
+        assert listed == scanned
+        cov.delete(u, v)
+        opens = cov.opens
+        cov._greedy_open()  # full scan over every node
+        assert cov.opens == opens
+
+
+# Work counters of ApspIndexDet(eps=0.5) over full traces, recorded with the
+# full-scan deletion path (every tree repaired, every node re-checked):
+# per-layer opens and moving distance, and level increases and messages
+# summed over every tree built.
+PINNED_COUNTERS = [
+    ("grid", "adversarial-path-peel",
+     [100, 100, 100, 39, 12, 5, 2], [0, 0, 0, 0, 12, 15, 14], 308960, 488330),
+    ("gnm", "random",
+     [120, 120, 120, 52, 23, 7, 2], [0, 0, 0, 0, 23, 19, 10], 576957, 1111176),
+]
+
+
+@pytest.mark.parametrize("graph, order, opens, moving, increases, messages",
+                         PINNED_COUNTERS)
+def test_det_apsp_counters_pinned(graph, order, opens, moving, increases, messages):
+    if graph == "grid":
+        g = build_graph(ExperimentConfig("det_apsp", generator="grid:10:10"))
+        trace = generate_trace(g, order)
+    else:
+        g = gnm_graph(120, 360, seed=1)
+        trace = generate_trace(g, order, seed=1)
+    idx = ApspIndexDet(g, 0.5)
+    trees = {}  # every tree that ever lived, kept alive so ids stay unique
+
+    def collect():
+        for layer in idx.layers:
+            for tree in layer.mc._trees:
+                trees[id(tree)] = tree
+    collect()
+    for u, v in trace:
+        idx.delete(u, v)
+        collect()
+    assert [layer.opens for layer in idx.layers] == opens
+    assert [layer.moving_distance for layer in idx.layers] == moving
+    assert sum(t.level_increases for t in trees.values()) == increases
+    assert sum(t.messages for t in trees.values()) == messages
 
 
 def test_det_apsp_validation(fig_graph):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from decaps.errors import DuplicateEdge, EdgeAbsent, NodeOutOfRange, SelfLoop
 from decaps.graph_core import (
+    INF,
     DecrementalGraph,
     DeletionTrace,
     read_edge_list,
@@ -90,10 +91,9 @@ def test_adjacency_and_has_edge(fig_graph):
 
 
 def test_has_edge_beyond_bitset_limit():
-    # above the bitset threshold the neighbor-set fallback must agree
+    # has_edge is neighbor-set membership at any n
     n = 5000
     g = DecrementalGraph.from_edge_list(n, [(0, 1), (4998, 4999)])
-    assert g._bits is None
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
     g.delete_edge(0, 1)
     assert not g.has_edge(0, 1)
@@ -122,6 +122,27 @@ def test_distances_nondecreasing_and_membership(data):
                 assert g.has_edge(x, y)
         assert not g.has_edge(u, v)
         prev, sizes = cur, new_sizes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_small_component_matches_component_of(data):
+    n = data.draw(st.integers(1, 16))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    g = random_graph(rng, n, data.draw(st.integers(0, n * (n - 1) // 2)))
+    order = g.edges()
+    rng.shuffle(order)
+    for step in range(len(order) + 1):
+        for x in range(n):
+            comp = {y for y, d in enumerate(bfs_levels(g, x)) if d is not INF}
+            assert g.component_of(x) == comp
+            for limit in range(-1, n + 2):
+                want = comp if len(comp) < limit else None
+                assert g.small_component(x, limit) == want
+        if step < len(order):
+            g.delete_edge(*order[step])
+    with pytest.raises(NodeOutOfRange):
+        g.small_component(n, 3)
 
 
 def test_version_counts_deletions(fig_graph):
