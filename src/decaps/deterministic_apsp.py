@@ -32,9 +32,9 @@ A deletion costs work in proportion to what it changes, not to n:
   radius, so the greedy pass re-checks exactly those nodes, in ascending id
   order. Opens only add coverage, so it opens the same centers as a full
   scan would.
-* A counter-backend tree is repaired only when u and v sit on adjacent
-  levels; otherwise the deleted edge supported neither endpoint and the
-  repair would change nothing.
+* A tree is repaired only when u and v sit on adjacent levels; otherwise
+  the deleted edge supported neither endpoint and the repair would change
+  no level.
 """
 
 from __future__ import annotations
@@ -163,20 +163,17 @@ class MovingCenters:
     def after_delete(self, u: int, v: int) -> set[int]:
         """Repair the trees after the shared graph lost (u, v).
 
-        Returns the nodes popped from cover lists. A counter tree is called
-        only when u and v sit on adjacent levels, the one case where the
-        edge supported an endpoint; heap trees are all called, so their
-        ``heap_ops`` stay those of a full dispatch.
+        Returns the nodes popped from cover lists. A tree is called only
+        when u and v sit on adjacent levels, the one case where the edge
+        supported an endpoint.
         """
         cover = self._cover
         freed: set[int] = set()
-        counter = self._backend == COUNTER
         for j, tree in enumerate(self._trees):
-            if counter:
-                level = tree.level
-                # INF on either side gives inf or nan here, never +-1
-                if level[u] - level[v] not in (1, -1):
-                    continue
+            level = tree.level
+            # INF on either side gives inf or nan here, never +-1
+            if level[u] - level[v] not in (1, -1):
+                continue
             for x in tree.after_delete(u, v):
                 cover[x].pop(j, None)
                 freed.add(x)
@@ -226,21 +223,21 @@ class DetCenterCover:
         self.collected: list[set[int]] = []   # T^j
         self.radius2: list[int] = []          # 2 * r^j, exact in half-units
         self._skip_small: list[bool] = [False] * g.n
-        self._greedy_open()
+        self._greedy_open(range(g.n))
 
     # -- Alg. 3 --------------------------------------------------------------
 
-    def _greedy_open(self, nodes=None) -> None:
+    def _greedy_open(self, nodes) -> None:
         """Open a center at each uncovered node whose component has >= q nodes.
 
-        Visits ``nodes`` (default: every node) in ascending id order.
+        Visits ``nodes`` in ascending id order.
         """
         mc = self.mc
         cover = mc._cover
         g = self.g
         q = self.q
         skip = self._skip_small
-        for x in range(g.n) if nodes is None else sorted(nodes):
+        for x in sorted(nodes):
             if skip[x] or cover[x]:
                 continue
             comp = g.small_component(x, q)

@@ -235,7 +235,7 @@ def test_incremental_greedy_matches_full_scan(data):
         assert listed == scanned
         cov.delete(u, v)
         opens = cov.opens
-        cov._greedy_open()  # full scan over every node
+        cov._greedy_open(range(g.n))  # full scan over every node
         assert cov.opens == opens
 
 
