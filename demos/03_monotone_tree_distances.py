@@ -22,8 +22,10 @@ def main():
     g = gnm_graph(n, 3 * n, seed=9)
     em = LocallyPerseveringEmulator(g, eps=1.0, hubs=list(range(n)))
     root = 0
-    tree = MonotoneEsTree(n, em.snapshot(), root, Q=n, alpha=1, beta=2,
-                          tau=em.tau, backend="counter")
+    # the tree reads the emulator's own H; on_delete updates it before the
+    # tree repairs itself once per batch
+    tree = MonotoneEsTree(em.h, root, Q=n, alpha=1, beta=2, tau=em.tau,
+                          backend="counter")
 
     order = g.edges()
     rng.shuffle(order)

@@ -11,6 +11,12 @@ Each base-graph deletion is turned into an ordered batch of update events
 (all insertions first, then weight increases and deletions); a pair present
 in both kinds is reported at the collapsed minimum weight, which is safe
 because both kinds can only coexist at weight 1.
+
+The emulator owns H as one ``WeightedAdjacency`` (``h``). ``on_delete``
+applies each batch to it once (``WeightedAdjacency.apply`` checks the whole
+batch before it changes H) and returns the batch with each event's old
+weight; the monotone trees built on ``h`` read H and repair themselves once
+per batch.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .graph_core import (
     INSERT,
     DecrementalGraph,
     UpdateEvent,
+    WeightedAdjacency,
     edge_key,
 )
 
@@ -70,7 +77,7 @@ class LocallyPerseveringEmulator:
                 if y != c and level[y] is not INF:
                     self._hub_weight.setdefault(edge_key(c, y), int(level[y]))
 
-        self.event_log: list[UpdateEvent] = []
+        self.h = WeightedAdjacency(g.n, self.snapshot())
         self._pairs_ever: set[tuple[int, int]] = set(self._unit) | set(self._hub_weight)
         self.updates_total = 0
 
@@ -100,7 +107,7 @@ class LocallyPerseveringEmulator:
     # -- updates -------------------------------------------------------------
 
     def on_delete(self, u: int, v: int) -> list[UpdateEvent]:
-        """Delete (u, v) from G and return the ordered emulator event batch."""
+        """Delete (u, v) from G, apply the ordered event batch to H and return it."""
         g = self.g
         s = self.degree_threshold
         deg_u = g.degree(u)
@@ -154,7 +161,6 @@ class LocallyPerseveringEmulator:
         if was_unit and not handled_uv and pair_uv not in self._hub_weight:
             rest.append(UpdateEvent(DELETE, pair_uv[0], pair_uv[1], INF))
 
-        batch = inserts + rest
-        self.event_log.extend(batch)
+        batch = self.h.apply(inserts + rest)
         self.updates_total += len(batch)
         return batch

@@ -3,20 +3,25 @@
 Nodes are dense integer ids 0..n-1. The edge set only shrinks; every applied
 deletion bumps the version counter by one. Adjacency is kept as per-node sets,
 so has_edge (needed by the (2+eps, 0) query wrapper) is a constant-time
-membership test.
+membership test. ``WeightedAdjacency`` is the weighted graph that update
+events act on: the emulator owns one, and every monotone tree reads it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DuplicateEdge,
     EdgeAbsent,
+    InvalidParameters,
     NodeOutOfRange,
+    NonIncreasingWeight,
+    OrderViolation,
     SelfLoop,
+    UnknownEdge,
 )
 
 INF = math.inf
@@ -30,13 +35,16 @@ class UpdateEvent(NamedTuple):
     """One update of a dynamic weighted graph.
 
     kind is one of INSERT, DELETE, INCREASE. For INSERT and INCREASE the
-    weight field carries the new weight; for DELETE it is INF.
+    weight field carries the new weight; for DELETE it is INF. ``old`` is the
+    weight just before the event, None for INSERT; WeightedAdjacency.apply
+    fills it in.
     """
 
     kind: str
     u: int
     v: int
     weight: float
+    old: float | None = None
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -100,10 +108,6 @@ class DecrementalGraph:
     def neighbors_sorted(self, u: int) -> list[int]:
         return sorted(self.neighbors(u))
 
-    def adjacency_query(self, u: int) -> tuple[int, Iterator[int]]:
-        """(degree, sorted neighbor iterator) at the current version."""
-        return self.degree(u), iter(self.neighbors_sorted(u))
-
     def delete_edge(self, u: int, v: int) -> None:
         self._check_node(u)
         self._check_node(v)
@@ -160,6 +164,80 @@ class DecrementalGraph:
     def apply_trace(self, trace: "DeletionTrace") -> None:
         for u, v in trace:
             self.delete_edge(u, v)
+
+
+class WeightedAdjacency:
+    """Weighted undirected graph changed only by whole event batches.
+
+    ``adj[u]`` maps each neighbor of u to the edge weight, at least 1.
+    Readers share the lists and never write them; :meth:`apply` is the only
+    writer.
+    """
+
+    __slots__ = ("n", "adj")
+
+    def __init__(self, n: int, edges: dict[tuple[int, int], int]):
+        self.n = n
+        self.adj: list[dict[int, int]] = [dict() for _ in range(n)]
+        for (u, v), w in edges.items():
+            if not w >= 1:
+                raise InvalidParameters(f"edge weight must be >= 1, got {w}")
+            self.adj[u][v] = w
+            self.adj[v][u] = w
+
+    def edges(self) -> dict[tuple[int, int], int]:
+        """Current edges as {(u, v) with u < v: weight}."""
+        return {(u, v): w for u in range(self.n) for v, w in self.adj[u].items() if u < v}
+
+    def apply(self, events) -> list[UpdateEvent]:
+        """Check a whole ordered batch, then apply it; returns it with ``old`` set.
+
+        The batch holds insertions first, then weight increases and
+        deletions. Every event is checked against the graph as the earlier
+        events of the batch leave it (order, kind, node range, no self-loop,
+        edge present or absent, inserted weight at least 1, weight strictly
+        increasing) before the first one is applied, so a rejected batch
+        leaves the graph unchanged.
+        """
+        adj = self.adj
+        pending: dict[tuple[int, int], int | None] = {}
+        out: list[UpdateEvent] = []
+        saw_non_insert = False
+        for kind, u, v, w, _ in events:
+            if not (0 <= u < self.n and 0 <= v < self.n):
+                raise NodeOutOfRange(f"edge ({u}, {v}) not in [0, {self.n})")
+            if u == v:
+                raise SelfLoop(f"self-loop at node {u}")
+            key = edge_key(u, v)
+            old = pending[key] if key in pending else adj[u].get(v)
+            if kind == INSERT:
+                if saw_non_insert:
+                    raise OrderViolation(
+                        f"insert of ({u}, {v}) after a non-insert event in one batch")
+                if old is not None:
+                    raise UnknownEdge(f"insert of edge ({u}, {v}) which is already present")
+                if not w >= 1:
+                    raise InvalidParameters(f"edge weight must be >= 1, got {w}")
+                pending[key] = w
+            elif kind == INCREASE or kind == DELETE:
+                saw_non_insert = True
+                if old is None:
+                    raise UnknownEdge(f"{kind} of absent edge ({u}, {v})")
+                if kind == INCREASE and not w > old:
+                    raise NonIncreasingWeight(
+                        f"weight of ({u}, {v}) must increase past {old}, got {w}")
+                pending[key] = None if kind == DELETE else w
+            else:
+                raise UnknownEdge(f"unknown event kind {kind!r}")
+            out.append(UpdateEvent(kind, u, v, w, old))
+        for kind, u, v, w, _ in out:
+            if kind == DELETE:
+                del adj[u][v]
+                del adj[v][u]
+            else:
+                adj[u][v] = w
+                adj[v][u] = w
+        return out
 
 
 class DeletionTrace:

@@ -1,11 +1,37 @@
 """Monotone ES-tree over an emulator's event stream.
 
-Consumes ordered batches of update events (all insertions first, then weight
-increases and deletions) and maintains per-node levels that never decrease.
-Insertions only refresh neighbor bookkeeping; they never lower a level. The
+The weighted graph H is a ``WeightedAdjacency`` owned by the emulator (or by
+a test): one per emulator, shared by every tree built on it, the way
+``EsTree`` shares ``DecrementalGraph._adj``. A tree keeps only per-root state
+(levels, support counters or heaps, candidate parents) and never writes H.
+H receives each ordered event batch (all insertions first, then weight
+increases and deletions) through ``WeightedAdjacency.apply``, once; every
+tree then repairs itself once per batch with :meth:`MonotoneEsTree.apply_batch`.
+Levels never decrease; insertions only refresh neighbor bookkeeping. The
 tree is maintained to depth (alpha + beta/tau) * Q + beta, so with the
 (1, 2, ceil(2/eps))-locally persevering emulator its level is a
 (1 + eps, 2)-approximate distance estimate for the base graph, up to Q.
+
+Repairing once per batch gives the levels that repairing after every event
+gives. Let T cut a level off to INF past the depth bound. For levels L and a
+graph H, call L'' >= L closed if L''(y) >= T(max(L(y), min_v L''(v) + w(y, v)))
+for every y other than the root (which stays at 0), and let F(L, H) be the
+least closed L'': the least fixpoint of that equation at or above L. The
+repair computes F(L, H') for the levels L before the batch and the graph H'
+after it, on both backends, because a level is only ever raised to a support
+value that is at or below F(L, H'), and the repair stops at a fixpoint.
+Insertions come first and only lower the minimum, so they leave L closed and
+move no level; after them every event raises a weight (a deletion raises it
+to INF). For H_1 <= H_2 in every weight and L_1 = F(L, H_1):
+
+* F(L, H_2) is closed for H_1 (a smaller weight only lowers the minimum), so
+  it is at or above L_1; being a fixpoint at or above L_1, it is closed for
+  (L_1, H_2), hence at or above F(L_1, H_2);
+* F(L_1, H_2) is at or above L_1 >= L and closed for (L, H_2), hence at or
+  above F(L, H_2).
+
+So F(L_1, H_2) = F(L, H_2), and by induction over the events the per-batch
+levels equal the per-event ones.
 
 Two backends:
 
@@ -16,7 +42,7 @@ Two backends:
   lists L(u) (revalidated on pop, deduplicated through a membership set) so
   parents stay retrievable in O(1) amortized.
 
-Both backends produce identical levels after every event; ``counter`` is
+Both backends produce identical levels after every batch; ``counter`` is
 the default.
 """
 
@@ -25,14 +51,8 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush, heapify
 
-from .errors import (
-    InvalidParameters,
-    NodeOutOfRange,
-    NonIncreasingWeight,
-    OrderViolation,
-    UnknownEdge,
-)
-from .graph_core import DELETE, INCREASE, INF, INSERT
+from .errors import InvalidParameters, NodeOutOfRange
+from .graph_core import DELETE, INF, WeightedAdjacency
 
 HEAP = "heap"
 COUNTER = "counter"
@@ -44,16 +64,17 @@ def depth_bound_floor(Q: int, alpha: int, beta: int, tau: int) -> int:
 
 
 class MonotoneEsTree:
-    def __init__(self, n: int, h0: dict, root: int, Q: int, alpha: int = 1,
+    def __init__(self, h: WeightedAdjacency, root: int, Q: int, alpha: int = 1,
                  beta: int = 2, tau: int = 1, backend: str = COUNTER,
                  report_threshold=None):
-        """Initialize on the emulator snapshot ``h0`` ({(u, v): weight}).
+        """Initialize on the current state of the shared graph ``h``.
 
         ``Q`` is the distance range of the estimates; the tree itself is kept
         to depth (alpha + beta/tau) * Q + beta. ``report_threshold`` selects
         the level whose crossing apply_batch reports (default: the depth
         bound, i.e. nodes leaving the tree).
         """
+        n = h.n
         if not 0 <= root < n:
             raise NodeOutOfRange(f"root {root} not in [0, {n})")
         if Q < 1 or alpha < 1 or beta < 0 or tau < 1:
@@ -74,10 +95,7 @@ class MonotoneEsTree:
         self.level_increases = 0
         self.ops = 0
 
-        self._adj: list[dict[int, int]] = [dict() for _ in range(n)]
-        for (u, v), w in h0.items():
-            self._adj[u][v] = w
-            self._adj[v][u] = w
+        self._adj = h.adj  # shared with every tree on h; read only
         self._init_levels()
         if backend == HEAP:
             self._init_heaps()
@@ -117,17 +135,15 @@ class MonotoneEsTree:
         self._count = [0] * self.n
         self._parents: list[deque] = [deque() for _ in range(self.n)]
         self._members: list[set] = [set() for _ in range(self.n)]
-        for u in range(self.n):
+        for u, adj_u in enumerate(self._adj):
             lu = level[u]
             if lu is INF:
                 continue
-            c = 0
-            for v in sorted(self._adj[u]):
-                if level[v] is not INF and level[v] + self._adj[u][v] <= lu:
-                    c += 1
-                    self._parents[u].append(v)
-                    self._members[u].add(v)
-            self._count[u] = c
+            # INF + w <= lu never holds for a finite lu
+            support = sorted(v for v, w in adj_u.items() if level[v] + w <= lu)
+            self._count[u] = len(support)
+            self._parents[u].extend(support)
+            self._members[u].update(support)
 
     # -- queries -------------------------------------------------------------
 
@@ -183,100 +199,61 @@ class MonotoneEsTree:
 
     # -- updates ---------------------------------------------------------------
 
-    def apply_batch(self, events) -> set[int]:
-        """Process one ordered event batch; returns report-threshold crossings.
+    def apply_batch(self, batch) -> set[int]:
+        """Repair after ``batch``; returns the nodes that crossed report_threshold.
 
-        The event order is checked before any event is applied, so an
-        OrderViolation or an unknown event kind leaves the tree unchanged.
+        ``batch`` is the list that ``WeightedAdjacency.apply`` returned: it is
+        already applied to H and each event carries its old weight. With the
+        levels from before the batch, every event first updates the support
+        counters (counter backend) or pushes its new heap keys (heap backend);
+        one repair pass then starts from the endpoints that lost a support.
+        A tree where no endpoint lost one returns before the repair loop.
         """
-        batch = list(events)
-        saw_non_insert = False
-        for kind, u, v, _ in batch:
-            if kind == INSERT:
-                if saw_non_insert:
-                    raise OrderViolation(
-                        f"insert of ({u}, {v}) after a non-insert event in one batch")
-            elif kind == INCREASE or kind == DELETE:
-                saw_non_insert = True
-            else:
-                raise UnknownEdge(f"unknown event kind {kind!r}")
-        dropped: set[int] = set()
-        for kind, u, v, w in batch:
-            if kind == INSERT:
-                self._apply_insert(u, v, w)
-                continue
-            if kind == INCREASE:
-                self._apply_increase(u, v, w)
-            else:
-                self._apply_delete(u, v)
-            dropped |= self._update_levels(u, v)
-        return dropped
-
-    def _apply_insert(self, u: int, v: int, w) -> None:
-        if v in self._adj[u]:
-            raise UnknownEdge(f"insert of edge ({u}, {v}) which is already present")
-        w = int(w)
-        self._adj[u][v] = w
-        self._adj[v][u] = w
         level = self.level
-        if self.backend == HEAP:
-            if level[v] is not INF:
-                heappush(self._nheap[u], (level[v] + w, v))
-                self.ops += 1
-            if level[u] is not INF:
-                heappush(self._nheap[v], (level[u] + w, u))
-                self.ops += 1
-            return
-        for a, b in ((u, v), (v, u)):
-            if level[a] is not INF and level[b] is not INF and level[b] + w <= level[a]:
-                self._count[a] += 1
-                if b not in self._members[a]:
-                    self._members[a].add(b)
-                    self._parents[a].append(b)
-
-    def _apply_increase(self, u: int, v: int, w) -> None:
-        old = self._adj[u].get(v)
-        if old is None:
-            raise UnknownEdge(f"weight increase of absent edge ({u}, {v})")
-        if not w > old:
-            raise NonIncreasingWeight(
-                f"weight of ({u}, {v}) must increase past {old}, got {w}")
-        w = int(w)
-        level = self.level
+        seeds = []
         if self.backend == COUNTER:
-            for a, b in ((u, v), (v, u)):
-                la, lb = level[a], level[b]
-                if la is not INF and lb is not INF and lb + old <= la < lb + w:
-                    self._count[a] -= 1
-        self._adj[u][v] = w
-        self._adj[v][u] = w
-        if self.backend == HEAP:
-            if level[v] is not INF:
-                heappush(self._nheap[u], (level[v] + w, v))
-                self.ops += 1
-            if level[u] is not INF:
-                heappush(self._nheap[v], (level[u] + w, u))
-                self.ops += 1
-
-    def _apply_delete(self, u: int, v: int) -> None:
-        w = self._adj[u].get(v)
-        if w is None:
-            raise UnknownEdge(f"deletion of absent edge ({u}, {v})")
-        level = self.level
-        if self.backend == COUNTER:
-            for a, b in ((u, v), (v, u)):
-                la, lb = level[a], level[b]
-                if la is not INF and lb is not INF and lb + w <= la:
-                    self._count[a] -= 1
-        del self._adj[u][v]
-        del self._adj[v][u]
+            count = self._count
+            for _, u, v, w, old in batch:
+                lu, lv = level[u], level[v]
+                if lu is INF or lv is INF or lu == lv:
+                    continue
+                if lu < lv:
+                    u, v, lu, lv = v, u, lv, lu
+                # weights are at least 1, so only the higher endpoint u can
+                # lean on v: iff lv + weight <= lu (never when w is INF)
+                held = old is not None and lv + old <= lu
+                if held == (lv + w <= lu):
+                    continue
+                if held:
+                    count[u] -= 1
+                    if count[u] == 0:
+                        seeds.append(u)
+                else:
+                    count[u] += 1
+                    if v not in self._members[u]:
+                        self._members[u].add(v)
+                        self._parents[u].append(v)
+            if not seeds:
+                return set()
+            return self._update_levels_counter(seeds)
+        for kind, u, v, w, old in batch:
+            lu, lv = level[u], level[v]
+            if kind != DELETE:
+                if lv is not INF:
+                    heappush(self._nheap[u], (lv + w, v))
+                    self.ops += 1
+                if lu is not INF:
+                    heappush(self._nheap[v], (lu + w, u))
+                    self.ops += 1
+            if old is not None:
+                for a, la, lb in ((u, lu, lv), (v, lv, lu)):
+                    if la is not INF and lb + old <= la:
+                        seeds.append(a)
+        if not seeds:
+            return set()
+        return self._update_levels_heap(seeds)
 
     # -- level maintenance -----------------------------------------------------
-
-    def _update_levels(self, u: int, v: int) -> set[int]:
-        if self.backend == HEAP:
-            return self._update_levels_heap(u, v)
-        return self._update_levels_counter(u, v)
 
     def _best_support(self, y: int):
         heap = self._nheap[y]
@@ -291,15 +268,15 @@ class MonotoneEsTree:
             self.ops += 1
         return INF
 
-    def _update_levels_heap(self, u: int, v: int) -> set[int]:
+    def _update_levels_heap(self, seeds) -> set[int]:
         level = self.level
         bound = self.bound
         rt = self.report_threshold
         root = self.root
         dropped: set[int] = set()
         queue = []
-        for y in (u, v):
-            if level[y] is not INF and y != root:
+        for y in seeds:
+            if y != root:
                 heappush(queue, (level[y], y))
                 self.ops += 1
         while queue:
@@ -310,10 +287,12 @@ class MonotoneEsTree:
             new = self._best_support(y)
             if new <= ly:
                 continue
+            # counted in units, a drop as a rise to bound + 1, as the counter
+            # backend counts it: the total then does not depend on the path
+            self.level_increases += min(new, bound + 1) - ly
             if new > bound:
                 new = INF
             level[y] = new
-            self.level_increases += 1
             if ly <= rt and (new is INF or new > rt):
                 dropped.add(y)
             if len(self._nheap[y]) > 2 * max(8, len(self._adj[y])):
@@ -334,17 +313,14 @@ class MonotoneEsTree:
                     self.ops += 1
         return dropped
 
-    def _update_levels_counter(self, u: int, v: int) -> set[int]:
+    def _update_levels_counter(self, seeds) -> set[int]:
         level = self.level
         count = self._count
         bound = self.bound
         rt = self.report_threshold
         root = self.root
         dropped: set[int] = set()
-        queue = deque()
-        for y in (u, v):
-            if level[y] is not INF and y != root:
-                queue.append(y)
+        queue = deque(seeds)
         while queue:
             y = queue.popleft()
             ly = level[y]

@@ -12,6 +12,11 @@ binary-search the minimal usable layer and take the minimum with the patch
 estimate, giving dist <= answer <= (1+eps)*dist + 2 with high probability,
 and the (2+eps, 0) wrapper answers adjacent pairs exactly from the graph's
 adjacency check.
+
+H exists once: the emulator owns its weighted adjacency and applies each
+deletion's event batch to it. Every layer tree and every patch tree reads
+that adjacency and keeps only its own levels and counters; each repairs once
+per batch, which gives the per-event levels (see ``monotone_es_tree``).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import random
 
 from .emulator import LocallyPerseveringEmulator
 from .errors import InvalidEpsilon, InvalidRange, NodeOutOfRange, UnknownCenter
-from .graph_core import INF, DecrementalGraph
+from .graph_core import INF, DecrementalGraph, UpdateEvent
 from .monotone_es_tree import MonotoneEsTree, depth_bound_floor
 
 
@@ -70,9 +75,8 @@ class RandomCenterCover:
         self.centers = sorted(set(centers))
 
         tau = emulator.tau
-        h0 = emulator.snapshot()
         self.cover_threshold = depth_bound_floor(q, 1, 2, tau)
-        self._tree_Q = [MonotoneEsTree(n, h0, c, Q, 1, 2, tau,
+        self._tree_Q = [MonotoneEsTree(emulator.h, c, Q, 1, 2, tau,
                                        report_threshold=self.cover_threshold)
                         for c in self.centers]
         self._cover: list[dict[int, bool]] = [dict() for _ in range(n)]
@@ -86,7 +90,7 @@ class RandomCenterCover:
         self.on_batch(self.emulator.on_delete(u, v))
 
     def on_batch(self, batch) -> None:
-        """Feed one emulator event batch to every center's tree."""
+        """Repair every center's tree after one batch the emulator applied."""
         for j, tree in enumerate(self._tree_Q):
             for x in tree.apply_batch(batch):
                 self._cover[x].pop(j, None)
@@ -146,17 +150,18 @@ class ApspIndexRandom:
                 g, q_p, Q_p, emulator=self.emulator, rng=self.rng,
                 sampling_constant=sampling_constant))
         self.patch_range = math.ceil(20.0 / self.eps_hat)
-        h0 = self.emulator.snapshot()
-        tau = self.emulator.tau
-        self.patch = [MonotoneEsTree(n, h0, x, self.patch_range, 1, 2, tau)
+        h, tau = self.emulator.h, self.emulator.tau
+        self.patch = [MonotoneEsTree(h, x, self.patch_range, 1, 2, tau)
                       for x in range(n)]
 
-    def delete(self, u: int, v: int) -> None:
+    def delete(self, u: int, v: int) -> list[UpdateEvent]:
+        """Delete (u, v) from the base graph; returns the emulator's event batch."""
         batch = self.emulator.on_delete(u, v)
         for layer in self.layers:
             layer.on_batch(batch)
         for tree in self.patch:
             tree.apply_batch(batch)
+        return batch
 
     def layer_estimate(self, p: int, x: int, y: int):
         """delta_p(cen, x) + delta_p(cen, y) through a center covering x."""

@@ -182,16 +182,12 @@ def rand_grid():
             trees = [t for layer in idx.layers for t in layer._tree_Q] + idx.patch
             prev_levels = [list(t.level) for t in trees]
             inserted = set()
-            log_pos = 0
             upper_bad = False
             for u, v in trace:
-                idx.delete(u, v)
+                batch = idx.delete(u, v)
                 oracle.note_delete(u, v)
                 snapshots.append(dict(idx.emulator.snapshot()))
-                new_events = idx.emulator.event_log[log_pos:]
-                log_pos = len(idx.emulator.event_log)
-                inserted |= {edge_key(e.u, e.v) for e in new_events
-                             if e.kind == INSERT}
+                inserted |= {edge_key(e.u, e.v) for e in batch if e.kind == INSERT}
                 # criterion 6: monotone levels, stretched edges from inserts
                 for ti, tree in enumerate(trees):
                     cur = tree.level

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from decaps.emulator import LocallyPerseveringEmulator
 from decaps.errors import EdgeAbsent, InvalidEpsilon
-from decaps.graph_core import DELETE, INCREASE, INF, INSERT, DecrementalGraph, edge_key
+from decaps.graph_core import (
+    DELETE,
+    INCREASE,
+    INF,
+    INSERT,
+    DecrementalGraph,
+    UpdateEvent,
+    edge_key,
+)
 from decaps.oracle import bfs_apsp, bfs_levels, weighted_apsp
 
 from conftest import FIG_EDGES, random_graph_and_trace
@@ -102,7 +110,7 @@ def test_low_degree_deletion_single_event():
     g = DecrementalGraph.from_edge_list(6, [(0, 1), (2, 3), (3, 4), (4, 5)])
     em = LocallyPerseveringEmulator(g, 1.0, hubs=[])
     batch = em.on_delete(0, 1)
-    assert batch == [type(batch[0])(DELETE, 0, 1, INF)]
+    assert batch == [UpdateEvent(DELETE, 0, 1, INF, 1)]
 
 
 def test_on_delete_absent_edge(fig_graph):
@@ -119,12 +127,11 @@ def test_stats_fresh_and_replay(fig_graph):
     rng = random.Random(17)
     g, order = random_graph_and_trace(rng, 20, 50)
     em = LocallyPerseveringEmulator(g, 0.5, seed=4)
-    for u, v in order:
-        em.on_delete(u, v)
+    events = [ev for u, v in order for ev in em.on_delete(u, v)]
     edges_ever, updates = em.stats()
-    inserted = sum(1 for ev in em.event_log if ev.kind == INSERT)
-    deleted = sum(1 for ev in em.event_log if ev.kind == DELETE)
-    assert updates == len(em.event_log)
+    inserted = sum(1 for ev in events if ev.kind == INSERT)
+    deleted = sum(1 for ev in events if ev.kind == DELETE)
+    assert updates == len(events)
     assert updates >= inserted + deleted
     assert edges_ever >= deleted  # everything deleted from H existed in H
 
@@ -134,10 +141,8 @@ def test_per_hub_edge_update_count_bounded():
     for eps in (0.5, 1.0):
         g, order = random_graph_and_trace(rng, 16, 40)
         em = LocallyPerseveringEmulator(g, eps, seed=9)
-        for u, v in order:
-            em.on_delete(u, v)
         per_pair = {}
-        for ev in em.event_log:
+        for ev in (ev for u, v in order for ev in em.on_delete(u, v)):
             per_pair.setdefault(edge_key(ev.u, ev.v), []).append(ev.kind)
         for pair, kinds in per_pair.items():
             assert len(kinds) <= em.weight_cap + 2
@@ -160,7 +165,10 @@ def test_never_underestimates_and_event_order(data):
                 assert not seen_other, "insert after non-insert in one batch"
             else:
                 seen_other = True
+            # each pair changes at most once per batch, so its old weight is H's
+            assert ev.old == prev_weights.get(edge_key(ev.u, ev.v))
         snap = em.snapshot()
+        assert em.h.edges() == snap
         # weights never decrease while an edge stays present
         for pair, w in snap.items():
             if pair in prev_weights:

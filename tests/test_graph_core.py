@@ -80,8 +80,7 @@ def test_component_out_of_range():
 
 
 def test_adjacency_and_has_edge(fig_graph):
-    deg, it = fig_graph.adjacency_query(1)
-    assert deg == 4 and sorted(it) == [0, 2, 4, 5]
+    assert fig_graph.degree(1) == 4 and fig_graph.neighbors_sorted(1) == [0, 2, 4, 5]
     fig_graph.delete_edge(0, 1)
     assert fig_graph.degree(1) == 3
     assert not fig_graph.has_edge(0, 1)

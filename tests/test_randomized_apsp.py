@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from decaps.errors import InvalidEpsilon, InvalidRange, UnknownCenter
 from decaps.graph_core import INF, DecrementalGraph
+from decaps.harness import generate_trace, gnm_graph
 from decaps.oracle import bfs_apsp
 from decaps.randomized_apsp import ApspIndexRandom, RandomCenterCover
 
@@ -128,6 +129,20 @@ def test_layer_estimate_properties():
                         assert est <= bound + 1e-9  # property 2
                     if g.component_size(x) >= q_p and np.isfinite(d) and d <= 2 ** (p + 1):
                         assert est != INF  # property 3 (coverage)
+
+
+def test_rand_apsp_counters_pinned():
+    # the benchmark's rand-gnm round: G(64, 256), first 40 random deletions
+    g = gnm_graph(64, 256, 0)
+    trace = generate_trace(g, "random", seed=0).prefix(40)
+    idx = ApspIndexRandom(g, 0.5, seed=0)
+    for u, v in trace:
+        idx.delete(u, v)
+    assert [sum(t.level_increases for t in layer._tree_Q)
+            for layer in idx.layers] == [662] * 6
+    assert sum(t.level_increases for t in idx.patch) == 662
+    assert [sum(len(layer.cover_list(x)) for x in range(g.n))
+            for layer in idx.layers] == [3958] * 6
 
 
 def test_query_identity_and_adjacent():
