@@ -1,9 +1,11 @@
 """Randomized approximate all-pairs distances under deletions.
 
 One shared emulator feeds log-many layered center covers plus a
-small-distance patch of per-node monotone trees. Queries binary-search the
-layers and combine with the patch: dist <= answer <= (1+eps)*dist + 2 whp,
-and the (2+eps, 0) wrapper answers adjacent pairs exactly.
+small-distance patch. Each node roots one monotone tree, which the patch and
+every layer that centers the node read through their own depth bound.
+Queries binary-search the layers and combine with the patch:
+dist <= answer <= (1+eps)*dist + 2 whp, and the (2+eps, 0) wrapper answers
+adjacent pairs exactly.
 """
 
 import random
@@ -23,6 +25,7 @@ def main():
     for p, (q_p, Q_p) in enumerate(idx.layer_params):
         print(f"  layer {p}: cover range {q_p}, distance range {Q_p}, "
               f"{len(idx.layers[p].centers)} centers")
+    print(f"{len(idx.trees)} monotone trees, one per root")
 
     order = g.edges()
     rng.shuffle(order)

@@ -111,6 +111,8 @@ class DecrementalGraph:
     def delete_edge(self, u: int, v: int) -> None:
         self._check_node(u)
         self._check_node(v)
+        if u == v:
+            raise SelfLoop(f"self-loop at node {u}")
         if v not in self._adj[u]:
             raise EdgeAbsent(f"edge ({u}, {v}) not present at version {self.version}")
         self._adj[u].discard(v)

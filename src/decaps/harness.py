@@ -348,7 +348,8 @@ def run_rand_apsp(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTra
                                              "reason": "stretch bound"})
         _, updates = index.emulator.stats()
         rows.append({"version": i, "audit_pass": True,
-                     "level_increases": 0, "heap_ops": 0,
+                     "level_increases": sum(t.level_increases for t in index.trees),
+                     "heap_ops": sum(t.ops for t in index.trees),
                      "emulator_events": updates, "opens": 0, "moving_distance": 0})
     summary = {"emulator_edges_ever": index.emulator.edges_ever,
                "emulator_updates_total": index.emulator.updates_total}

@@ -12,6 +12,13 @@ tree is maintained to depth (alpha + beta/tau) * Q + beta, so with the
 (1, 2, ceil(2/eps))-locally persevering emulator its level is a
 (1 + eps, 2)-approximate distance estimate for the base graph, up to Q.
 
+``apply_batch`` returns the nodes whose level rose in the batch. One tree
+serves every reader whose depth bound b is at or below its own: the reader
+cuts levels off, l if l <= b else INF, which gives the levels of a tree kept
+to depth b (the truncation argument is in ``RandomCenterCover``). Levels
+never fall, so a node leaves a reader's range [0, b] exactly in the batch
+that raises it past b, and the reader finds it among the returned nodes.
+
 Repairing once per batch gives the levels that repairing after every event
 gives. Let T cut a level off to INF past the depth bound. For levels L and a
 graph H, call L'' >= L closed if L''(y) >= T(max(L(y), min_v L''(v) + w(y, v)))
@@ -65,14 +72,12 @@ def depth_bound_floor(Q: int, alpha: int, beta: int, tau: int) -> int:
 
 class MonotoneEsTree:
     def __init__(self, h: WeightedAdjacency, root: int, Q: int, alpha: int = 1,
-                 beta: int = 2, tau: int = 1, backend: str = COUNTER,
-                 report_threshold=None):
+                 beta: int = 2, tau: int = 1, backend: str = COUNTER):
         """Initialize on the current state of the shared graph ``h``.
 
         ``Q`` is the distance range of the estimates; the tree itself is kept
-        to depth (alpha + beta/tau) * Q + beta. ``report_threshold`` selects
-        the level whose crossing apply_batch reports (default: the depth
-        bound, i.e. nodes leaving the tree).
+        to depth (alpha + beta/tau) * Q + beta. ``level`` is updated in place,
+        so a reader may hold on to the list.
         """
         n = h.n
         if not 0 <= root < n:
@@ -91,7 +96,6 @@ class MonotoneEsTree:
         self.tau = tau
         self.backend = backend
         self.bound = depth_bound_floor(Q, alpha, beta, tau)
-        self.report_threshold = self.bound if report_threshold is None else report_threshold
         self.level_increases = 0
         self.ops = 0
 
@@ -200,7 +204,7 @@ class MonotoneEsTree:
     # -- updates ---------------------------------------------------------------
 
     def apply_batch(self, batch) -> set[int]:
-        """Repair after ``batch``; returns the nodes that crossed report_threshold.
+        """Repair after ``batch``; returns the nodes whose level rose in it.
 
         ``batch`` is the list that ``WeightedAdjacency.apply`` returned: it is
         already applied to H and each event carries its old weight. With the
@@ -271,9 +275,8 @@ class MonotoneEsTree:
     def _update_levels_heap(self, seeds) -> set[int]:
         level = self.level
         bound = self.bound
-        rt = self.report_threshold
         root = self.root
-        dropped: set[int] = set()
+        raised: set[int] = set()
         queue = []
         for y in seeds:
             if y != root:
@@ -293,8 +296,7 @@ class MonotoneEsTree:
             if new > bound:
                 new = INF
             level[y] = new
-            if ly <= rt and (new is INF or new > rt):
-                dropped.add(y)
+            raised.add(y)
             if len(self._nheap[y]) > 2 * max(8, len(self._adj[y])):
                 entries = [(level[z] + w, z) for z, w in self._adj[y].items()
                            if level[z] is not INF]
@@ -311,15 +313,14 @@ class MonotoneEsTree:
                 if x != root:
                     heappush(queue, (lx, x))
                     self.ops += 1
-        return dropped
+        return raised
 
     def _update_levels_counter(self, seeds) -> set[int]:
         level = self.level
         count = self._count
         bound = self.bound
-        rt = self.report_threshold
         root = self.root
-        dropped: set[int] = set()
+        raised: set[int] = set()
         queue = deque(seeds)
         while queue:
             y = queue.popleft()
@@ -331,8 +332,7 @@ class MonotoneEsTree:
             dead = new > bound
             level[y] = INF if dead else new
             self.level_increases += 1
-            if ly <= rt and (dead or new > rt):
-                dropped.add(y)
+            raised.add(y)
             support = 0
             adj_y = self._adj[y]
             for x, w in adj_y.items():
@@ -355,4 +355,4 @@ class MonotoneEsTree:
                 count[y] = support
                 if support == 0:
                     queue.append(y)
-        return dropped
+        return raised

@@ -2,21 +2,24 @@
 locally persevering emulator.
 
 A random center cover samples centers with probability min(1, a*ln(n)/q) and
-keeps one single-source estimator per center over the emulator: a monotone
-tree with range Q that answers distance queries and whose threshold reports
-(nodes leaving the range-q depth bound) maintain the per-node cover lists
+reads one single-source estimator per center over the emulator: a monotone
+tree whose levels, cut off at the cover's range-Q depth bound, answer
+distance queries, and whose raised nodes maintain the per-node cover lists
 S_x. The APSP index layers ceil(log n) covers (layer p serves distances
-2^p..2^{p+1}) above one shared emulator and adds a small-distance patch: a
-monotone tree rooted at every node with range ~(4+16)/eps_hat. Queries
-binary-search the minimal usable layer and take the minimum with the patch
-estimate, giving dist <= answer <= (1+eps)*dist + 2 with high probability,
-and the (2+eps, 0) wrapper answers adjacent pairs exactly from the graph's
-adjacency check.
+2^p..2^{p+1}) above one shared emulator and adds a small-distance patch with
+range ~(4+16)/eps_hat at every node. Queries binary-search the minimal usable
+layer and take the minimum with the patch estimate, giving
+dist <= answer <= (1+eps)*dist + 2 with high probability, and the (2+eps, 0)
+wrapper answers adjacent pairs exactly from the graph's adjacency check.
 
 H exists once: the emulator owns its weighted adjacency and applies each
-deletion's event batch to it. Every layer tree and every patch tree reads
-that adjacency and keeps only its own levels and counters; each repairs once
-per batch, which gives the per-event levels (see ``monotone_es_tree``).
+deletion's event batch to it. The index keeps exactly one monotone tree per
+root, kept to the largest range among the patch and the layers that center
+that root. The patch and every layer read the tree through their own depth
+bound, l if l <= bound else INF, which gives the levels a tree of their own
+would hold (see ``RandomCenterCover``). Each tree repairs once per batch,
+which gives the per-event levels (see ``monotone_es_tree``), and returns the
+nodes whose level rose; every layer updates its cover lists from those.
 """
 
 from __future__ import annotations
@@ -25,37 +28,65 @@ import math
 import random
 
 from .emulator import LocallyPerseveringEmulator
-from .errors import InvalidEpsilon, InvalidRange, NodeOutOfRange, UnknownCenter
+from .errors import (
+    InvalidEpsilon,
+    InvalidParameters,
+    InvalidRange,
+    NodeOutOfRange,
+    UnknownCenter,
+)
 from .graph_core import INF, DecrementalGraph, UpdateEvent
 from .monotone_es_tree import MonotoneEsTree, depth_bound_floor
+
+
+def _sample_centers(n: int, q: int, rng: random.Random,
+                    sampling_constant: float) -> list[int]:
+    """Each node independently with probability min(1, a*ln(n)/q)."""
+    p = min(1.0, sampling_constant * math.log(n) / q) if n > 1 else 0.0
+    return [x for x in range(n) if rng.random() < p]
+
+
+def _repair_trees(roots_and_trees, batch) -> dict[int, set[int]]:
+    """Repair each tree after ``batch``; maps the root of every tree that
+    changed to the nodes whose level rose."""
+    raised = {}
+    for root, tree in roots_and_trees:
+        nodes = tree.apply_batch(batch)
+        if nodes:
+            raised[root] = nodes
+    return raised
 
 
 class RandomCenterCover:
     """Approximate center cover with fixed random center locations.
 
-    Each center keeps one range-Q tree built with ``report_threshold`` equal
-    to the cover threshold b(q) = floor((1 + 2/tau) * q + 2), the depth bound
-    of a range-q tree. Center j is in node x's cover list S_x while x's level
-    in j's tree is at most b(q); the tree reports x in the batch that raises
-    it past b(q).
+    Center j reads a monotone tree rooted at its location whose depth bound
+    is at least the cover's own, bound(Q) = floor((1 + 2/tau) * Q + 2).
+    ``trees`` maps each root to such a tree: the APSP index passes the trees
+    it shares among its layers and its patch; without it the cover builds a
+    range-Q tree per center. The cover reads a level l as l if l <= bound(Q)
+    else INF. Center j is in node x's cover list S_x while x's level in j's
+    tree is at most the cover threshold b(q) = bound(q); ``on_batch`` removes
+    it in the batch that raises x past b(q).
 
-    A separate range-q tree is not needed: its levels always equal the
-    range-Q tree's levels cut off at b(q), T(l) = l if l <= b(q) else INF.
+    A tree kept to a smaller depth bound b is not needed: its levels always
+    equal a deeper tree's levels cut off at b, T(l) = l if l <= b else INF.
     Both start from the same Dijkstra levels, cut at different bounds. After
     a batch, a monotone tree's levels are the fixpoint
     L'(y) = max(L(y), min_v L'(v) + w(y, v)), set to INF past the depth
-    bound. Every emulator weight is at least 1, so a minimum of at most b(q)
-    is attained at a neighbour v with L'(v) < b(q), where T(L'(v)) = L'(v),
-    and a minimum above b(q) stays above it when the terms are cut off.
-    Since T commutes with max, induction on the level value gives
-    L'_q = T(L'_Q) from L_q = T(L_Q), and a node leaves [0, b(q)] in the
-    Q-tree exactly when the q-tree would drop it.
+    bound. Every emulator weight is at least 1, so a minimum of at most b is
+    attained at a neighbour v with L'(v) < b, where T(L'(v)) = L'(v), and a
+    minimum above b stays above it when the terms are cut off. Since T
+    commutes with max, induction on the level value gives L'_b = T(L'_B)
+    from L_b = T(L_B), and a node leaves [0, b] in the deeper tree exactly
+    when the shallower tree would drop it. This holds for b = bound(Q), the
+    cover's reads, and for b = b(q), its cover lists.
     """
 
     def __init__(self, g: DecrementalGraph, q: int, Q: int,
                  emulator: LocallyPerseveringEmulator | None = None,
                  eps: float | None = None, seed=None, rng: random.Random | None = None,
-                 centers=None, sampling_constant: float = 3.0):
+                 centers=None, sampling_constant: float = 3.0, trees=None):
         if not 1 <= q <= Q:
             raise InvalidRange(f"need 1 <= q <= Q, got q={q}, Q={Q}")
         if emulator is None:
@@ -70,30 +101,57 @@ class RandomCenterCover:
         if centers is None:
             if rng is None:
                 rng = random.Random(seed)
-            p = min(1.0, sampling_constant * math.log(n) / q) if n > 1 else 0.0
-            centers = [x for x in range(n) if rng.random() < p]
+            centers = _sample_centers(n, q, rng, sampling_constant)
         self.centers = sorted(set(centers))
 
         tau = emulator.tau
+        self.bound = depth_bound_floor(Q, 1, 2, tau)
         self.cover_threshold = depth_bound_floor(q, 1, 2, tau)
-        self._tree_Q = [MonotoneEsTree(emulator.h, c, Q, 1, 2, tau,
-                                       report_threshold=self.cover_threshold)
-                        for c in self.centers]
+        if trees is None:
+            h = emulator.h
+            trees = {c: MonotoneEsTree(h, c, Q, 1, 2, tau) for c in self.centers}
+        self._trees: list[MonotoneEsTree] = []
+        for c in self.centers:
+            try:
+                tree = trees[c]
+            except LookupError:
+                raise InvalidParameters(f"no tree rooted at center {c}") from None
+            if tree.root != c or tree.bound < self.bound:
+                raise InvalidParameters(
+                    f"tree for center {c} has root {tree.root} and depth bound "
+                    f"{tree.bound}; need root {c} and a bound of at least {self.bound}")
+            self._trees.append(tree)
+        self._levels = [tree.level for tree in self._trees]  # updated in place
+        self._center_id = {c: j for j, c in enumerate(self.centers)}
         self._cover: list[dict[int, bool]] = [dict() for _ in range(n)]
-        for j, tree in enumerate(self._tree_Q):
-            for x, lx in enumerate(tree.level):
-                if lx <= self.cover_threshold:
+        threshold = self.cover_threshold
+        for j, level in enumerate(self._levels):
+            for x, lx in enumerate(level):
+                if lx <= threshold:
                     self._cover[x][j] = True
 
     def delete(self, u: int, v: int) -> None:
-        """Delete (u, v) from the base graph via the (owned) emulator."""
-        self.on_batch(self.emulator.on_delete(u, v))
+        """Delete (u, v) from the base graph via the emulator and repair the
+        cover's trees. Only for a cover that no other structure shares trees
+        with: the APSP index repairs its shared trees and calls ``on_batch``."""
+        batch = self.emulator.on_delete(u, v)
+        self.on_batch(_repair_trees(zip(self.centers, self._trees), batch))
 
-    def on_batch(self, batch) -> None:
-        """Repair every center's tree after one batch the emulator applied."""
-        for j, tree in enumerate(self._tree_Q):
-            for x in tree.apply_batch(batch):
-                self._cover[x].pop(j, None)
+    def on_batch(self, raised) -> None:
+        """Update the cover lists after a batch; ``raised`` maps a tree's root
+        to the nodes whose level rose in it (roots that are not centers and
+        trees that did not change may be missing or present)."""
+        center_id = self._center_id
+        threshold = self.cover_threshold
+        cover = self._cover
+        for root, nodes in raised.items():
+            j = center_id.get(root)
+            if j is None:
+                continue
+            level = self._levels[j]
+            for x in nodes:
+                if level[x] > threshold:
+                    cover[x].pop(j, None)
 
     def _check_center(self, j: int) -> None:
         if not 0 <= j < len(self.centers):
@@ -106,7 +164,8 @@ class RandomCenterCover:
     def distance(self, j: int, x: int):
         """Estimate of dist(center j, x); never underestimates, INF past Q."""
         self._check_center(j)
-        return self._tree_Q[j].level_query(x)
+        lx = self._trees[j].level_query(x)
+        return lx if lx <= self.bound else INF
 
     def find_center(self, x: int):
         """Any center id whose estimate for x is within the cover threshold."""
@@ -120,7 +179,12 @@ class RandomCenterCover:
 
 
 class ApspIndexRandom:
-    """(1+eps, 2)- and (2+eps, 0)-approximate decremental APSP."""
+    """(1+eps, 2)- and (2+eps, 0)-approximate decremental APSP.
+
+    ``trees[x]`` is the one monotone tree rooted at x, with the largest range
+    among ``patch_range`` and the ranges Q_p of the layers that center x. The
+    patch reads it through ``patch_bound``, layer p through its own bound.
+    """
 
     def __init__(self, g: DecrementalGraph, eps: float, seed=None,
                  sampling_constant: float = 3.0, hubs=None):
@@ -139,28 +203,33 @@ class ApspIndexRandom:
             hubs = list(range(n))
         self.emulator = LocallyPerseveringEmulator(g, self.eps_hat, hubs=hubs,
                                                    sampling_constant=sampling_constant)
-        self.layers: list[RandomCenterCover] = []
         self.layer_params: list[tuple[int, int]] = []
+        layer_centers = []
         max_p = max(0, (n - 1).bit_length() - 1) if n > 1 else 0
         for p in range(max_p + 1):
             q_p = max(1, math.floor(self.eps_hat * (1 << p)))
             Q_p = math.ceil(self.eps_hat * (1 << p)) + 2 + (1 << (p + 1))
             self.layer_params.append((q_p, Q_p))
-            self.layers.append(RandomCenterCover(
-                g, q_p, Q_p, emulator=self.emulator, rng=self.rng,
-                sampling_constant=sampling_constant))
+            layer_centers.append(_sample_centers(n, q_p, self.rng, sampling_constant))
         self.patch_range = math.ceil(20.0 / self.eps_hat)
         h, tau = self.emulator.h, self.emulator.tau
-        self.patch = [MonotoneEsTree(h, x, self.patch_range, 1, 2, tau)
-                      for x in range(n)]
+        self.patch_bound = depth_bound_floor(self.patch_range, 1, 2, tau)
+        # one tree per root, with the largest range any reader of it needs
+        ranges = [self.patch_range] * n
+        for (_, Q_p), centers in zip(self.layer_params, layer_centers):
+            for c in centers:
+                ranges[c] = max(ranges[c], Q_p)
+        self.trees = [MonotoneEsTree(h, x, ranges[x], 1, 2, tau) for x in range(n)]
+        self.layers = [RandomCenterCover(g, q_p, Q_p, emulator=self.emulator,
+                                         centers=centers, trees=self.trees)
+                       for (q_p, Q_p), centers in zip(self.layer_params, layer_centers)]
 
     def delete(self, u: int, v: int) -> list[UpdateEvent]:
         """Delete (u, v) from the base graph; returns the emulator's event batch."""
         batch = self.emulator.on_delete(u, v)
+        raised = _repair_trees(enumerate(self.trees), batch)
         for layer in self.layers:
-            layer.on_batch(batch)
-        for tree in self.patch:
-            tree.apply_batch(batch)
+            layer.on_batch(raised)
         return batch
 
     def layer_estimate(self, p: int, x: int, y: int):
@@ -174,28 +243,39 @@ class ApspIndexRandom:
         return dx + dy
 
     def _search_layers(self, x: int, y: int):
-        lo, hi = 0, len(self.layers) - 1
+        """``layer_estimate`` at the minimal usable layer, for valid x and y.
+
+        Reads each layer's cover list and levels directly: the first center
+        in x's list and y's level cut off at the layer's bound. x's level is
+        within the cover threshold, below that bound, so it needs no cut.
+        """
+        layers = self.layers
+        lo, hi = 0, len(layers) - 1
         while lo < hi:
             mid = (lo + hi) // 2
-            layer = self.layers[mid]
-            j = layer.find_center(x)
-            if j is None:
-                hi = mid
-                continue
-            est = layer.distance(j, x) + layer.distance(j, y)
-            if est != INF:
+            layer = layers[mid]
+            cov = layer._cover[x]
+            if not cov or layer._levels[next(iter(cov))][y] <= layer.bound:
                 hi = mid
             else:
                 lo = mid + 1
-        return self.layer_estimate(lo, x, y)
+        layer = layers[lo]
+        cov = layer._cover[x]
+        if not cov:
+            return INF
+        level = layer._levels[next(iter(cov))]
+        ly = level[y]
+        return level[x] + ly if ly <= layer.bound else INF
 
     def query_1eps2(self, x: int, y: int):
         """Estimate with dist <= result <= (1+eps)*dist + 2 (whp)."""
-        if not (0 <= x < self.g.n and 0 <= y < self.g.n):
+        n = self.g.n
+        if not (0 <= x < n and 0 <= y < n):
             raise NodeOutOfRange(f"pair ({x}, {y}) out of range")
         if x == y:
             return 0
-        patch_est = self.patch[x].level_query(y)
+        ly = self.trees[x].level[y]
+        patch_est = ly if ly <= self.patch_bound else INF
         layered = self._search_layers(x, y)
         return min(patch_est, layered)
 

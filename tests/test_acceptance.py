@@ -179,7 +179,7 @@ def rand_grid():
             idx = ApspIndexRandom(g, eps, seed=seed)
             oracle = NumpyBfsOracle(g)
             snapshots = [dict(idx.emulator.snapshot())]
-            trees = [t for layer in idx.layers for t in layer._tree_Q] + idx.patch
+            trees = idx.trees
             prev_levels = [list(t.level) for t in trees]
             inserted = set()
             upper_bad = False

@@ -63,6 +63,9 @@ def test_delete_edge_absent():
     g = DecrementalGraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(EdgeAbsent):
         g.delete_edge(0, 2)
+    with pytest.raises(SelfLoop):
+        g.delete_edge(1, 1)
+    assert g.m == 4
 
 
 def test_components_path():

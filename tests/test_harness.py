@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -80,16 +81,22 @@ def test_config_validation():
 
 
 def test_run_experiment_csv_bit_exact(tmp_path):
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    for out in (out1, out2):
-        cfg = ExperimentConfig(algorithm="det_apsp", gnm=(14, 30), eps=0.5,
-                               seed=9, audit="full", out=str(out))
-        summary = run_experiment(cfg)
-        assert summary["audit_pass"]
-    assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
-    header = (out1 / "results.csv").read_text().splitlines()
-    assert header[0] == "#schema=1"
+    for algorithm in ("det_apsp", "rand_apsp"):
+        out1 = tmp_path / algorithm / "a"
+        out2 = tmp_path / algorithm / "b"
+        for out in (out1, out2):
+            cfg = ExperimentConfig(algorithm=algorithm, gnm=(14, 30), eps=0.5,
+                                   seed=9, audit="full", out=str(out))
+            summary = run_experiment(cfg)
+            assert summary["audit_pass"]
+        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+        header = (out1 / "results.csv").read_text().splitlines()
+        assert header[0] == "#schema=1"
+    # rand_apsp rows carry the monotone trees' cumulative work
+    rows = list(csv.DictReader(header[1:]))
+    for column in ("level_increases", "heap_ops"):
+        work = [int(r[column]) for r in rows]
+        assert work == sorted(work) and work[-1] > 0
 
 
 def test_run_experiment_es_tree_work_summary(tmp_path):

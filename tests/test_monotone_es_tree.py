@@ -218,7 +218,7 @@ def test_backend_equality_and_invariants(data):
         inserted_pairs |= {edge_key(ev.u, ev.v) for ev in batch if ev.kind == INSERT}
         dh = th.apply_batch(batch)
         dc = tc.apply_batch(batch)
-        # backend equivalence, level by level and for reported drops
+        # backend equivalence, level by level and for the raised nodes
         assert th.levels() == tc.levels()
         assert dh == dc
         assert th.level_increases == tc.level_increases
@@ -253,10 +253,11 @@ def test_backend_equality_and_invariants(data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_threshold_reports_match_truncated_tree(backend, data):
-    # a range-Q tree reporting crossings of bound(q) stands in for a range-q
-    # tree: its levels cut off at bound(q) are the q-tree's levels, and it
-    # reports exactly the nodes the q-tree drops. Sparse graphs, few hubs and
-    # a small q put nodes at bound(q) that the Q-tree keeps after reporting.
+    # a range-Q tree stands in for a range-q tree: its levels cut off at
+    # bound(q) are the q-tree's levels, apply_batch returns exactly the nodes
+    # whose level rose, and those that rose past bound(q) are exactly the
+    # nodes the q-tree drops. Sparse graphs, few hubs and a small q put nodes
+    # at bound(q) that the Q-tree keeps after they cross it.
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     n = data.draw(st.integers(4, 16))
     g, order = random_graph_and_trace(rng, n, data.draw(st.integers(n, 2 * n)))
@@ -267,21 +268,26 @@ def test_threshold_reports_match_truncated_tree(backend, data):
     q = data.draw(st.integers(1, 3))
     Q = q + data.draw(st.integers(0, n))
     small = MonotoneEsTree(em.h, root, q, 1, 2, em.tau, backend=backend)
-    big = MonotoneEsTree(em.h, root, Q, 1, 2, em.tau, backend=backend,
-                         report_threshold=small.bound)
+    big = MonotoneEsTree(em.h, root, Q, 1, 2, em.tau, backend=backend)
 
     def truncated():
         return [lx if lx <= small.bound else INF for lx in big.levels()]
 
     assert truncated() == small.levels()
     for u, v in order:
-        before = small.levels()
+        before = big.levels()
+        small_before = small.levels()
         batch = em.on_delete(u, v)
-        reported = big.apply_batch(batch)
-        assert reported == small.apply_batch(batch)
+        raised = big.apply_batch(batch)
+        small_raised = small.apply_batch(batch)
+        after = big.levels()
+        assert raised == {x for x in range(n) if after[x] != before[x]}
+        assert all(after[x] > before[x] for x in raised)
         assert truncated() == small.levels()
-        assert reported == {x for x, lx in enumerate(small.levels())
-                            if lx is INF and before[x] is not INF}
+        assert small_raised == {x for x in raised if before[x] <= small.bound}
+        assert {x for x in raised if before[x] <= small.bound < after[x]} == {
+            x for x, lx in enumerate(small.levels())
+            if lx is INF and small_before[x] is not INF}
 
 
 @settings(max_examples=15, deadline=None)

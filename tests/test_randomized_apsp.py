@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decaps.errors import InvalidEpsilon, InvalidRange, UnknownCenter
+from decaps.emulator import LocallyPerseveringEmulator
+from decaps.errors import (
+    EdgeAbsent,
+    InvalidEpsilon,
+    InvalidParameters,
+    InvalidRange,
+    NodeOutOfRange,
+    SelfLoop,
+    UnknownCenter,
+)
 from decaps.graph_core import INF, DecrementalGraph
+from decaps.monotone_es_tree import COUNTER, HEAP, MonotoneEsTree
 from decaps.harness import generate_trace, gnm_graph
 from decaps.oracle import bfs_apsp
 from decaps.randomized_apsp import ApspIndexRandom, RandomCenterCover
@@ -108,7 +118,7 @@ def test_layer_estimate_properties():
     # rebuild every layer with all nodes as centers
     from decaps.randomized_apsp import RandomCenterCover as RCC
     idx.layers = [
-        RCC(g, q_p, Q_p, emulator=idx.emulator, centers=list(range(n)))
+        RCC(g, q_p, Q_p, emulator=idx.emulator, centers=list(range(n)), trees=idx.trees)
         for (q_p, Q_p) in idx.layer_params
     ]
     alpha = 1 + 2 / idx.emulator.tau
@@ -138,11 +148,191 @@ def test_rand_apsp_counters_pinned():
     idx = ApspIndexRandom(g, 0.5, seed=0)
     for u, v in trace:
         idx.delete(u, v)
-    assert [sum(t.level_increases for t in layer._tree_Q)
-            for layer in idx.layers] == [662] * 6
-    assert sum(t.level_increases for t in idx.patch) == 662
+    # one tree per root; every node is a center in all six layers and no
+    # layer's range exceeds the patch range, so each tree is a patch tree
+    assert len(idx.trees) == g.n
+    assert all(t.Q == idx.patch_range for t in idx.trees)
+    assert all(len(layer.centers) == g.n for layer in idx.layers)
+    assert sum(t.level_increases for t in idx.trees) == 662
+    assert sum(t.ops for t in idx.trees) == 41706
     assert [sum(len(layer.cover_list(x)) for x in range(g.n))
             for layer in idx.layers] == [3958] * 6
+
+
+def test_one_tree_per_root_with_largest_range():
+    # at n = 300 and eps = 1 the two top layers' ranges (266, 529) straddle
+    # the patch range 360; a small sampling constant leaves them few centers
+    g = gnm_graph(300, 600, 0)
+    idx = ApspIndexRandom(g, 1.0, seed=0, sampling_constant=0.5)
+    assert len(idx.trees) == g.n
+    assert len(idx.layers[-1].centers) < g.n
+    assert max(Q for _, Q in idx.layer_params) > idx.patch_range
+    for x, tree in enumerate(idx.trees):
+        assert tree.root == x
+        assert tree.Q == max([idx.patch_range] + [
+            Q for (_, Q), layer in zip(idx.layer_params, idx.layers) if x in layer.centers])
+        for layer in idx.layers:
+            if x in layer.centers:
+                assert layer._trees[layer.centers.index(x)] is tree
+
+
+@pytest.mark.parametrize("backend", [HEAP, COUNTER])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cover_on_deeper_shared_trees(backend, data):
+    # a cover that reads deeper trees through its own bound equals a cover
+    # with range-Q trees of its own; sparse graphs, few hubs and a small q
+    # put nodes between the cover's bounds and the deeper trees' bounds
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(4, 16))
+    g, order = random_graph_and_trace(rng, n, data.draw(st.integers(n, 2 * n)))
+    eps = data.draw(st.sampled_from([0.5, 1.0]))
+    hubs = sorted(rng.sample(range(n), data.draw(st.integers(0, n // 3))))
+    q = data.draw(st.integers(1, 3))
+    Q = q + data.draw(st.integers(0, n))
+    centers = sorted(rng.sample(range(n), data.draw(st.integers(1, n))))
+    g2 = DecrementalGraph.from_edge_list(n, g.edges())
+    own = RandomCenterCover(g, q, Q, emulator=LocallyPerseveringEmulator(g, eps, hubs=hubs),
+                            centers=centers)
+    em = LocallyPerseveringEmulator(g2, eps, hubs=hubs)
+    # a tree at every root, centers or not, each deeper by its own margin
+    deep = {x: MonotoneEsTree(em.h, x, Q + data.draw(st.integers(0, 20)), 1, 2, em.tau,
+                              backend=backend)
+            for x in range(n)}
+    shared = RandomCenterCover(g2, q, Q, emulator=em, centers=centers, trees=deep)
+
+    def state(cover):
+        return ([cover.cover_list(x) for x in range(n)],
+                [[cover.distance(j, x) for x in range(n)] for j in range(len(centers))])
+
+    assert state(shared) == state(own)
+    for u, v in order:
+        own.delete(u, v)
+        batch = em.on_delete(u, v)
+        raised = {x: tree.apply_batch(batch) for x, tree in deep.items()}
+        shared.on_batch(raised)
+        assert state(shared) == state(own)
+
+
+def test_cover_rejects_unfit_trees():
+    g = gnm_graph(8, 12, 1)
+    em = LocallyPerseveringEmulator(g, 1.0, hubs=[0])
+    fit = {x: MonotoneEsTree(em.h, x, 4, 1, 2, em.tau) for x in range(8)}
+    RandomCenterCover(g, 2, 4, emulator=em, centers=[1, 3], trees=fit)
+    shallow = dict(fit)
+    shallow[3] = MonotoneEsTree(em.h, 3, 3, 1, 2, em.tau)
+    with pytest.raises(InvalidParameters):
+        RandomCenterCover(g, 2, 4, emulator=em, centers=[1, 3], trees=shallow)
+    with pytest.raises(InvalidParameters):
+        RandomCenterCover(g, 2, 4, emulator=em, centers=[1, 3], trees={1: fit[1]})
+    with pytest.raises(InvalidParameters):
+        RandomCenterCover(g, 2, 4, emulator=em, centers=[1, 3],
+                          trees={1: fit[1], 3: fit[2]})
+
+
+def test_rejected_deletions_change_nothing():
+    g = gnm_graph(12, 20, 3)
+    idx = ApspIndexRandom(g, 0.5, seed=1)
+    absent = next((u, v) for u in range(12) for v in range(u + 1, 12)
+                  if not g.has_edge(u, v))
+    present = g.edges()[0]
+
+    def state():
+        return (g.edges(), idx.emulator.h.edges(),
+                [(t.levels(), t.level_increases, t.ops) for t in idx.trees],
+                [[layer.cover_list(x) for x in range(12)] for layer in idx.layers])
+
+    before = state()
+    for (u, v), error in ((absent, EdgeAbsent), ((4, 4), SelfLoop),
+                          ((present[0], 12), NodeOutOfRange),
+                          ((-1, present[1]), NodeOutOfRange)):
+        with pytest.raises(error):
+            idx.delete(u, v)
+        assert state() == before
+    # the index still deletes as a fresh one does
+    idx.delete(*present)
+    fresh_g = gnm_graph(12, 20, 3)
+    fresh = ApspIndexRandom(fresh_g, 0.5, seed=1)
+    fresh.delete(*present)
+    assert state() == (fresh_g.edges(), fresh.emulator.h.edges(),
+                       [(t.levels(), t.level_increases, t.ops) for t in fresh.trees],
+                       [[layer.cover_list(x) for x in range(12)] for layer in fresh.layers])
+
+
+def _reference_layered(idx, x, y):
+    # the layered binary search through the checked public reads
+    lo, hi = 0, len(idx.layers) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        layer = idx.layers[mid]
+        j = layer.find_center(x)
+        if j is None:
+            hi = mid
+            continue
+        if layer.distance(j, x) + layer.distance(j, y) != INF:
+            hi = mid
+        else:
+            lo = mid + 1
+    return idx.layer_estimate(lo, x, y)
+
+
+def _path_index(sampling_constant):
+    # on a 400-node path with eps = 1 the top layer's range 529 exceeds the
+    # patch range 360, so its centers' trees hold levels past the patch's
+    # bound, and far pairs are answered by a layer, not the patch
+    n = 400
+    g = DecrementalGraph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    idx = ApspIndexRandom(g, 1.0, seed=3, sampling_constant=sampling_constant)
+    assert len(idx.layers[-1].centers) < n
+    return idx
+
+
+def test_query_matches_reference_search():
+    # a small sampling constant leaves nodes without a center in some layers
+    idx = _path_index(0.05)
+    n = idx.g.n
+    # every 10th node, and the ends, where far pairs lie past the patch range
+    sources = sorted({*range(0, n, 10), *range(20), *range(n - 20, n)})
+    uncovered = layered = 0
+    # deleting an end edge drops one node from every tree
+    for deletion in [None, (398, 399), (0, 1)]:
+        if deletion is not None:
+            idx.delete(*deletion)
+        for x in sources:
+            uncovered += any(layer.find_center(x) is None for layer in idx.layers)
+            for y in range(n):
+                ref = _reference_layered(idx, x, y) if x != y else 0
+                if x != y:
+                    assert idx._search_layers(x, y) == ref
+                patch = idx.trees[x].level_query(y)
+                patch = patch if patch <= idx.patch_bound else INF
+                assert idx.query_1eps2(x, y) == min(patch, ref)
+                layered += ref < patch
+    assert uncovered > 0 and layered > 0
+
+
+def test_patch_reads_through_its_own_bound(monkeypatch):
+    # the patch answer of a root whose tree is deeper than the patch range
+    # equals a range-patch_range tree of its own
+    idx = _path_index(0.3)
+    n = idx.g.n
+    em = idx.emulator
+    deep = [x for x, tree in enumerate(idx.trees) if tree.Q > idx.patch_range]
+    own = {x: MonotoneEsTree(em.h, x, idx.patch_range, 1, 2, em.tau) for x in deep}
+    monkeypatch.setattr(ApspIndexRandom, "_search_layers", lambda self, x, y: INF)
+    past_patch = 0
+    for deletion in [None, (398, 399), (0, 1)]:
+        if deletion is not None:
+            batch = idx.delete(*deletion)
+            for tree in own.values():
+                tree.apply_batch(batch)
+        for x in deep:
+            level = idx.trees[x].level
+            for y in range(n):
+                if x != y:
+                    assert idx.query_1eps2(x, y) == own[x].level[y]
+                past_patch += idx.patch_bound < level[y] < INF
+    assert past_patch > 0
 
 
 def test_query_identity_and_adjacent():
