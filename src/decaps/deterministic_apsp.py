@@ -35,6 +35,12 @@ A deletion costs work in proportion to what it changes, not to n:
 * A tree is repaired only when u and v sit on adjacent levels; otherwise
   the deleted edge supported neither endpoint and the repair would change
   no level.
+* One split search per deletion (``DecrementalGraph.split_side``), shared by
+  every layer, scans at most about 8 * ceil(sqrt(n)) nodes. When it finds
+  the side the deletion cut off, every tree drops its root-less side in one
+  pass instead of raising each node there one level at a time up to Q: a
+  tree rooted outside the side scans the side, and one rooted inside it
+  scans all n levels. A deletion that splits nothing pays only the search.
 """
 
 from __future__ import annotations
@@ -77,6 +83,9 @@ class MovingCenters:
         self.opens = 0
         self.moving_distance = 0
         self._round_ops: set[int] = set()
+        # work of the trees that move retired
+        self._retired_increases = 0
+        self._retired_messages = 0
 
     def _check_center(self, j: int) -> None:
         if not 0 <= j < len(self.location):
@@ -129,6 +138,9 @@ class MovingCenters:
             self._cover[y].pop(j, None)
         self.moving_distance += distance
         self.location[j] = x
+        old = self._trees[j]
+        self._retired_increases += old.level_increases
+        self._retired_messages += old.messages
         tree = self._build_tree(x)
         self._trees[j] = tree
         self._add_cover(j, tree)
@@ -158,14 +170,17 @@ class MovingCenters:
         """Delete (u, v) from the shared graph and repair every tree."""
         self.begin_deletion()
         self.g.delete_edge(u, v)
-        self.after_delete(u, v)
+        self.after_delete(u, v, self.g.split_side(u, v))
 
-    def after_delete(self, u: int, v: int) -> set[int]:
+    def after_delete(self, u: int, v: int, cut=None) -> set[int]:
         """Repair the trees after the shared graph lost (u, v).
 
-        Returns the nodes popped from cover lists. A tree is called only
-        when u and v sit on adjacent levels, the one case where the edge
-        supported an endpoint.
+        ``cut`` is the side the deletion split off (``split_side``), or
+        None. Returns the nodes popped from cover lists. A tree is called
+        only when u and v sit on adjacent levels, the one case where the
+        edge supported an endpoint: a tree with a finite node on the side
+        without its root reached that side through (u, v), so u and v sit on
+        adjacent levels there too.
         """
         cover = self._cover
         freed: set[int] = set()
@@ -174,7 +189,7 @@ class MovingCenters:
             # INF on either side gives inf or nan here, never +-1
             if level[u] - level[v] not in (1, -1):
                 continue
-            for x in tree.after_delete(u, v):
+            for x in tree.after_delete(u, v, cut):
                 cover[x].pop(j, None)
                 freed.add(x)
         return freed
@@ -193,6 +208,16 @@ class MovingCenters:
 
     def centers(self) -> range:
         return range(len(self.location))
+
+    @property
+    def level_increases(self) -> int:
+        """Level increases of every tree built here, retired ones included."""
+        return self._retired_increases + sum(t.level_increases for t in self._trees)
+
+    @property
+    def messages(self) -> int:
+        """Messages of every tree built here, retired ones included."""
+        return self._retired_messages + sum(t.messages for t in self._trees)
 
 
 class DetCenterCover:
@@ -256,10 +281,14 @@ class DetCenterCover:
     def delete(self, u: int, v: int) -> None:
         """Delete (u, v) from the shared graph and restore coverage."""
         self.g.delete_edge(u, v)
-        self.on_deleted(u, v)
+        self.on_deleted(u, v, self.g.split_side(u, v))
 
-    def on_deleted(self, u: int, v: int) -> None:
-        """Coverage maintenance once the shared graph already lost (u, v)."""
+    def on_deleted(self, u: int, v: int, cut=None) -> None:
+        """Coverage maintenance once the shared graph already lost (u, v).
+
+        ``cut`` is the side the deletion split off (``split_side``), or None;
+        the trees drop it in one step.
+        """
         mc = self.mc
         mc.begin_deletion()
         trees = mc._trees
@@ -284,7 +313,7 @@ class DetCenterCover:
                 for z in comp:
                     self._skip_small[z] = True
                 freed.update(mc.move(j, y, distance=move_dist))
-        freed |= mc.after_delete(u, v)
+        freed |= mc.after_delete(u, v, cut)
         self._greedy_open(freed)
 
     # -- queries ---------------------------------------------------------------
@@ -354,8 +383,9 @@ class ApspIndexDet:
 
     def delete(self, u: int, v: int) -> None:
         self.g.delete_edge(u, v)
+        cut = self.g.split_side(u, v)
         for layer in self.layers:
-            layer.on_deleted(u, v)
+            layer.on_deleted(u, v, cut)
 
     def layer_estimate(self, p: int, x: int, y: int):
         layer = self.layers[p]

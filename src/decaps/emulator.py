@@ -80,6 +80,9 @@ class LocallyPerseveringEmulator:
         self.h = WeightedAdjacency(g.n, self.snapshot())
         self._pairs_ever: set[tuple[int, int]] = set(self._unit) | set(self._hub_weight)
         self.updates_total = 0
+        # the side the last deletion split off G (DecrementalGraph.split_side);
+        # H's components refine G's, so the monotone trees on H can drop it
+        self.last_cut: set[int] | None = None
 
     # -- views -------------------------------------------------------------
 
@@ -107,12 +110,18 @@ class LocallyPerseveringEmulator:
     # -- updates -------------------------------------------------------------
 
     def on_delete(self, u: int, v: int) -> list[UpdateEvent]:
-        """Delete (u, v) from G, apply the ordered event batch to H and return it."""
+        """Delete (u, v) from G, apply the ordered event batch to H and return it.
+
+        The side the deletion split off G, if the bounded split search found
+        one, goes to every hub tree and is kept in ``last_cut`` for the
+        monotone trees that repair after the batch.
+        """
         g = self.g
         s = self.degree_threshold
         deg_u = g.degree(u)
         deg_v = g.degree(v)
         g.delete_edge(u, v)  # raises EdgeAbsent if missing
+        cut = self.last_cut = g.split_side(u, v)
 
         pair_uv = edge_key(u, v)
         was_unit = pair_uv in self._unit
@@ -135,7 +144,7 @@ class LocallyPerseveringEmulator:
         handled_uv = False
         for c in self.hubs:
             tree = self._trees[c]
-            _, changes = tree.after_delete_with_changes(u, v)
+            _, changes = tree.after_delete_with_changes(u, v, cut)
             for y, _old, new in changes:
                 if y == c:
                     continue

@@ -13,6 +13,29 @@ Two interchangeable backends are provided:
   unweighted graphs, where it is considerably faster. Both backends produce
   identical levels after every event.
 
+A deletion that splits a component gets the Even-Shiloach connectivity
+step: ``after_delete`` accepts the side the deletion cut off
+(``DecrementalGraph.split_side``, one bounded search shared by every tree
+on the graph). A tree rooted outside that side sets every finite level in
+it to INF in one pass; a tree rooted inside it does the same to every
+finite node outside it. This is exact: after the split no path joins the
+two sides, so the side without the root has distance INF from it. Nothing
+else moves, so the drop is the whole repair: (u, v) was the only edge
+between the sides, a shortest path never enters a side it must leave by
+the edge it came in, and the endpoint on the root's side sat a level above
+the other, so it did not count that one as a support. Isolating a node and
+cutting the root's last edge are the cases of a one-node side. Without a
+side (no split, or both sides past the search's cap) the cut-off nodes rise
+one unit at a time until they pass the depth bound.
+
+``level_increases`` counts level units on both backends: a rise from l to l'
+adds l' - l, and a node that leaves the tree at level l adds depth + 1 - l,
+whether it climbs there or drops in one step. The total therefore depends
+only on the levels before and after, not on the path taken. ``messages``
+counts neighbour notifications: a node that rises notifies all of its
+neighbours, a node that drops with its side notifies none, because every
+neighbour of it drops too.
+
 A tree can either share a :class:`~decaps.graph_core.DecrementalGraph` with
 other trees (the owner deletes edges once and notifies every tree via
 ``after_delete``) or own a private weighted adjacency (``from_weighted``),
@@ -30,7 +53,7 @@ from .errors import (
     NodeOutOfRange,
     NonIncreasingWeight,
 )
-from .graph_core import INF, DecrementalGraph
+from .graph_core import INF, DecrementalGraph, cut_off
 
 HEAP = "heap"
 COUNTER = "counter"
@@ -220,19 +243,50 @@ class EsTree:
         self._g.delete_edge(u, v)  # raises EdgeAbsent when missing
         return self.after_delete(u, v)
 
-    def after_delete(self, u: int, v: int) -> set[int]:
-        """Repair levels after (u, v) was removed from the shared graph."""
+    def after_delete(self, u: int, v: int, cut=None) -> set[int]:
+        """Repair levels after (u, v) was removed from the shared graph.
+
+        ``cut`` is the side this deletion split off the graph
+        (``DecrementalGraph.split_side``), or None; with it, dropping the side
+        without the root in one pass is the whole repair (see the module
+        docstring).
+        """
+        if cut is not None:
+            return self._drop_side(cut)
         if self.backend == COUNTER:
             return self._repair_counter(u, v)
         return self._repair_after_update(u, v, INF)
 
-    def after_delete_with_changes(self, u: int, v: int):
+    def after_delete_with_changes(self, u: int, v: int, cut=None):
         """Like after_delete, also returning coalesced (node, old, new) levels."""
         self._track = {}
-        dropped = self.after_delete(u, v)
+        dropped = self.after_delete(u, v, cut)
         changes = [(y, old, self.level[y]) for y, old in sorted(self._track.items())]
         self._track = None
         return dropped, changes
+
+    def _drop_side(self, cut) -> set[int]:
+        """Set every finite level on the root-less side of a split to INF.
+
+        Counted in units, as a rise to depth + 1; notifies no neighbour,
+        since every neighbour of a dropped node drops too. Returns the
+        dropped nodes that crossed the report threshold.
+        """
+        level = self.level
+        gone = cut_off(level, self.root, cut)
+        track = self._track
+        rt = self.report_threshold
+        top = self.depth + 1
+        reported = set()
+        for y in gone:
+            ly = level[y]
+            self.level_increases += top - ly
+            if track is not None and y not in track:
+                track[y] = ly
+            if ly <= rt:
+                reported.add(y)
+            level[y] = INF
+        return reported
 
     # -- heap backend ------------------------------------------------------
 
@@ -286,10 +340,12 @@ class EsTree:
             new = self._best_support(y)
             if new <= ly:
                 continue
+            # counted in units, a drop as a rise to depth + 1, as the
+            # counter backend counts it
+            self.level_increases += min(new, depth + 1) - ly
             if new > depth:
                 new = INF
             level[y] = new
-            self.level_increases += 1
             self.messages += len(self._wadj[y]) if self._wadj is not None else len(self._adj[y])
             if self._track is not None and y not in self._track:
                 self._track[y] = ly

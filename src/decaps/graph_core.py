@@ -52,6 +52,18 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def cut_off(level: list, root: int, side: set[int]) -> list[int]:
+    """The nodes at a finite ``level`` on the side of a split without ``root``.
+
+    ``side`` is one side of the split (``DecrementalGraph.split_side``).
+    Rooted outside it, a tree scans only the side; rooted inside, it scans
+    every node.
+    """
+    if root in side:
+        return [y for y, ly in enumerate(level) if ly is not INF and y not in side]
+    return [y for y in side if level[y] is not INF]
+
+
 class DecrementalGraph:
     """Unweighted undirected graph under a sequence of single-edge deletions."""
 
@@ -145,6 +157,44 @@ class DecrementalGraph:
                         return None
                     queue.append(z)
         return seen
+
+    def split_side(self, u: int, v: int) -> set[int] | None:
+        """The side a deletion of (u, v) cut off, or None.
+
+        Call it right after (u, v) was deleted. Two BFS run in lockstep, one
+        node at a time, from u and from v. The first whose queue runs dry
+        has found its whole component, which holds only one of u and v: that
+        node set is returned. A node seen by both searches means u and v are
+        still connected, and the result is None. A search that has seen more
+        than 4 * ceil(sqrt(n)) nodes stops; once both have stopped the
+        result is None too. So the search scans at most about
+        8 * ceil(sqrt(n)) nodes, and a returned side has at most
+        4 * ceil(sqrt(n)).
+        """
+        self._check_node(u)
+        self._check_node(v)
+        cap = 4 * (math.isqrt(self.n - 1) + 1)  # 4 * ceil(sqrt(n)) for n >= 1
+        adj = self._adj
+        seen_u, seen_v = {u}, {v}
+        sides = [(seen_u, deque((u,)), seen_v), (seen_v, deque((v,)), seen_u)]
+        i = 0
+        while True:
+            seen, queue, other = sides[i]
+            if not queue:
+                return seen
+            for z in adj[queue.popleft()]:
+                if z not in seen:
+                    if z in other:
+                        return None
+                    seen.add(z)
+                    queue.append(z)
+            if len(seen) > cap:
+                del sides[i]
+                if not sides:
+                    return None
+                i = 0
+            elif len(sides) == 2:
+                i = 1 - i
 
     def component_size(self, x: int) -> int:
         return len(self.component_of(x))

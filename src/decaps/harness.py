@@ -261,9 +261,12 @@ def run_det_apsp(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrac
                 raise _fail(cfg, i, detail)
         opens = sum(layer.opens for layer in index.layers)
         moving = sum(layer.moving_distance for layer in index.layers)
+        # work of every tree the index built, those that moves retired too
+        increases = sum(layer.mc.level_increases for layer in index.layers)
+        messages = sum(layer.mc.messages for layer in index.layers)
         rows.append({"version": i, "audit_pass": True,
-                     "level_increases": 0, "heap_ops": 0, "emulator_events": 0,
-                     "opens": opens, "moving_distance": moving})
+                     "level_increases": increases, "heap_ops": messages,
+                     "emulator_events": 0, "opens": opens, "moving_distance": moving})
     ledger = {}
     for p, layer in enumerate(index.layers):
         q_p, _ = index.layer_params[p]

@@ -40,6 +40,29 @@ to INF). For H_1 <= H_2 in every weight and L_1 = F(L, H_1):
 So F(L_1, H_2) = F(L, H_2), and by induction over the events the per-batch
 levels equal the per-event ones.
 
+A base-graph deletion that splits a component of G is handled in one step,
+as in ``EsTree``: ``apply_batch`` takes the side the deletion cut off G
+(``DecrementalGraph.split_side``) and sets every finite level on the side
+without the root to INF in one pass. H's components refine G's: a hub edge
+joins nodes at G-distance at most the weight cap, and a unit edge is a G
+edge, so after the batch no edge of H' joins the two sides. Let P be the
+side without the root. Every closed L'' is INF on P: if some node of P had
+a finite value, the node y of P with the least one has all its neighbours in
+P, at values at least L''(y), and every weight is at least 1, so
+min_v L''(v) + w(y, v) > L''(y) and L'' is not closed at y. So F(L, H') is
+INF on P, and since no edge joins P to the rest, F on the rest does not
+depend on P. The event pass runs first, with the levels from before the
+batch: it takes from the counters of nodes on the root's side the support
+of edges that crossed the cut, which the batch deletes. Then P drops, and
+the repair pass runs on the rest.
+
+``level_increases`` counts level units on both backends: a rise from l to l'
+adds l' - l, and a node that leaves the tree at level l adds bound + 1 - l,
+whether it climbs there or drops with its side. The total depends only on
+the levels before and after, so per-batch and per-event repair, both
+backends and the cut and unit-raise paths report the same figure. ``ops``
+counts neighbour checks and heap operations; a drop costs none.
+
 Two backends:
 
 * ``heap``: lazy per-node heaps, levels jump straight to the new support
@@ -59,7 +82,7 @@ from collections import deque
 from heapq import heappop, heappush, heapify
 
 from .errors import InvalidParameters, NodeOutOfRange
-from .graph_core import DELETE, INF, WeightedAdjacency
+from .graph_core import DELETE, INF, WeightedAdjacency, cut_off
 
 HEAP = "heap"
 COUNTER = "counter"
@@ -203,15 +226,18 @@ class MonotoneEsTree:
 
     # -- updates ---------------------------------------------------------------
 
-    def apply_batch(self, batch) -> set[int]:
+    def apply_batch(self, batch, cut=None) -> set[int]:
         """Repair after ``batch``; returns the nodes whose level rose in it.
 
         ``batch`` is the list that ``WeightedAdjacency.apply`` returned: it is
-        already applied to H and each event carries its old weight. With the
-        levels from before the batch, every event first updates the support
-        counters (counter backend) or pushes its new heap keys (heap backend);
-        one repair pass then starts from the endpoints that lost a support.
-        A tree where no endpoint lost one returns before the repair loop.
+        already applied to H and each event carries its old weight. ``cut``
+        is the side that the base-graph deletion behind the batch split off
+        (``DecrementalGraph.split_side``), or None. With the levels from
+        before the batch, every event first updates the support counters
+        (counter backend) or pushes its new heap keys (heap backend). Then
+        the side of the cut without the root drops in one pass, and one
+        repair pass starts from the endpoints that lost a support. A tree
+        where no endpoint lost one returns before the repair loop.
         """
         level = self.level
         seeds = []
@@ -237,27 +263,47 @@ class MonotoneEsTree:
                     if v not in self._members[u]:
                         self._members[u].add(v)
                         self._parents[u].append(v)
-            if not seeds:
-                return set()
-            return self._update_levels_counter(seeds)
-        for kind, u, v, w, old in batch:
-            lu, lv = level[u], level[v]
-            if kind != DELETE:
-                if lv is not INF:
-                    heappush(self._nheap[u], (lv + w, v))
-                    self.ops += 1
-                if lu is not INF:
-                    heappush(self._nheap[v], (lu + w, u))
-                    self.ops += 1
-            if old is not None:
-                for a, la, lb in ((u, lu, lv), (v, lv, lu)):
-                    if la is not INF and lb + old <= la:
-                        seeds.append(a)
-        if not seeds:
-            return set()
-        return self._update_levels_heap(seeds)
+        else:
+            for kind, u, v, w, old in batch:
+                lu, lv = level[u], level[v]
+                if kind != DELETE:
+                    if lv is not INF:
+                        heappush(self._nheap[u], (lv + w, v))
+                        self.ops += 1
+                    if lu is not INF:
+                        heappush(self._nheap[v], (lu + w, u))
+                        self.ops += 1
+                if old is not None:
+                    for a, la, lb in ((u, lu, lv), (v, lv, lu)):
+                        if la is not INF and lb + old <= la:
+                            seeds.append(a)
+        if cut is None:
+            return self._repair(seeds) if seeds else set()
+        # after the event pass, which read the levels from before the batch
+        raised = self._drop_side(cut)
+        if seeds:
+            raised |= self._repair(seeds)
+        return raised
+
+    def _drop_side(self, cut) -> set[int]:
+        """Set every finite level on the root-less side of a split to INF.
+
+        Counted in units, as a rise to bound + 1; costs no op.
+        """
+        level = self.level
+        gone = cut_off(level, self.root, cut)
+        top = self.bound + 1
+        for y in gone:
+            self.level_increases += top - level[y]
+            level[y] = INF
+        return set(gone)
 
     # -- level maintenance -----------------------------------------------------
+
+    def _repair(self, seeds) -> set[int]:
+        if self.backend == COUNTER:
+            return self._update_levels_counter(seeds)
+        return self._update_levels_heap(seeds)
 
     def _best_support(self, y: int):
         heap = self._nheap[y]
@@ -279,7 +325,7 @@ class MonotoneEsTree:
         raised: set[int] = set()
         queue = []
         for y in seeds:
-            if y != root:
+            if y != root and level[y] is not INF:  # a dropped seed needs no repair
                 heappush(queue, (level[y], y))
                 self.ops += 1
         while queue:

@@ -46,12 +46,12 @@ def _sample_centers(n: int, q: int, rng: random.Random,
     return [x for x in range(n) if rng.random() < p]
 
 
-def _repair_trees(roots_and_trees, batch) -> dict[int, set[int]]:
-    """Repair each tree after ``batch``; maps the root of every tree that
-    changed to the nodes whose level rose."""
+def _repair_trees(roots_and_trees, batch, cut) -> dict[int, set[int]]:
+    """Repair each tree after ``batch`` and the deletion's ``cut``; maps the
+    root of every tree that changed to the nodes whose level rose."""
     raised = {}
     for root, tree in roots_and_trees:
-        nodes = tree.apply_batch(batch)
+        nodes = tree.apply_batch(batch, cut)
         if nodes:
             raised[root] = nodes
     return raised
@@ -135,7 +135,8 @@ class RandomCenterCover:
         cover's trees. Only for a cover that no other structure shares trees
         with: the APSP index repairs its shared trees and calls ``on_batch``."""
         batch = self.emulator.on_delete(u, v)
-        self.on_batch(_repair_trees(zip(self.centers, self._trees), batch))
+        self.on_batch(_repair_trees(zip(self.centers, self._trees), batch,
+                                    self.emulator.last_cut))
 
     def on_batch(self, raised) -> None:
         """Update the cover lists after a batch; ``raised`` maps a tree's root
@@ -227,7 +228,7 @@ class ApspIndexRandom:
     def delete(self, u: int, v: int) -> list[UpdateEvent]:
         """Delete (u, v) from the base graph; returns the emulator's event batch."""
         batch = self.emulator.on_delete(u, v)
-        raised = _repair_trees(enumerate(self.trees), batch)
+        raised = _repair_trees(enumerate(self.trees), batch, self.emulator.last_cut)
         for layer in self.layers:
             layer.on_batch(raised)
         return batch

@@ -125,6 +125,8 @@ def test_exactness_and_backend_equality(data):
         g2.delete_edge(u, v)
         d2 = t2.after_delete(u, v)
         assert d1 == d2
+        # both backends count level units, a drop as a rise to Q + 1
+        assert t1.level_increases == t2.level_increases
         truth = bfs_levels(g1, root)
         expected = [d if d <= Q else INF for d in truth]
         assert t1.levels() == expected

@@ -147,6 +147,63 @@ def test_small_component_matches_component_of(data):
         g.small_component(n, 3)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_split_side_is_the_cut_off_component(data):
+    # n <= 30 keeps every side within the cap 4 * ceil(sqrt(n)) >= n / 2
+    n = data.draw(st.integers(2, 30))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    g = random_graph(rng, n, data.draw(st.integers(1, 2 * n)))
+    order = g.edges()
+    rng.shuffle(order)
+    for u, v in order:
+        g.delete_edge(u, v)
+        side = g.split_side(u, v)
+        comp_u = g.component_of(u)
+        if v in comp_u:
+            assert side is None
+        else:
+            assert side in (comp_u, g.component_of(v))
+
+
+def test_split_side_none_without_split_and_past_cap():
+    # a cycle stays connected: the searches meet
+    g = DecrementalGraph.from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
+    g.delete_edge(0, 1)
+    assert g.split_side(0, 1) is None
+    # paths of 100 nodes: cap 4 * 10 = 40
+    n = 100
+
+    def path():
+        return DecrementalGraph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+
+    g = path()
+    g.delete_edge(39, 40)  # 0..39 holds the cap exactly, 40..99 passes it
+    assert g.split_side(39, 40) == set(range(40))
+    g = path()
+    g.delete_edge(40, 41)  # 41 and 59 nodes: both past the cap
+    assert g.split_side(40, 41) is None
+    g = path()
+    g.delete_edge(49, 50)  # both sides hold 50 > 40 nodes
+    assert g.split_side(49, 50) is None
+    g.delete_edge(89, 90)  # 90..99 is cut off
+    assert g.split_side(89, 90) == set(range(90, 100))
+    g.delete_edge(9, 10)  # 0..9 closes before 10..49 does
+    assert g.split_side(9, 10) == set(range(10))
+    g.delete_edge(98, 99)  # an isolated node
+    assert g.split_side(98, 99) == {99}
+    g.delete_edge(0, 1)
+    assert g.split_side(0, 1) == {0}
+    with pytest.raises(NodeOutOfRange):
+        g.split_side(0, n)
+    # a star of 50 leaves at 0 passes the cap 32 in one step; the search from
+    # the other side goes on alone and closes the 11-node path 51..61
+    star = [(0, i) for i in range(1, 51)]
+    g = DecrementalGraph.from_edge_list(62, star + [(0, 51)] + [(i, i + 1) for i in range(51, 61)])
+    g.delete_edge(0, 51)
+    assert g.split_side(0, 51) == set(range(51, 62))
+
+
 def test_version_counts_deletions(fig_graph):
     for i, (u, v) in enumerate(FIG_EDGES, start=1):
         fig_graph.delete_edge(u, v)

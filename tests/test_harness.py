@@ -92,11 +92,12 @@ def test_run_experiment_csv_bit_exact(tmp_path):
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         header = (out1 / "results.csv").read_text().splitlines()
         assert header[0] == "#schema=1"
-    # rand_apsp rows carry the monotone trees' cumulative work
-    rows = list(csv.DictReader(header[1:]))
-    for column in ("level_increases", "heap_ops"):
-        work = [int(r[column]) for r in rows]
-        assert work == sorted(work) and work[-1] > 0
+        # the rows carry the trees' cumulative work: level increases and
+        # messages (det_apsp) or ops (rand_apsp)
+        rows = list(csv.DictReader(header[1:]))
+        for column in ("level_increases", "heap_ops"):
+            work = [int(r[column]) for r in rows]
+            assert work == sorted(work) and work[-1] > 0
 
 
 def test_run_experiment_es_tree_work_summary(tmp_path):

@@ -294,8 +294,10 @@ def test_query_matches_reference_search():
     # every 10th node, and the ends, where far pairs lie past the patch range
     sources = sorted({*range(0, n, 10), *range(20), *range(n - 20, n)})
     uncovered = layered = 0
-    # deleting an end edge drops one node from every tree
-    for deletion in [None, (398, 399), (0, 1)]:
+    # deleting an end edge drops one node from every tree; deleting
+    # (359, 360) cuts off the 39-node tail 360..398, within the split
+    # search's cap 4 * ceil(sqrt(400)) = 80, so every tree drops it at once
+    for deletion in [None, (398, 399), (0, 1), (359, 360)]:
         if deletion is not None:
             idx.delete(*deletion)
         for x in sources:
@@ -313,7 +315,9 @@ def test_query_matches_reference_search():
 
 def test_patch_reads_through_its_own_bound(monkeypatch):
     # the patch answer of a root whose tree is deeper than the patch range
-    # equals a range-patch_range tree of its own
+    # equals a range-patch_range tree of its own; those trees get no cut,
+    # so they raise a cut-off node one unit at a time where the index's
+    # trees drop it in one step
     idx = _path_index(0.3)
     n = idx.g.n
     em = idx.emulator
@@ -321,7 +325,7 @@ def test_patch_reads_through_its_own_bound(monkeypatch):
     own = {x: MonotoneEsTree(em.h, x, idx.patch_range, 1, 2, em.tau) for x in deep}
     monkeypatch.setattr(ApspIndexRandom, "_search_layers", lambda self, x, y: INF)
     past_patch = 0
-    for deletion in [None, (398, 399), (0, 1)]:
+    for deletion in [None, (398, 399), (0, 1), (359, 360)]:
         if deletion is not None:
             batch = idx.delete(*deletion)
             for tree in own.values():
