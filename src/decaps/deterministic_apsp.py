@@ -28,7 +28,7 @@ A deletion costs work in proportion to what it changes, not to n:
   stops once the limit is reached.
 * After the construction's full scan, every node is covered or marked
   small. Coverage is only lost when a node leaves a cover list, when the
-  moved center's old ball is popped or a tree reports a node past the cover
+  moved center's old ball is popped or a tree raises a node past the cover
   radius, so the greedy pass re-checks exactly those nodes, in ascending id
   order. Opens only add coverage, so it opens the same centers as a full
   scan would.
@@ -46,7 +46,6 @@ A deletion costs work in proportion to what it changes, not to n:
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .errors import (
     InvalidEpsilon,
@@ -56,7 +55,7 @@ from .errors import (
     RateViolation,
     UnknownCenter,
 )
-from .es_tree import COUNTER, EsTree
+from .es_tree import EsTree
 from .graph_core import INF, DecrementalGraph
 
 
@@ -68,15 +67,13 @@ class MovingCenters:
     the head of that list in O(1); distance queries read tree levels in O(1).
     """
 
-    def __init__(self, g: DecrementalGraph, cover_radius: int, Q: int,
-                 backend: str = COUNTER):
+    def __init__(self, g: DecrementalGraph, cover_radius: int, Q: int):
         if Q < 1 or cover_radius < 0 or cover_radius > Q:
             raise InvalidRange(
                 f"need 0 <= cover_radius <= Q and Q >= 1, got {cover_radius}, {Q}")
         self.g = g
         self.cover_radius = cover_radius
         self.Q = Q
-        self._backend = backend
         self.location: list[int] = []
         self._trees: list[EsTree] = []
         self._cover: list[dict[int, bool]] = [dict() for _ in range(g.n)]
@@ -85,22 +82,18 @@ class MovingCenters:
         self._round_ops: set[int] = set()
         # work of the trees that move retired
         self._retired_increases = 0
-        self._retired_messages = 0
+        self._retired_ops = 0
 
     def _check_center(self, j: int) -> None:
         if not 0 <= j < len(self.location):
             raise UnknownCenter(f"center {j} does not exist")
-
-    def _build_tree(self, x: int) -> EsTree:
-        return EsTree(self.g, x, self.Q, report_threshold=self.cover_radius,
-                      backend=self._backend)
 
     def open(self, x: int) -> int:
         """Open a new center at x; returns its id."""
         if not 0 <= x < self.g.n:
             raise NodeOutOfRange(f"node {x} not in [0, {self.g.n})")
         j = len(self.location)
-        tree = self._build_tree(x)
+        tree = EsTree(self.g, x, self.Q)
         self.location.append(x)
         self._trees.append(tree)
         self.opens += 1
@@ -115,13 +108,12 @@ class MovingCenters:
             if ly <= rho:  # INF never is
                 cover[y][j] = True
 
-    def move(self, j: int, x: int, distance=None) -> list[int]:
+    def move(self, j: int, x: int, distance) -> list[int]:
         """Relocate center j to x, rebuilding its tree from scratch.
 
-        ``distance`` is the moving distance to charge (distance between old
-        and new location in the pre-move graph); by default it is measured by
-        BFS in the current graph. Returns the nodes of the old ball, which
-        were popped from their cover lists.
+        ``distance`` is the moving distance to charge: the distance between
+        the old and the new location in the pre-move graph. Returns the nodes
+        of the old ball, which were popped from their cover lists.
         """
         self._check_center(j)
         if not 0 <= x < self.g.n:
@@ -130,8 +122,6 @@ class MovingCenters:
             raise RateViolation(
                 f"center {j} already opened or moved since the last deletion")
         self._round_ops.add(j)
-        if distance is None:
-            distance = self._bfs_distance(self.location[j], x)
         rho = self.cover_radius
         popped = [y for y, ly in enumerate(self._trees[j].level) if ly <= rho]
         for y in popped:
@@ -140,27 +130,11 @@ class MovingCenters:
         self.location[j] = x
         old = self._trees[j]
         self._retired_increases += old.level_increases
-        self._retired_messages += old.messages
-        tree = self._build_tree(x)
+        self._retired_ops += old.ops
+        tree = EsTree(self.g, x, self.Q)
         self._trees[j] = tree
         self._add_cover(j, tree)
         return popped
-
-    def _bfs_distance(self, a: int, b: int):
-        if a == b:
-            return 0
-        dist = {a: 0}
-        queue = deque((a,))
-        adj = self.g._adj
-        while queue:
-            y = queue.popleft()
-            for z in adj[y]:
-                if z not in dist:
-                    dist[z] = dist[y] + 1
-                    if z == b:
-                        return dist[z]
-                    queue.append(z)
-        return INF
 
     def begin_deletion(self) -> None:
         """Open a new open/move accounting window (one per deletion)."""
@@ -176,22 +150,30 @@ class MovingCenters:
         """Repair the trees after the shared graph lost (u, v).
 
         ``cut`` is the side the deletion split off (``split_side``), or
-        None. Returns the nodes popped from cover lists. A tree is called
-        only when u and v sit on adjacent levels, the one case where the
-        edge supported an endpoint: a tree with a finite node on the side
-        without its root reached that side through (u, v), so u and v sit on
-        adjacent levels there too.
+        None. Returns the nodes popped from cover lists: those a tree raised
+        past the cover radius. A tree is called only when u and v sit on
+        adjacent levels, the one case where the edge supported an endpoint:
+        a tree with a finite node on the side without its root reached that
+        side through (u, v), so u and v sit on adjacent levels there too.
+        Every node a tree raises or drops sat at least as high as the
+        endpoint that leaned on (u, v), so only a tree where that endpoint
+        sat within the cover radius can pop a node.
         """
         cover = self._cover
+        rho = self.cover_radius
         freed: set[int] = set()
         for j, tree in enumerate(self._trees):
             level = tree.level
+            lu, lv = level[u], level[v]
             # INF on either side gives inf or nan here, never +-1
-            if level[u] - level[v] not in (1, -1):
+            if lu - lv not in (1, -1):
                 continue
-            for x in tree.after_delete(u, v, cut):
-                cover[x].pop(j, None)
-                freed.add(x)
+            raised = tree.after_delete(u, v, cut)
+            if lu <= rho and lv <= rho:
+                for x in raised:
+                    # a node already past the radius holds no entry of j
+                    if level[x] > rho and cover[x].pop(j, False):
+                        freed.add(x)
         return freed
 
     def distance(self, j: int, x: int):
@@ -215,9 +197,9 @@ class MovingCenters:
         return self._retired_increases + sum(t.level_increases for t in self._trees)
 
     @property
-    def messages(self) -> int:
-        """Messages of every tree built here, retired ones included."""
-        return self._retired_messages + sum(t.messages for t in self._trees)
+    def ops(self) -> int:
+        """Work (``ops``) of every tree built here, retired ones included."""
+        return self._retired_ops + sum(t.ops for t in self._trees)
 
 
 class DetCenterCover:
@@ -232,8 +214,7 @@ class DetCenterCover:
     ball lies inside its center's cover lists.
     """
 
-    def __init__(self, g: DecrementalGraph, q: int, Q: int, cover_radius=None,
-                 backend: str = COUNTER):
+    def __init__(self, g: DecrementalGraph, q: int, Q: int, cover_radius=None):
         if not 1 <= q <= Q:
             raise InvalidRange(f"need 1 <= q <= Q, got q={q}, Q={Q}")
         if cover_radius is None:
@@ -244,7 +225,7 @@ class DetCenterCover:
         self.g = g
         self.q = q
         self.Q = Q
-        self.mc = MovingCenters(g, cover_radius, Q, backend=backend)
+        self.mc = MovingCenters(g, cover_radius, Q)
         self.collected: list[set[int]] = []   # T^j
         self.radius2: list[int] = []          # 2 * r^j, exact in half-units
         self._skip_small: list[bool] = [False] * g.n
@@ -312,7 +293,7 @@ class DetCenterCover:
                 self.radius2[j] -= 2 * len(comp)
                 for z in comp:
                     self._skip_small[z] = True
-                freed.update(mc.move(j, y, distance=move_dist))
+                freed.update(mc.move(j, y, move_dist))
         freed |= mc.after_delete(u, v, cut)
         self._greedy_open(freed)
 
@@ -363,7 +344,7 @@ class DetCenterCover:
 class ApspIndexDet:
     """ceil(log n) deterministic covers answering (1+eps)-approximate queries."""
 
-    def __init__(self, g: DecrementalGraph, eps: float, backend: str = COUNTER):
+    def __init__(self, g: DecrementalGraph, eps: float):
         if not 0 < eps <= 1:
             raise InvalidEpsilon(f"eps must be in (0, 1], got {eps}")
         self.g = g
@@ -378,14 +359,23 @@ class ApspIndexDet:
             q_p = max(1, rho)
             Q_p = 1 << (p + 2)
             self.layer_params.append((q_p, Q_p))
-            self.layers.append(DetCenterCover(g, q_p, Q_p, cover_radius=rho,
-                                              backend=backend))
+            self.layers.append(DetCenterCover(g, q_p, Q_p, cover_radius=rho))
 
     def delete(self, u: int, v: int) -> None:
         self.g.delete_edge(u, v)
         cut = self.g.split_side(u, v)
         for layer in self.layers:
             layer.on_deleted(u, v, cut)
+
+    @property
+    def level_increases(self) -> int:
+        """Level increases of every tree the layers built, retired ones included."""
+        return sum(layer.mc.level_increases for layer in self.layers)
+
+    @property
+    def ops(self) -> int:
+        """Work (``ops``) of every tree the layers built, retired ones included."""
+        return sum(layer.mc.ops for layer in self.layers)
 
     def layer_estimate(self, p: int, x: int, y: int):
         layer = self.layers[p]

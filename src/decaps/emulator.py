@@ -144,23 +144,21 @@ class LocallyPerseveringEmulator:
         handled_uv = False
         for c in self.hubs:
             tree = self._trees[c]
-            _, changes = tree.after_delete_with_changes(u, v, cut)
-            for y, _old, new in changes:
-                if y == c:
-                    continue
+            level = tree.level
+            for y in sorted(tree.after_delete(u, v, cut)):
+                new = level[y]
                 pair = edge_key(c, y)
                 old_w = self._hub_weight.get(pair)
                 if old_w is None:
                     continue  # other-hub duplicate already processed
-                if new is INF or new > self.weight_cap:
+                if new is INF:  # past the tree's depth, the weight cap
                     del self._hub_weight[pair]
                     if pair in self._unit:
                         continue  # still a G-edge at weight 1; cannot happen with dist > 1
                     rest.append(UpdateEvent(DELETE, pair[0], pair[1], INF))
+                elif new == old_w:
+                    continue  # duplicate report from the pair's other hub
                 else:
-                    new = int(new)
-                    if new == old_w:
-                        continue  # duplicate report from the pair's other hub
                     self._hub_weight[pair] = new
                     if pair in self._unit:
                         continue

@@ -39,6 +39,10 @@ class FullyDynamicApsp:
         self.eps = eps
         self.t = t
         self._true_adj: list[set[int]] = [set(s) for s in g._adj]
+        # work of the indexes that earlier phases built
+        self._retired_increases = 0
+        self._retired_ops = 0
+        self.index = None
         self._start_phase()
 
     # -- phase machinery -----------------------------------------------------
@@ -52,6 +56,9 @@ class FullyDynamicApsp:
         return out
 
     def _start_phase(self) -> None:
+        if self.index is not None:
+            self._retired_increases += self.index.level_increases
+            self._retired_ops += self.index.ops
         self._base = DecrementalGraph.from_edge_list(self.n, self._true_edges())
         self.index = ApspIndexDet(self._base, self.eps)
         self.insertion_centers: dict[int, bool] = {}
@@ -78,6 +85,16 @@ class FullyDynamicApsp:
                     dist[z] = d
                     queue.append(z)
         return dist
+
+    @property
+    def level_increases(self) -> int:
+        """Level increases of every index built here, earlier phases' included."""
+        return self._retired_increases + self.index.level_increases
+
+    @property
+    def ops(self) -> int:
+        """Work (``ops``) of every index built here, earlier phases' included."""
+        return self._retired_ops + self.index.ops
 
     def _check_node(self, x: int) -> None:
         if not 0 <= x < self.n:

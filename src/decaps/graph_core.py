@@ -1,8 +1,10 @@
 """Versioned decremental graph, deletion traces, and the update-event vocabulary.
 
 Nodes are dense integer ids 0..n-1. The edge set only shrinks; every applied
-deletion bumps the version counter by one. Adjacency is kept as per-node sets,
-so has_edge (needed by the (2+eps, 0) query wrapper) is a constant-time
+deletion bumps the version counter by one. Both graphs keep one adjacency
+shape, ``adj[u]`` mapping each neighbor of u to the edge weight, so one tree
+engine reads either: ``DecrementalGraph`` stores weight 1 on every edge, and
+has_edge (needed by the (2+eps, 0) query wrapper) is a constant-time
 membership test. ``WeightedAdjacency`` is the weighted graph that update
 events act on: the emulator owns one, and every monotone tree reads it.
 """
@@ -76,7 +78,7 @@ class DecrementalGraph:
         self.version = 0
         self.m0 = 0
         self._m = 0
-        self._adj: list[set[int]] = [set() for _ in range(n)]
+        self._adj: list[dict[int, int]] = [dict() for _ in range(n)]  # weight 1
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DecrementalGraph":
@@ -88,8 +90,8 @@ class DecrementalGraph:
                 raise SelfLoop(f"self-loop at node {u}")
             if v in g._adj[u]:
                 raise DuplicateEdge(f"duplicate edge ({u}, {v})")
-            g._adj[u].add(v)
-            g._adj[v].add(u)
+            g._adj[u][v] = 1
+            g._adj[v][u] = 1
             g._m += 1
         g.m0 = g._m
         return g
@@ -112,10 +114,10 @@ class DecrementalGraph:
         self._check_node(u)
         return len(self._adj[u])
 
-    def neighbors(self, u: int) -> set[int]:
-        """Current neighbor set of u (do not mutate)."""
+    def neighbors(self, u: int):
+        """Current neighbors of u, a live set-like view."""
         self._check_node(u)
-        return self._adj[u]
+        return self._adj[u].keys()
 
     def neighbors_sorted(self, u: int) -> list[int]:
         return sorted(self.neighbors(u))
@@ -127,8 +129,8 @@ class DecrementalGraph:
             raise SelfLoop(f"self-loop at node {u}")
         if v not in self._adj[u]:
             raise EdgeAbsent(f"edge ({u}, {v}) not present at version {self.version}")
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
+        del self._adj[u][v]
+        del self._adj[v][u]
         self._m -= 1
         self.version += 1
 

@@ -227,14 +227,14 @@ def run_es_tree(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrace
                                      "distance": float(want[bad])})
         rows.append({"version": i, "audit_pass": ok,
                      "level_increases": tree.level_increases,
-                     "heap_ops": tree.heap_ops,
+                     "heap_ops": tree.ops,
                      "emulator_events": 0, "opens": 0, "moving_distance": 0})
     m = g.m0
-    work_constant = tree.heap_ops / max(1, m * Q)
+    work_constant = tree.ops / max(1, m * Q)
     summary = {"work_constant": work_constant,
                "work_bound_ok": work_constant <= 16,
                "level_increases": tree.level_increases,
-               "heap_ops": tree.heap_ops}
+               "heap_ops": tree.ops}
     return rows, summary
 
 
@@ -262,10 +262,8 @@ def run_det_apsp(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrac
         opens = sum(layer.opens for layer in index.layers)
         moving = sum(layer.moving_distance for layer in index.layers)
         # work of every tree the index built, those that moves retired too
-        increases = sum(layer.mc.level_increases for layer in index.layers)
-        messages = sum(layer.mc.messages for layer in index.layers)
         rows.append({"version": i, "audit_pass": True,
-                     "level_increases": increases, "heap_ops": messages,
+                     "level_increases": index.level_increases, "heap_ops": index.ops,
                      "emulator_events": 0, "opens": opens, "moving_distance": moving})
     ledger = {}
     for p, layer in enumerate(index.layers):
@@ -391,9 +389,10 @@ def run_fully_dynamic(cfg: ExperimentConfig, g: DecrementalGraph, trace: Deletio
                     if est < d - 1e-9 or (np.isfinite(d) and est > (1 + cfg.eps) * d + 1e-9):
                         raise _fail(cfg, i, {"pair": [x, y], "estimate": float(est),
                                              "distance": float(d)})
+        # work of every index the wrapper built, earlier phases' too
         rows.append({"version": i, "audit_pass": True,
-                     "level_increases": 0, "heap_ops": 0, "emulator_events": 0,
-                     "opens": 0, "moving_distance": 0})
+                     "level_increases": fd.level_increases, "heap_ops": fd.ops,
+                     "emulator_events": 0, "opens": 0, "moving_distance": 0})
     return rows, {"updates": len(updates), "phase_t": cfg.phase_t}
 
 

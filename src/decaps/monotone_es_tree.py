@@ -1,16 +1,20 @@
-"""Monotone ES-tree over an emulator's event stream.
+"""Monotone ES-tree over a weighted graph's event stream: the one tree engine.
 
-The weighted graph H is a ``WeightedAdjacency`` owned by the emulator (or by
-a test): one per emulator, shared by every tree built on it, the way
-``EsTree`` shares ``DecrementalGraph._adj``. A tree keeps only per-root state
-(levels, support counters or heaps, candidate parents) and never writes H.
-H receives each ordered event batch (all insertions first, then weight
-increases and deletions) through ``WeightedAdjacency.apply``, once; every
-tree then repairs itself once per batch with :meth:`MonotoneEsTree.apply_batch`.
-Levels never decrease; insertions only refresh neighbor bookkeeping. The
-tree is maintained to depth (alpha + beta/tau) * Q + beta, so with the
-(1, 2, ceil(2/eps))-locally persevering emulator its level is a
-(1 + eps, 2)-approximate distance estimate for the base graph, up to Q.
+The weighted graph H is a list ``adj`` with ``adj[u]`` mapping each neighbor
+of u to the edge weight, at least 1. A ``WeightedAdjacency`` owned by the
+emulator (or by a test) is one; a ``DecrementalGraph`` keeps its edges in the
+same shape, every weight 1, and the exact ``EsTree`` is this tree on it (see
+``es_tree``). One adjacency is shared by every tree built on it. A tree keeps
+only per-root state (levels, and support counters or heaps) and never writes
+H. H receives each ordered event batch (all insertions first, then weight
+increases and deletions) once; every tree then repairs itself once per batch
+with :meth:`MonotoneEsTree.apply_batch`. Levels never decrease; insertions
+only refresh neighbor bookkeeping. The tree is maintained to depth
+(alpha + beta/tau) * Q + beta, so with the (1, 2, ceil(2/eps))-locally
+persevering emulator its level is a (1 + eps, 2)-approximate distance
+estimate for the base graph, up to Q. With alpha 1, beta 0, tau 1 on an
+unweighted graph without insertions the levels are exact distances up to Q:
+the classic Even-Shiloach tree (JACM 1981).
 
 ``apply_batch`` returns the nodes whose level rose in the batch. One tree
 serves every reader whose depth bound b is at or below its own: the reader
@@ -40,40 +44,44 @@ to INF). For H_1 <= H_2 in every weight and L_1 = F(L, H_1):
 So F(L_1, H_2) = F(L, H_2), and by induction over the events the per-batch
 levels equal the per-event ones.
 
-A base-graph deletion that splits a component of G is handled in one step,
-as in ``EsTree``: ``apply_batch`` takes the side the deletion cut off G
+A base-graph deletion that splits a component of G is handled in one step:
+``apply_batch`` takes the side the deletion cut off G
 (``DecrementalGraph.split_side``) and sets every finite level on the side
 without the root to INF in one pass. H's components refine G's: a hub edge
 joins nodes at G-distance at most the weight cap, and a unit edge is a G
-edge, so after the batch no edge of H' joins the two sides. Let P be the
-side without the root. Every closed L'' is INF on P: if some node of P had
-a finite value, the node y of P with the least one has all its neighbours in
-P, at values at least L''(y), and every weight is at least 1, so
-min_v L''(v) + w(y, v) > L''(y) and L'' is not closed at y. So F(L, H') is
-INF on P, and since no edge joins P to the rest, F on the rest does not
-depend on P. The event pass runs first, with the levels from before the
-batch: it takes from the counters of nodes on the root's side the support
-of edges that crossed the cut, which the batch deletes. Then P drops, and
-the repair pass runs on the rest.
+edge (for an exact tree H is G), so after the batch no edge of H' joins the
+two sides. Let P be the side without the root. Every closed L'' is INF on P:
+if some node of P had a finite value, the node y of P with the least one has
+all its neighbours in P, at values at least L''(y), and every weight is at
+least 1, so min_v L''(v) + w(y, v) > L''(y) and L'' is not closed at y. So
+F(L, H') is INF on P, and since no edge joins P to the rest, F on the rest
+does not depend on P. The event pass runs first, with the levels from before
+the batch: it takes from the counters of nodes on the root's side the
+support of edges that crossed the cut, which the batch deletes. Then P
+drops, and the repair pass runs on the rest. Isolating a node and cutting
+the root's last edge are the cases of a one-node side. Without a side (no
+split, or both sides past the search's cap) the cut-off nodes rise one unit
+at a time until they pass the depth bound.
 
 ``level_increases`` counts level units on both backends: a rise from l to l'
 adds l' - l, and a node that leaves the tree at level l adds bound + 1 - l,
 whether it climbs there or drops with its side. The total depends only on
 the levels before and after, so per-batch and per-event repair, both
 backends and the cut and unit-raise paths report the same figure. ``ops``
-counts neighbour checks and heap operations; a drop costs none.
+counts neighbour checks (counter backend) or heap operations (heap
+backend); a drop costs none.
 
-Two backends:
+Levels start from a bucket (Dial) search over the integer weights, which on
+unit weights is a BFS; the counter backend counts every node's supports in
+the same pass. Two backends:
 
 * ``heap``: lazy per-node heaps, levels jump straight to the new support
   value (ties broken by (key, node id));
 * ``counter``: per-node support counters c(u) = |{v : level(v) + w(u, v) <=
-  level(u)}| with one-unit level increases, plus per-node candidate-parent
-  lists L(u) (revalidated on pop, deduplicated through a membership set) so
-  parents stay retrievable in O(1) amortized.
+  level(u)}| with one-unit level increases.
 
 Both backends produce identical levels after every batch; ``counter`` is
-the default.
+the default. ``parent`` scans the node's adjacency, O(deg).
 """
 
 from __future__ import annotations
@@ -102,7 +110,11 @@ class MonotoneEsTree:
         to depth (alpha + beta/tau) * Q + beta. ``level`` is updated in place,
         so a reader may hold on to the list.
         """
-        n = h.n
+        self._setup(h.adj, root, Q, alpha, beta, tau, backend)
+
+    def _setup(self, adj: list[dict[int, int]], root: int, Q: int, alpha: int,
+               beta: int, tau: int, backend: str) -> None:
+        n = len(adj)
         if not 0 <= root < n:
             raise NodeOutOfRange(f"root {root} not in [0, {n})")
         if Q < 1 or alpha < 1 or beta < 0 or tau < 1:
@@ -121,31 +133,46 @@ class MonotoneEsTree:
         self.bound = depth_bound_floor(Q, alpha, beta, tau)
         self.level_increases = 0
         self.ops = 0
-
-        self._adj = h.adj  # shared with every tree on h; read only
+        self._adj = adj  # shared with every tree on the graph; read only
         self._init_levels()
         if backend == HEAP:
+            self._count = None
             self._init_heaps()
-        else:
-            self._init_counters()
 
     # -- initialization ----------------------------------------------------
 
     def _init_levels(self) -> None:
-        level = [INF] * self.n
-        level[self.root] = 0
+        """Bucket search to the depth bound; counts supports on the way.
+
+        Buckets are settled in increasing level, and every weight is at
+        least 1, so a node's supports are all settled, and counted, before
+        its own bucket; a lower level found later resets its count.
+        """
+        adj = self._adj
         bound = self.bound
-        heap = [(0, self.root)]
-        while heap:
-            d, y = heappop(heap)
-            if d > level[y]:
-                continue
-            for z, w in self._adj[y].items():
-                nd = d + w
-                if nd <= bound and nd < level[z]:
-                    level[z] = nd
-                    heappush(heap, (nd, z))
+        level = [INF] * self.n
+        count = [0] * self.n
+        level[self.root] = 0
+        buckets = [[self.root]]
+        d = 0
+        while d < len(buckets):
+            for y in buckets[d]:
+                if level[y] != d:
+                    continue  # settled lower already
+                for z, w in adj[y].items():
+                    nd = d + w
+                    lz = level[z]
+                    if nd == lz:
+                        count[z] += 1
+                    elif nd < lz and nd <= bound:
+                        level[z] = nd
+                        count[z] = 1
+                        while len(buckets) <= nd:
+                            buckets.append([])
+                        buckets[nd].append(z)
+            d += 1
         self.level = level
+        self._count = count
 
     def _init_heaps(self) -> None:
         level = self.level
@@ -156,21 +183,6 @@ class MonotoneEsTree:
             heapify(entries)
             self.ops += len(entries)
             self._nheap[u] = entries
-
-    def _init_counters(self) -> None:
-        level = self.level
-        self._count = [0] * self.n
-        self._parents: list[deque] = [deque() for _ in range(self.n)]
-        self._members: list[set] = [set() for _ in range(self.n)]
-        for u, adj_u in enumerate(self._adj):
-            lu = level[u]
-            if lu is INF:
-                continue
-            # INF + w <= lu never holds for a finite lu
-            support = sorted(v for v, w in adj_u.items() if level[v] + w <= lu)
-            self._count[u] = len(support)
-            self._parents[u].extend(support)
-            self._members[u].update(support)
 
     # -- queries -------------------------------------------------------------
 
@@ -184,30 +196,17 @@ class MonotoneEsTree:
         return list(self.level)
 
     def parent(self, x: int):
-        """A current parent candidate of x, or None (root, dropped, orphan)."""
+        """A neighbour v of x with level(v) + w(x, v) <= level(x), or None
+        (root, dropped); scans x's adjacency."""
         if not 0 <= x < self.n:
             raise NodeOutOfRange(f"node {x} not in [0, {self.n})")
         level = self.level
-        if x == self.root or level[x] is INF:
+        lx = level[x]
+        if x == self.root or lx is INF:
             return None
-        if self.backend == COUNTER:
-            lst = self._parents[x]
-            while lst:
-                v = lst[0]
-                w = self._adj[x].get(v)
-                if w is not None and level[v] is not INF and level[v] + w <= level[x]:
-                    return v
-                lst.popleft()
-                self._members[x].discard(v)
-            return None
-        heap = self._nheap[x]
-        while heap:
-            key, v = heap[0]
-            w = self._adj[x].get(v)
-            if w is not None and level[v] is not INF and level[v] + w == key:
-                return v if key <= level[x] else None
-            heappop(heap)
-            self.ops += 1
+        for v, w in self._adj[x].items():
+            if level[v] + w <= lx:  # never for an INF level
+                return v
         return None
 
     def stretched_edges(self):
@@ -248,7 +247,7 @@ class MonotoneEsTree:
                 if lu is INF or lv is INF or lu == lv:
                     continue
                 if lu < lv:
-                    u, v, lu, lv = v, u, lv, lu
+                    u, lu, lv = v, lv, lu
                 # weights are at least 1, so only the higher endpoint u can
                 # lean on v: iff lv + weight <= lu (never when w is INF)
                 held = old is not None and lv + old <= lu
@@ -260,9 +259,6 @@ class MonotoneEsTree:
                         seeds.append(u)
                 else:
                     count[u] += 1
-                    if v not in self._members[u]:
-                        self._members[u].add(v)
-                        self._parents[u].append(v)
         else:
             for kind, u, v, w, old in batch:
                 lu, lv = level[u], level[v]
@@ -277,13 +273,19 @@ class MonotoneEsTree:
                     for a, la, lb in ((u, lu, lv), (v, lv, lu)):
                         if la is not INF and lb + old <= la:
                             seeds.append(a)
-        if cut is None:
-            return self._repair(seeds) if seeds else set()
         # after the event pass, which read the levels from before the batch
-        raised = self._drop_side(cut)
+        raised = self._drop_side(cut) if cut is not None else set()
         if seeds:
-            raised |= self._repair(seeds)
+            if self.backend == COUNTER:
+                self._update_levels_counter(seeds, raised)
+            else:
+                self._update_levels_heap(seeds, raised)
         return raised
+
+    # the same function under a second name: subclasses repair through it,
+    # so wrapping ``apply_batch`` on this class (as perfbench's tracer does)
+    # leaves their calls out
+    _apply = apply_batch
 
     def _drop_side(self, cut) -> set[int]:
         """Set every finite level on the root-less side of a split to INF.
@@ -299,11 +301,9 @@ class MonotoneEsTree:
         return set(gone)
 
     # -- level maintenance -----------------------------------------------------
-
-    def _repair(self, seeds) -> set[int]:
-        if self.backend == COUNTER:
-            return self._update_levels_counter(seeds)
-        return self._update_levels_heap(seeds)
+    #
+    # Both loops start from the seeds, skip those the drop set to INF, and
+    # add every node whose level rose to ``raised``.
 
     def _best_support(self, y: int):
         heap = self._nheap[y]
@@ -318,11 +318,10 @@ class MonotoneEsTree:
             self.ops += 1
         return INF
 
-    def _update_levels_heap(self, seeds) -> set[int]:
+    def _update_levels_heap(self, seeds, raised: set[int]) -> None:
         level = self.level
         bound = self.bound
         root = self.root
-        raised: set[int] = set()
         queue = []
         for y in seeds:
             if y != root and level[y] is not INF:  # a dropped seed needs no repair
@@ -359,46 +358,44 @@ class MonotoneEsTree:
                 if x != root:
                     heappush(queue, (lx, x))
                     self.ops += 1
-        return raised
 
-    def _update_levels_counter(self, seeds) -> set[int]:
+    def _update_levels_counter(self, seeds, raised: set[int]) -> None:
         level = self.level
         count = self._count
+        adj = self._adj
         bound = self.bound
-        root = self.root
-        raised: set[int] = set()
+        ops = 0
+        # the root never lands in the queue: it leans on no node, and every
+        # node that leans on another sits at a level of at least 1
         queue = deque(seeds)
         while queue:
             y = queue.popleft()
             ly = level[y]
-            if y == root or ly is INF or count[y] > 0:
+            if ly is INF or count[y] > 0:
                 continue
             # unsupported: raise the level by exactly one unit
-            new = ly + 1
-            dead = new > bound
-            level[y] = INF if dead else new
             self.level_increases += 1
             raised.add(y)
+            if ly == bound:
+                # y drops out; at the bound it held up no finite node
+                level[y] = INF
+                continue
+            new = level[y] = ly + 1
             support = 0
-            adj_y = self._adj[y]
-            for x, w in adj_y.items():
+            for x, w in adj[y].items():
                 lx = level[x]
                 if lx is INF:
                     continue
-                self.ops += 1
-                # y's support of x: held iff ly + w <= lx; after the rise it
-                # holds iff new + w <= lx (never, when y dropped out)
-                if ly + w <= lx and (dead or new + w > lx):
+                ops += 1
+                if lx - w == ly:
+                    # y held x up (ly + w <= lx) and no longer does (new + w > lx):
+                    # with integer levels and weights, that is lx == ly + w
                     count[x] -= 1
-                    if count[x] == 0 and x != root:
+                    if count[x] == 0:
                         queue.append(x)
-                if not dead and lx + w <= new:
+                elif lx + w <= new:
                     support += 1
-                    if lx + w == new and x not in self._members[y]:
-                        self._members[y].add(x)
-                        self._parents[y].append(x)
-            if not dead:
-                count[y] = support
-                if support == 0:
-                    queue.append(y)
-        return raised
+            count[y] = support
+            if support == 0:
+                queue.append(y)
+        self.ops += ops

@@ -387,7 +387,7 @@ def test_criterion_10_work_accounting():
         for u, v in trace:
             g.delete_edge(u, v)
             tree.after_delete(u, v)
-        constants.append(tree.heap_ops / (m * Q))
+        constants.append(tree.ops / (m * Q))
     elapsed = time.time() - t0
     worst = max(constants)
     report(10, worst <= 16,

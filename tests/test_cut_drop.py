@@ -62,8 +62,7 @@ def test_cut_drop_matches_unit_raises(data):
     pairs = []  # (tree handed the cut, tree without it)
     for root in roots:
         for backend in BACKENDS:
-            pairs.append(tuple(EsTree(g, root, depth, report_threshold=max(0, depth - 1),
-                                      backend=backend) for _ in range(2)))
+            pairs.append(tuple(EsTree(g, root, depth, backend=backend) for _ in range(2)))
             pairs.append(tuple(MonotoneEsTree(em.h, root, Q, 1, 2, em.tau, backend=backend)
                                for _ in range(2)))
     cuts = 0
@@ -73,8 +72,7 @@ def test_cut_drop_matches_unit_raises(data):
         cuts += cut is not None
         for with_cut, without in pairs:
             if isinstance(with_cut, EsTree):
-                assert (with_cut.after_delete_with_changes(u, v, cut)
-                        == without.after_delete_with_changes(u, v))
+                assert with_cut.after_delete(u, v, cut) == without.after_delete(u, v)
                 truth = bfs_levels(g, with_cut.root)
                 assert with_cut.levels() == [d if d <= depth else INF for d in truth]
             else:
@@ -108,7 +106,7 @@ def test_counters_learn_of_crossing_edges_before_the_drop():
 
 def test_a_cut_off_side_drops_without_work():
     # on a 10-node path, deleting (4, 5) cuts off 5..9: a tree rooted at 0
-    # drops them in one pass, which costs no op or message, and counts each
+    # drops them in one pass, which costs no op, and counts each
     # as a rise to its depth bound + 1
     def path():
         return DecrementalGraph.from_edge_list(10, [(i, i + 1) for i in range(9)])
@@ -123,10 +121,10 @@ def test_a_cut_off_side_drops_without_work():
         assert tree.level_increases == sum(tree.bound + 1 - x for x in range(5, 10))
         g = path()
         tree = EsTree(g, 0, 9, backend=backend)
-        work = (tree.messages, tree.heap_ops)
+        ops = tree.ops
         g.delete_edge(4, 5)
         assert tree.after_delete(4, 5, g.split_side(4, 5)) == set(range(5, 10))
-        assert (tree.messages, tree.heap_ops) == work
+        assert tree.ops == ops
         assert tree.level_increases == sum(10 - x for x in range(5, 10))
 
 

@@ -15,7 +15,7 @@ from decaps.errors import (
 )
 from decaps.graph_core import INF, DecrementalGraph
 from decaps.harness import ExperimentConfig, build_graph, generate_trace, gnm_graph
-from decaps.oracle import bfs_apsp
+from decaps.oracle import bfs_apsp, bfs_levels
 
 from conftest import random_graph_and_trace
 
@@ -52,11 +52,11 @@ def test_mc_rate_violation(fig_graph):
     mc = MovingCenters(fig_graph, 2, 4)
     j = mc.open(0)
     with pytest.raises(RateViolation):
-        mc.move(j, 5)
+        mc.move(j, 5, bfs_levels(fig_graph, 0)[5])
     mc.delete_edge(0, 1)
-    mc.move(j, 5)  # fine after a deletion
+    mc.move(j, 5, bfs_levels(fig_graph, 0)[5])  # fine after a deletion
     with pytest.raises(RateViolation):
-        mc.move(j, 2)
+        mc.move(j, 2, bfs_levels(fig_graph, 5)[2])
 
 
 def test_mc_move_across_components():
@@ -65,7 +65,8 @@ def test_mc_move_across_components():
     j = mc.open(0)
     assert mc.find_center(2) == j
     mc.delete_edge(0, 1)
-    mc.move(j, 4)  # different component: moving distance becomes infinite
+    # different component: the moving distance becomes infinite
+    mc.move(j, 4, bfs_levels(g, mc.location[j])[4])
     assert mc.moving_distance == INF
     assert mc.find_center(2) is None
     assert mc.find_center(0) is None
@@ -241,21 +242,21 @@ def test_incremental_greedy_matches_full_scan(data):
 
 # Work counters of ApspIndexDet(eps=0.5) over full traces, recorded with the
 # full-scan deletion path (every tree repaired, every node re-checked):
-# per-layer opens and moving distance, and level increases and messages
-# summed over every tree built. The messages were recorded again once the
-# trees dropped the side a split cut off in one step, which notifies no
-# neighbour (488,330 and 1,111,176 with unit raises).
+# per-layer opens and moving distance, and level increases and ops summed
+# over every tree built. The ops (a repair's neighbour checks) were recorded
+# once the exact trees became unit-weight monotone trees; the messages they
+# replace, one per neighbour of a raised node, read 26,200 and 356,017.
 PINNED_COUNTERS = [
     ("grid", "adversarial-path-peel",
-     [100, 100, 100, 39, 12, 5, 2], [0, 0, 0, 0, 12, 15, 14], 308960, 26200),
+     [100, 100, 100, 39, 12, 5, 2], [0, 0, 0, 0, 12, 15, 14], 308960, 23267),
     ("gnm", "random",
-     [120, 120, 120, 52, 23, 7, 2], [0, 0, 0, 0, 23, 19, 10], 576957, 356017),
+     [120, 120, 120, 52, 23, 7, 2], [0, 0, 0, 0, 23, 19, 10], 576957, 316512),
 ]
 
 
-@pytest.mark.parametrize("graph, order, opens, moving, increases, messages",
+@pytest.mark.parametrize("graph, order, opens, moving, increases, ops",
                          PINNED_COUNTERS)
-def test_det_apsp_counters_pinned(graph, order, opens, moving, increases, messages):
+def test_det_apsp_counters_pinned(graph, order, opens, moving, increases, ops):
     if graph == "grid":
         g = build_graph(ExperimentConfig("det_apsp", generator="grid:10:10"))
         trace = generate_trace(g, order)
@@ -276,10 +277,10 @@ def test_det_apsp_counters_pinned(graph, order, opens, moving, increases, messag
     assert [layer.opens for layer in idx.layers] == opens
     assert [layer.moving_distance for layer in idx.layers] == moving
     assert sum(t.level_increases for t in trees.values()) == increases
-    assert sum(t.messages for t in trees.values()) == messages
-    # the layers' own tallies count the trees that moves retired
-    assert sum(layer.mc.level_increases for layer in idx.layers) == increases
-    assert sum(layer.mc.messages for layer in idx.layers) == messages
+    assert sum(t.ops for t in trees.values()) == ops
+    # the index's own tallies count the trees that moves retired
+    assert idx.level_increases == increases
+    assert idx.ops == ops
 
 
 def test_det_apsp_validation(fig_graph):

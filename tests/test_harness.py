@@ -81,19 +81,20 @@ def test_config_validation():
 
 
 def test_run_experiment_csv_bit_exact(tmp_path):
-    for algorithm in ("det_apsp", "rand_apsp"):
+    for algorithm in ("det_apsp", "rand_apsp", "fully_dynamic"):
         out1 = tmp_path / algorithm / "a"
         out2 = tmp_path / algorithm / "b"
         for out in (out1, out2):
+            # phase_t only applies to fully_dynamic: rebuilds every 3 updates
             cfg = ExperimentConfig(algorithm=algorithm, gnm=(14, 30), eps=0.5,
-                                   seed=9, audit="full", out=str(out))
+                                   seed=9, audit="full", out=str(out), phase_t=3)
             summary = run_experiment(cfg)
             assert summary["audit_pass"]
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         header = (out1 / "results.csv").read_text().splitlines()
         assert header[0] == "#schema=1"
-        # the rows carry the trees' cumulative work: level increases and
-        # messages (det_apsp) or ops (rand_apsp)
+        # the rows carry the trees' cumulative work, level increases and
+        # ops; fully_dynamic's counts the indexes of earlier phases too
         rows = list(csv.DictReader(header[1:]))
         for column in ("level_increases", "heap_ops"):
             work = [int(r[column]) for r in rows]

@@ -13,7 +13,6 @@ from decaps.errors import (
     SelfLoop,
     UnknownEdge,
 )
-from decaps.es_tree import EsTree
 from decaps.graph_core import (
     DELETE,
     INCREASE,
@@ -25,7 +24,7 @@ from decaps.graph_core import (
     edge_key,
 )
 from decaps.monotone_es_tree import COUNTER, HEAP, MonotoneEsTree, depth_bound_floor
-from decaps.oracle import bfs_levels
+from decaps.oracle import bfs_levels, weighted_apsp
 
 from conftest import random_graph_and_trace
 
@@ -162,24 +161,27 @@ def test_unknown_edge_and_bad_weight(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_matches_classic_tree_without_insertions(backend):
     # low-degree graph, no hubs: the emulator is the graph itself and never
-    # inserts, so the monotone tree must track an exact tree on H step by step
+    # inserts, so the monotone tree must hold H's exact distances, cut off at
+    # its bound, step by step
     rng = random.Random(5)
     g = DecrementalGraph.from_edge_list(
         8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7), (2, 6)])
     em = LocallyPerseveringEmulator(g, 1.0, hubs=[])
     Q = 8
     mono = MonotoneEsTree(em.h, 0, Q, 1, 2, em.tau, backend=backend)
-    exact = EsTree.from_weighted(
-        8, [(u, v, w) for (u, v), w in em.snapshot().items()], 0, mono.bound)
+
+    def exact():
+        dist = weighted_apsp(8, em.h.edges())[0]
+        return [int(d) if d <= mono.bound else INF for d in dist]
+
+    assert mono.levels() == exact()
     order = g.edges()
     rng.shuffle(order)
     for u, v in order:
         batch = em.on_delete(u, v)
         assert all(ev.kind == DELETE for ev in batch)
         mono.apply_batch(batch)
-        for ev in batch:
-            exact.increase_or_delete(ev.u, ev.v, INF)
-        assert mono.levels() == exact.levels()
+        assert mono.levels() == exact()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
