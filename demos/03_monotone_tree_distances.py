@@ -24,8 +24,7 @@ def main():
     root = 0
     # the tree reads the emulator's own H; on_delete updates it before the
     # tree repairs itself once per batch
-    tree = MonotoneEsTree(em.h, root, Q=n, alpha=1, beta=2, tau=em.tau,
-                          backend="counter")
+    tree = MonotoneEsTree(em.h, root, Q=n, alpha=1, beta=2, tau=em.tau)
 
     order = g.edges()
     rng.shuffle(order)

@@ -7,27 +7,26 @@ whose weights are all 1, with alpha 1, beta 0 and tau 1: its depth bound is
 ``depth``. The owner deletes an edge from the graph once and calls
 ``after_delete`` on every tree, which repairs through one DELETE event.
 Levels, the one-step drop of a cut-off side and the work counters
-(``level_increases``, ``ops``) are the monotone tree's; ``monotone_es_tree``
-shows why they are exact.
+(``level_increases``, and ``ops``, which counts neighbour checks) are the
+monotone tree's; ``monotone_es_tree`` shows why they are exact.
 """
 
 from __future__ import annotations
 
 from .graph_core import DELETE, INF, DecrementalGraph
-from .monotone_es_tree import COUNTER, HEAP, MonotoneEsTree
+from .monotone_es_tree import MonotoneEsTree
 
-__all__ = ["COUNTER", "HEAP", "EsTree"]
+__all__ = ["EsTree"]
 
 
 class EsTree(MonotoneEsTree):
-    def __init__(self, graph: DecrementalGraph, root: int, depth: int,
-                 backend: str = COUNTER):
+    def __init__(self, graph: DecrementalGraph, root: int, depth: int):
         """Build a tree on a shared unweighted graph.
 
         ``depth`` is the distance range: any node farther than ``depth`` from
         ``root`` has level infinity; ``bound`` holds it.
         """
-        self._setup(graph._adj, root, depth, 1, 0, 1, backend)
+        self._setup(graph._adj, root, depth, 1, 0, 1)
 
     def after_delete(self, u: int, v: int, cut=None) -> set[int]:
         """Repair levels after (u, v) was removed from the shared graph.

@@ -220,12 +220,18 @@ class DecrementalGraph:
             self.delete_edge(u, v)
 
 
+def _check_weight(w) -> None:
+    # the trees' bucket search and unit raises need integer levels
+    if not (isinstance(w, int) and w >= 1):
+        raise InvalidParameters(f"edge weight must be an integer >= 1, got {w!r}")
+
+
 class WeightedAdjacency:
     """Weighted undirected graph changed only by whole event batches.
 
-    ``adj[u]`` maps each neighbor of u to the edge weight, at least 1.
-    Readers share the lists and never write them; :meth:`apply` is the only
-    writer.
+    ``adj[u]`` maps each neighbor of u to the edge weight, an integer of at
+    least 1. Readers share the lists and never write them; :meth:`apply` is
+    the only writer.
     """
 
     __slots__ = ("n", "adj")
@@ -234,8 +240,7 @@ class WeightedAdjacency:
         self.n = n
         self.adj: list[dict[int, int]] = [dict() for _ in range(n)]
         for (u, v), w in edges.items():
-            if not w >= 1:
-                raise InvalidParameters(f"edge weight must be >= 1, got {w}")
+            _check_weight(w)
             self.adj[u][v] = w
             self.adj[v][u] = w
 
@@ -249,9 +254,9 @@ class WeightedAdjacency:
         The batch holds insertions first, then weight increases and
         deletions. Every event is checked against the graph as the earlier
         events of the batch leave it (order, kind, node range, no self-loop,
-        edge present or absent, inserted weight at least 1, weight strictly
-        increasing) before the first one is applied, so a rejected batch
-        leaves the graph unchanged.
+        edge present or absent, new weight an integer of at least 1, weight
+        strictly increasing) before the first one is applied, so a rejected
+        batch leaves the graph unchanged.
         """
         adj = self.adj
         pending: dict[tuple[int, int], int | None] = {}
@@ -270,16 +275,17 @@ class WeightedAdjacency:
                         f"insert of ({u}, {v}) after a non-insert event in one batch")
                 if old is not None:
                     raise UnknownEdge(f"insert of edge ({u}, {v}) which is already present")
-                if not w >= 1:
-                    raise InvalidParameters(f"edge weight must be >= 1, got {w}")
+                _check_weight(w)
                 pending[key] = w
             elif kind == INCREASE or kind == DELETE:
                 saw_non_insert = True
                 if old is None:
                     raise UnknownEdge(f"{kind} of absent edge ({u}, {v})")
-                if kind == INCREASE and not w > old:
-                    raise NonIncreasingWeight(
-                        f"weight of ({u}, {v}) must increase past {old}, got {w}")
+                if kind == INCREASE:
+                    _check_weight(w)
+                    if not w > old:
+                        raise NonIncreasingWeight(
+                            f"weight of ({u}, {v}) must increase past {old}, got {w}")
                 pending[key] = None if kind == DELETE else w
             else:
                 raise UnknownEdge(f"unknown event kind {kind!r}")

@@ -209,7 +209,7 @@ def _fail(cfg: ExperimentConfig, version: int, detail: dict) -> AuditFailure:
 def run_es_tree(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrace):
     n = g.n
     Q = cfg.Q or n
-    tree = EsTree(g, cfg.root, Q, backend="heap")
+    tree = EsTree(g, cfg.root, Q)
     oracle = NumpyBfsOracle(g) if cfg.audit != "none" else None
     rows = []
     for i, (u, v) in enumerate(trace, start=1):
@@ -554,9 +554,7 @@ def main(argv=None) -> int:
                                               f"grid:{args.grid[0]}:{args.grid[1]}"
                                               if args.grid else None),
                                    seed=args.seed)
-            sources = [s for s in (cfg.graph, cfg.gnm, cfg.generator) if s]
-            if len(sources) != 1:
-                raise ConfigInvalid("exactly one of --graph, --gnm, --path/--grid required")
+            cfg.validate()
             g = build_graph(cfg)
             write_edge_list(g, args.out)
             if args.trace_out:

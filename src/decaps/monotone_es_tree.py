@@ -5,8 +5,8 @@ of u to the edge weight, at least 1. A ``WeightedAdjacency`` owned by the
 emulator (or by a test) is one; a ``DecrementalGraph`` keeps its edges in the
 same shape, every weight 1, and the exact ``EsTree`` is this tree on it (see
 ``es_tree``). One adjacency is shared by every tree built on it. A tree keeps
-only per-root state (levels, and support counters or heaps) and never writes
-H. H receives each ordered event batch (all insertions first, then weight
+only per-root state (levels and support counters) and never writes H. H
+receives each ordered event batch (all insertions first, then weight
 increases and deletions) once; every tree then repairs itself once per batch
 with :meth:`MonotoneEsTree.apply_batch`. Levels never decrease; insertions
 only refresh neighbor bookkeeping. The tree is maintained to depth
@@ -29,8 +29,9 @@ graph H, call L'' >= L closed if L''(y) >= T(max(L(y), min_v L''(v) + w(y, v)))
 for every y other than the root (which stays at 0), and let F(L, H) be the
 least closed L'': the least fixpoint of that equation at or above L. The
 repair computes F(L, H') for the levels L before the batch and the graph H'
-after it, on both backends, because a level is only ever raised to a support
-value that is at or below F(L, H'), and the repair stops at a fixpoint.
+after it: a node rises by one unit only while no neighbour supports it,
+which puts F(L, H') above its level (levels and weights are integers), so
+no level passes F(L, H'), and the repair stops at a fixpoint.
 Insertions come first and only lower the minimum, so they leave L closed and
 move no level; after them every event raises a weight (a deletion raises it
 to INF). For H_1 <= H_2 in every weight and L_1 = F(L, H_1):
@@ -63,37 +64,27 @@ the root's last edge are the cases of a one-node side. Without a side (no
 split, or both sides past the search's cap) the cut-off nodes rise one unit
 at a time until they pass the depth bound.
 
-``level_increases`` counts level units on both backends: a rise from l to l'
-adds l' - l, and a node that leaves the tree at level l adds bound + 1 - l,
-whether it climbs there or drops with its side. The total depends only on
-the levels before and after, so per-batch and per-event repair, both
-backends and the cut and unit-raise paths report the same figure. ``ops``
-counts neighbour checks (counter backend) or heap operations (heap
-backend); a drop costs none.
+``level_increases`` counts level units: a rise from l to l' adds l' - l,
+and a node that leaves the tree at level l adds bound + 1 - l, whether it
+climbs there or drops with its side. The total depends only on the levels
+before and after, so per-batch and per-event repair and the cut and
+unit-raise paths report the same figure. ``ops`` counts neighbour checks; a
+drop costs none.
 
-Levels start from a bucket (Dial) search over the integer weights, which on
-unit weights is a BFS; the counter backend counts every node's supports in
-the same pass. Two backends:
-
-* ``heap``: lazy per-node heaps, levels jump straight to the new support
-  value (ties broken by (key, node id));
-* ``counter``: per-node support counters c(u) = |{v : level(v) + w(u, v) <=
-  level(u)}| with one-unit level increases.
-
-Both backends produce identical levels after every batch; ``counter`` is
-the default. ``parent`` scans the node's adjacency, O(deg).
+Every weight is an integer of at least 1 (``WeightedAdjacency`` rejects
+others). Levels start from a bucket (Dial) search over those weights, which
+on unit weights is a BFS and counts every node's supports in the same pass:
+c(u) = |{v : level(v) + w(u, v) <= level(u)}|. The repair raises a node
+without support by one unit at a time. ``parent`` scans the node's
+adjacency, O(deg).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush, heapify
 
 from .errors import InvalidParameters, NodeOutOfRange
-from .graph_core import DELETE, INF, WeightedAdjacency, cut_off
-
-HEAP = "heap"
-COUNTER = "counter"
+from .graph_core import INF, WeightedAdjacency, cut_off
 
 
 def depth_bound_floor(Q: int, alpha: int, beta: int, tau: int) -> int:
@@ -103,17 +94,17 @@ def depth_bound_floor(Q: int, alpha: int, beta: int, tau: int) -> int:
 
 class MonotoneEsTree:
     def __init__(self, h: WeightedAdjacency, root: int, Q: int, alpha: int = 1,
-                 beta: int = 2, tau: int = 1, backend: str = COUNTER):
+                 beta: int = 2, tau: int = 1):
         """Initialize on the current state of the shared graph ``h``.
 
         ``Q`` is the distance range of the estimates; the tree itself is kept
         to depth (alpha + beta/tau) * Q + beta. ``level`` is updated in place,
         so a reader may hold on to the list.
         """
-        self._setup(h.adj, root, Q, alpha, beta, tau, backend)
+        self._setup(h.adj, root, Q, alpha, beta, tau)
 
     def _setup(self, adj: list[dict[int, int]], root: int, Q: int, alpha: int,
-               beta: int, tau: int, backend: str) -> None:
+               beta: int, tau: int) -> None:
         n = len(adj)
         if not 0 <= root < n:
             raise NodeOutOfRange(f"root {root} not in [0, {n})")
@@ -121,23 +112,17 @@ class MonotoneEsTree:
             raise InvalidParameters(
                 f"need Q >= 1, alpha >= 1, beta >= 0, tau >= 1; "
                 f"got Q={Q}, alpha={alpha}, beta={beta}, tau={tau}")
-        if backend not in (HEAP, COUNTER):
-            raise InvalidParameters(f"unknown backend {backend!r}")
         self.n = n
         self.root = root
         self.Q = Q
         self.alpha = alpha
         self.beta = beta
         self.tau = tau
-        self.backend = backend
         self.bound = depth_bound_floor(Q, alpha, beta, tau)
         self.level_increases = 0
         self.ops = 0
         self._adj = adj  # shared with every tree on the graph; read only
         self._init_levels()
-        if backend == HEAP:
-            self._count = None
-            self._init_heaps()
 
     # -- initialization ----------------------------------------------------
 
@@ -173,16 +158,6 @@ class MonotoneEsTree:
             d += 1
         self.level = level
         self._count = count
-
-    def _init_heaps(self) -> None:
-        level = self.level
-        self._nheap: list[list] = [[] for _ in range(self.n)]
-        for u in range(self.n):
-            entries = [(level[v] + w, v) for v, w in self._adj[u].items()
-                       if level[v] is not INF]
-            heapify(entries)
-            self.ops += len(entries)
-            self._nheap[u] = entries
 
     # -- queries -------------------------------------------------------------
 
@@ -232,54 +207,35 @@ class MonotoneEsTree:
         already applied to H and each event carries its old weight. ``cut``
         is the side that the base-graph deletion behind the batch split off
         (``DecrementalGraph.split_side``), or None. With the levels from
-        before the batch, every event first updates the support counters
-        (counter backend) or pushes its new heap keys (heap backend). Then
-        the side of the cut without the root drops in one pass, and one
-        repair pass starts from the endpoints that lost a support. A tree
-        where no endpoint lost one returns before the repair loop.
+        before the batch, every event first updates the support counters.
+        Then the side of the cut without the root drops in one pass, and one
+        repair pass starts from the endpoints that lost their last support.
+        A tree where no endpoint lost it returns before the repair loop.
         """
         level = self.level
+        count = self._count
         seeds = []
-        if self.backend == COUNTER:
-            count = self._count
-            for _, u, v, w, old in batch:
-                lu, lv = level[u], level[v]
-                if lu is INF or lv is INF or lu == lv:
-                    continue
-                if lu < lv:
-                    u, lu, lv = v, lv, lu
-                # weights are at least 1, so only the higher endpoint u can
-                # lean on v: iff lv + weight <= lu (never when w is INF)
-                held = old is not None and lv + old <= lu
-                if held == (lv + w <= lu):
-                    continue
-                if held:
-                    count[u] -= 1
-                    if count[u] == 0:
-                        seeds.append(u)
-                else:
-                    count[u] += 1
-        else:
-            for kind, u, v, w, old in batch:
-                lu, lv = level[u], level[v]
-                if kind != DELETE:
-                    if lv is not INF:
-                        heappush(self._nheap[u], (lv + w, v))
-                        self.ops += 1
-                    if lu is not INF:
-                        heappush(self._nheap[v], (lu + w, u))
-                        self.ops += 1
-                if old is not None:
-                    for a, la, lb in ((u, lu, lv), (v, lv, lu)):
-                        if la is not INF and lb + old <= la:
-                            seeds.append(a)
+        for _, u, v, w, old in batch:
+            lu, lv = level[u], level[v]
+            if lu is INF or lv is INF or lu == lv:
+                continue
+            if lu < lv:
+                u, lu, lv = v, lv, lu
+            # weights are at least 1, so only the higher endpoint u can
+            # lean on v: iff lv + weight <= lu (never when w is INF)
+            held = old is not None and lv + old <= lu
+            if held == (lv + w <= lu):
+                continue
+            if held:
+                count[u] -= 1
+                if count[u] == 0:
+                    seeds.append(u)
+            else:
+                count[u] += 1
         # after the event pass, which read the levels from before the batch
         raised = self._drop_side(cut) if cut is not None else set()
         if seeds:
-            if self.backend == COUNTER:
-                self._update_levels_counter(seeds, raised)
-            else:
-                self._update_levels_heap(seeds, raised)
+            self._raise_levels(seeds, raised)
         return raised
 
     # the same function under a second name: subclasses repair through it,
@@ -301,65 +257,13 @@ class MonotoneEsTree:
         return set(gone)
 
     # -- level maintenance -----------------------------------------------------
-    #
-    # Both loops start from the seeds, skip those the drop set to INF, and
-    # add every node whose level rose to ``raised``.
 
-    def _best_support(self, y: int):
-        heap = self._nheap[y]
-        level = self.level
-        adj = self._adj[y]
-        while heap:
-            key, v = heap[0]
-            w = adj.get(v)
-            if w is not None and level[v] is not INF and level[v] + w == key:
-                return key
-            heappop(heap)
-            self.ops += 1
-        return INF
+    def _raise_levels(self, seeds, raised: set[int]) -> None:
+        """Raise every node without support by one unit until all have one.
 
-    def _update_levels_heap(self, seeds, raised: set[int]) -> None:
-        level = self.level
-        bound = self.bound
-        root = self.root
-        queue = []
-        for y in seeds:
-            if y != root and level[y] is not INF:  # a dropped seed needs no repair
-                heappush(queue, (level[y], y))
-                self.ops += 1
-        while queue:
-            ly, y = heappop(queue)
-            self.ops += 1
-            if ly != level[y] or y == root:
-                continue
-            new = self._best_support(y)
-            if new <= ly:
-                continue
-            # counted in units, a drop as a rise to bound + 1, as the counter
-            # backend counts it: the total then does not depend on the path
-            self.level_increases += min(new, bound + 1) - ly
-            if new > bound:
-                new = INF
-            level[y] = new
-            raised.add(y)
-            if len(self._nheap[y]) > 2 * max(8, len(self._adj[y])):
-                entries = [(level[z] + w, z) for z, w in self._adj[y].items()
-                           if level[z] is not INF]
-                heapify(entries)
-                self.ops += len(entries)
-                self._nheap[y] = entries
-            for x, w in self._adj[y].items():
-                lx = level[x]
-                if lx is INF:
-                    continue
-                if new is not INF:
-                    heappush(self._nheap[x], (new + w, y))
-                    self.ops += 1
-                if x != root:
-                    heappush(queue, (lx, x))
-                    self.ops += 1
-
-    def _update_levels_counter(self, seeds, raised: set[int]) -> None:
+        Starts from the seeds, skips those the drop set to INF, and adds
+        every node whose level rose to ``raised``.
+        """
         level = self.level
         count = self._count
         adj = self._adj

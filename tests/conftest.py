@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from decaps.graph_core import DecrementalGraph
+from decaps.graph_core import INF, DecrementalGraph
 
 # Figure-style 6-node example used throughout: r=0, a=1, b=2, c=3, d=4, e=5.
 FIG_EDGES = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 2), (2, 5), (3, 5), (4, 5)]
@@ -25,3 +25,42 @@ def random_graph_and_trace(rng: random.Random, n: int, m: int):
     order = g.edges()
     rng.shuffle(order)
     return g, order
+
+
+def det_state(idx):
+    """Everything a deletion may change in an ``ApspIndexDet``."""
+    layers = []
+    for layer in idx.layers:
+        mc = layer.mc
+        layers.append((
+            mc.location, [(t.root, t.levels(), t.level_increases, t.ops) for t in mc._trees],
+            mc._cover, mc.opens, mc.moving_distance, mc.level_increases, mc.ops,
+            layer.collected, layer.radius2, layer._skip_small))
+    return idx.g.edges(), idx.g.version, layers
+
+
+def fixpoint_levels(adj, root: int, bound: int, before: list) -> list:
+    """The levels a monotone tree must hold after a batch, by definition.
+
+    ``adj`` is the graph after the batch (``adj[y]`` maps each neighbour to
+    the weight) and ``before`` the levels before it. Returns the least
+    fixpoint L' at or above L = ``before`` of
+    L'(y) = T(max(L(y), min_v L'(v) + w(y, v))) for y other than the root,
+    where T cuts a level past ``bound`` off to INF: iterated from L until
+    nothing changes. Independent of the engine's counters, cut drop and
+    unit raises.
+    """
+    level = list(before)
+    changed = True
+    while changed:
+        changed = False
+        for y, nbrs in enumerate(adj):
+            if y == root:
+                continue
+            new = max(before[y], min((level[v] + w for v, w in nbrs.items()), default=INF))
+            if new > bound:
+                new = INF
+            if new != level[y]:
+                level[y] = new
+                changed = True
+    return level

@@ -1,9 +1,10 @@
 """Dropping the side a split cut off, in one step, gives what unit raises give.
 
-Every tree engine (``EsTree`` and ``MonotoneEsTree``, heap and counter) runs
-twice on the same graph: once handed the side that each deletion cut off,
-once without it. Inputs are chosen to split often: paths, random forests,
-sparse G(n, n) and the grid under the path-peel order.
+Every tree (``EsTree`` and ``MonotoneEsTree``) runs twice on the same graph:
+once handed the side that each deletion cut off, once without it, and both
+must hold the levels that the fixpoint definition gives. Inputs are chosen
+to split often: paths, random forests, sparse G(n, n) and the grid under the
+path-peel order.
 """
 
 import random
@@ -20,9 +21,7 @@ from decaps.monotone_es_tree import MonotoneEsTree
 from decaps.oracle import bfs_levels
 from decaps.randomized_apsp import ApspIndexRandom, RandomCenterCover
 
-from conftest import random_graph
-
-BACKENDS = ["heap", "counter"]
+from conftest import fixpoint_levels, random_graph
 
 
 def split_prone_input(data):
@@ -61,16 +60,16 @@ def test_cut_drop_matches_unit_raises(data):
     Q = data.draw(st.sampled_from([1, 4, n]))
     pairs = []  # (tree handed the cut, tree without it)
     for root in roots:
-        for backend in BACKENDS:
-            pairs.append(tuple(EsTree(g, root, depth, backend=backend) for _ in range(2)))
-            pairs.append(tuple(MonotoneEsTree(em.h, root, Q, 1, 2, em.tau, backend=backend)
-                               for _ in range(2)))
+        pairs.append((g._adj, *(EsTree(g, root, depth) for _ in range(2))))
+        pairs.append((em.h.adj, *(MonotoneEsTree(em.h, root, Q, 1, 2, em.tau)
+                                  for _ in range(2))))
     cuts = 0
     for u, v in order:
         batch = em.on_delete(u, v)
         cut = em.last_cut
         cuts += cut is not None
-        for with_cut, without in pairs:
+        for adj, with_cut, without in pairs:
+            before = with_cut.levels()
             if isinstance(with_cut, EsTree):
                 assert with_cut.after_delete(u, v, cut) == without.after_delete(u, v)
                 truth = bfs_levels(g, with_cut.root)
@@ -78,6 +77,8 @@ def test_cut_drop_matches_unit_raises(data):
             else:
                 assert with_cut.apply_batch(batch, cut) == without.apply_batch(batch)
             assert with_cut.levels() == without.levels()
+            assert with_cut.levels() == fixpoint_levels(adj, with_cut.root, with_cut.bound,
+                                                        before)
             assert with_cut.level_increases == without.level_increases
     # every trace deletes all edges, so its last deletion isolates a node
     assert cuts > 0 or not order
@@ -94,14 +95,14 @@ def test_counters_learn_of_crossing_edges_before_the_drop():
     g = DecrementalGraph.from_edge_list(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3),
                                             (1, 5), (2, 3), (2, 5), (3, 4)])
     em = LocallyPerseveringEmulator(g, 1.0, hubs=[4, 5])
-    pairs = [tuple(MonotoneEsTree(em.h, 1, 1, 1, 2, em.tau, backend=backend)
-                   for _ in range(2)) for backend in BACKENDS]
+    with_cut, without = (MonotoneEsTree(em.h, 1, 1, 1, 2, em.tau) for _ in range(2))
     for u, v in [(0, 4), (2, 3), (3, 4), (1, 2), (1, 5), (1, 3)]:
         batch = em.on_delete(u, v)
-        for with_cut, without in pairs:
-            assert with_cut.apply_batch(batch, em.last_cut) == without.apply_batch(batch)
-            assert with_cut.levels() == without.levels()
-    assert [t.levels() for pair in pairs for t in pair] == [[3, 0, 4, 4, INF, 3]] * 4
+        before = with_cut.levels()
+        assert with_cut.apply_batch(batch, em.last_cut) == without.apply_batch(batch)
+        assert with_cut.levels() == without.levels()
+        assert with_cut.levels() == fixpoint_levels(em.h.adj, 1, with_cut.bound, before)
+    assert with_cut.levels() == without.levels() == [3, 0, 4, 4, INF, 3]
 
 
 def test_a_cut_off_side_drops_without_work():
@@ -111,21 +112,18 @@ def test_a_cut_off_side_drops_without_work():
     def path():
         return DecrementalGraph.from_edge_list(10, [(i, i + 1) for i in range(9)])
 
-    for backend in BACKENDS:
-        g = path()
-        em = LocallyPerseveringEmulator(g, 1.0, hubs=[])
-        tree = MonotoneEsTree(em.h, 0, 9, 1, 2, em.tau, backend=backend)
-        ops = tree.ops
-        assert tree.apply_batch(em.on_delete(4, 5), em.last_cut) == set(range(5, 10))
-        assert tree.ops == ops
-        assert tree.level_increases == sum(tree.bound + 1 - x for x in range(5, 10))
-        g = path()
-        tree = EsTree(g, 0, 9, backend=backend)
-        ops = tree.ops
-        g.delete_edge(4, 5)
-        assert tree.after_delete(4, 5, g.split_side(4, 5)) == set(range(5, 10))
-        assert tree.ops == ops
-        assert tree.level_increases == sum(10 - x for x in range(5, 10))
+    g = path()
+    em = LocallyPerseveringEmulator(g, 1.0, hubs=[])
+    tree = MonotoneEsTree(em.h, 0, 9, 1, 2, em.tau)
+    assert tree.apply_batch(em.on_delete(4, 5), em.last_cut) == set(range(5, 10))
+    assert tree.ops == 0
+    assert tree.level_increases == sum(tree.bound + 1 - x for x in range(5, 10))
+    g = path()
+    tree = EsTree(g, 0, 9)
+    g.delete_edge(4, 5)
+    assert tree.after_delete(4, 5, g.split_side(4, 5)) == set(range(5, 10))
+    assert tree.ops == 0
+    assert tree.level_increases == sum(10 - x for x in range(5, 10))
 
 
 def test_every_entry_point_hands_the_cut_to_its_trees(monkeypatch):

@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 
 from decaps.deterministic_apsp import ApspIndexDet, DetCenterCover, MovingCenters
 from decaps.errors import (
+    EdgeAbsent,
     InvalidEpsilon,
     InvalidRange,
     NodeOutOfRange,
     RateViolation,
+    SelfLoop,
     UnknownCenter,
 )
 from decaps.graph_core import INF, DecrementalGraph
 from decaps.harness import ExperimentConfig, build_graph, generate_trace, gnm_graph
 from decaps.oracle import bfs_apsp, bfs_levels
 
-from conftest import random_graph_and_trace
+from conftest import det_state, random_graph_and_trace
 
 
 def fig3_path(q):
@@ -288,6 +290,28 @@ def test_det_apsp_validation(fig_graph):
         ApspIndexDet(fig_graph, 0)
     with pytest.raises(InvalidEpsilon):
         ApspIndexDet(fig_graph, 1.0001)
+
+
+def test_rejected_deletions_change_nothing():
+    g = gnm_graph(16, 30, 2)
+    idx = ApspIndexDet(g, 0.5)
+    absent = next((u, v) for u in range(16) for v in range(u + 1, 16)
+                  if not g.has_edge(u, v))
+    present = g.edges()[0]
+    before = det_state(idx)
+    for (u, v), error in ((absent, EdgeAbsent), ((4, 4), SelfLoop),
+                          ((present[0], 16), NodeOutOfRange),
+                          ((-1, present[1]), NodeOutOfRange)):
+        with pytest.raises(error):
+            idx.delete(u, v)
+        assert det_state(idx) == before
+    # the index still deletes as a fresh one does
+    idx.delete(*present)
+    fresh = ApspIndexDet(gnm_graph(16, 30, 2), 0.5)
+    fresh.delete(*present)
+    assert det_state(idx) == det_state(fresh)
+    assert [[idx.query(x, y) for y in range(16)] for x in range(16)] == [
+        [fresh.query(x, y) for y in range(16)] for x in range(16)]
 
 
 def test_det_apsp_layer_parameters():

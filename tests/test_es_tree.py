@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decaps.errors import NodeOutOfRange, NonIncreasingWeight, UnknownEdge
-from decaps.es_tree import COUNTER, HEAP, EsTree
+from decaps.es_tree import EsTree
 from decaps.graph_core import (
     DELETE,
     INCREASE,
@@ -19,27 +19,22 @@ from decaps.oracle import bfs_levels
 
 from conftest import random_graph_and_trace
 
-BACKENDS = [COUNTER, HEAP]
 
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_init_fig_levels(backend, fig_graph):
-    t = EsTree(fig_graph, 0, 3, backend=backend)
+def test_init_fig_levels(fig_graph):
+    t = EsTree(fig_graph, 0, 3)
     assert [t.level_query(x) for x in range(6)] == [0, 1, 1, 1, 2, 2]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_init_depth_cutoff(backend):
+def test_init_depth_cutoff():
     g = DecrementalGraph.from_edge_list(3, [(0, 1), (1, 2)])
-    t = EsTree(g, 0, 1, backend=backend)
+    t = EsTree(g, 0, 1)
     assert t.level_query(1) == 1
     assert t.level_query(2) is INF
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_init_disconnected(backend):
+def test_init_disconnected():
     g = DecrementalGraph.from_edge_list(3, [(0, 1)])
-    t = EsTree(g, 0, 3, backend=backend)
+    t = EsTree(g, 0, 3)
     assert t.level_query(2) is INF
 
 
@@ -50,33 +45,28 @@ def test_init_errors(fig_graph):
         EsTree(fig_graph, 0, 3).level_query(17)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fig_deletion_levels_and_messages(backend, fig_graph):
-    t = EsTree(fig_graph, 0, 3, backend=backend)
-    work = t.ops  # the heap backend counts its initial heap entries
+def test_fig_deletion_levels_and_messages(fig_graph):
+    t = EsTree(fig_graph, 0, 3)
     fig_graph.delete_edge(0, 1)
     raised = t.after_delete(0, 1)
     assert t.level_query(1) == 2
     assert t.level_query(4) == 3
     assert raised == {1, 4}
     assert t.messages == t.ops  # the earlier name of the work counter
-    if backend == COUNTER:
-        assert t.ops - work == 5  # the raised a and d check 3 + 2 neighbors
+    assert t.ops == 5  # the raised a and d check 3 + 2 neighbors
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_deletion_dropping_node(backend):
+def test_deletion_dropping_node():
     g = DecrementalGraph.from_edge_list(3, [(0, 1), (1, 2)])
-    t = EsTree(g, 0, 3, backend=backend)
+    t = EsTree(g, 0, 3)
     g.delete_edge(1, 2)
     assert t.after_delete(1, 2) == {2}
     assert t.level_query(2) is INF
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cycle_reroute(backend):
+def test_cycle_reroute():
     g = DecrementalGraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    t = EsTree(g, 0, 4, backend=backend)
+    t = EsTree(g, 0, 4)
     g.delete_edge(0, 1)
     t.after_delete(0, 1)
     assert t.level_query(1) == 3  # via 0-3-2-1
@@ -118,46 +108,39 @@ def test_report_threshold_below_depth():
 
 def test_weighted_increase_and_delete():
     # the exact tree on a weighted graph: a monotone tree with beta 0
-    for backend in BACKENDS:
-        h = WeightedAdjacency(4, {(0, 1): 2, (1, 2): 1, (0, 3): 5, (3, 2): 1})
-        t = MonotoneEsTree(h, 0, 10, 1, 0, 1, backend=backend)
-        assert t.bound == 10
-        assert t.levels() == [0, 2, 3, 4]
-        t.apply_batch(h.apply([UpdateEvent(INCREASE, 1, 2, 10)]))
-        assert t.levels() == [0, 2, 6, 5]
-        t.apply_batch(h.apply([UpdateEvent(DELETE, 0, 1, INF)]))
-        assert t.levels() == [0, INF, 6, 5]
-        with pytest.raises(UnknownEdge):
-            h.apply([UpdateEvent(DELETE, 0, 1, INF)])
-        with pytest.raises(NonIncreasingWeight):
-            h.apply([UpdateEvent(INCREASE, 0, 3, 4)])
-        assert t.levels() == [0, INF, 6, 5]
+    h = WeightedAdjacency(4, {(0, 1): 2, (1, 2): 1, (0, 3): 5, (3, 2): 1})
+    t = MonotoneEsTree(h, 0, 10, 1, 0, 1)
+    assert t.bound == 10
+    assert t.levels() == [0, 2, 3, 4]
+    t.apply_batch(h.apply([UpdateEvent(INCREASE, 1, 2, 10)]))
+    assert t.levels() == [0, 2, 6, 5]
+    t.apply_batch(h.apply([UpdateEvent(DELETE, 0, 1, INF)]))
+    assert t.levels() == [0, INF, 6, 5]
+    with pytest.raises(UnknownEdge):
+        h.apply([UpdateEvent(DELETE, 0, 1, INF)])
+    with pytest.raises(NonIncreasingWeight):
+        h.apply([UpdateEvent(INCREASE, 0, 3, 4)])
+    assert t.levels() == [0, INF, 6, 5]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_exactness_and_backend_equality(data):
+def test_exactness_per_deletion(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     n = data.draw(st.integers(2, 24))
     m = data.draw(st.integers(0, 3 * n))
-    g1, order = random_graph_and_trace(rng, n, m)
-    g2 = g1.copy()
+    g, order = random_graph_and_trace(rng, n, m)
     root = data.draw(st.integers(0, n - 1))
     Q = data.draw(st.sampled_from([1, 2, 3, n]))
-    t1 = EsTree(g1, root, Q, backend=COUNTER)
-    t2 = EsTree(g2, root, Q, backend=HEAP)
+    t = EsTree(g, root, Q)
     for u, v in order:
-        g1.delete_edge(u, v)
-        d1 = t1.after_delete(u, v)
-        g2.delete_edge(u, v)
-        d2 = t2.after_delete(u, v)
-        assert d1 == d2
-        # both backends count level units, a drop as a rise to Q + 1
-        assert t1.level_increases == t2.level_increases
-        truth = bfs_levels(g1, root)
+        before = t.levels()
+        g.delete_edge(u, v)
+        raised = t.after_delete(u, v)
+        truth = bfs_levels(g, root)
         expected = [d if d <= Q else INF for d in truth]
-        assert t1.levels() == expected
-        assert t2.levels() == expected
+        assert t.levels() == expected
+        assert raised == {x for x in range(n) if expected[x] != before[x]}
 
 
 @settings(max_examples=15, deadline=None)
@@ -170,7 +153,7 @@ def test_monotonicity_and_work_bound(data):
     Q = data.draw(st.sampled_from([2, 4, n]))
     deg0 = [g.degree(x) for x in range(n)]
     init_levels = None
-    t = EsTree(g, root, Q, backend=COUNTER)
+    t = EsTree(g, root, Q)
     init_levels = t.levels()
     prev = t.levels()
     for u, v in order:

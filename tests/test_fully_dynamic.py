@@ -12,12 +12,14 @@ from decaps.errors import (
     EdgePresent,
     InvalidParameters,
     InvalidPhaseLength,
+    NodeOutOfRange,
 )
 from decaps.fully_dynamic import FullyDynamicApsp
 from decaps.graph_core import INF, DecrementalGraph
+from decaps.harness import gnm_graph
 from decaps.oracle import bfs_apsp
 
-from conftest import random_graph_and_trace
+from conftest import det_state, random_graph_and_trace
 
 
 def test_phase_length_validation(fig_graph):
@@ -93,6 +95,51 @@ def test_update_validation():
         fd.delete_set([(2, 3)])
     with pytest.raises(InvalidParameters):
         fd.insert_star(3, [(3, 3)])
+
+
+def fd_state(fd):
+    """Everything an update may change in a ``FullyDynamicApsp``."""
+    return (fd._true_edges(), fd._base.edges(), fd.insertion_centers, fd._center_dist,
+            fd.updates_in_phase, fd.level_increases, fd.ops, det_state(fd.index))
+
+
+def test_rejected_updates_change_nothing():
+    def wrapper():
+        fd = FullyDynamicApsp(gnm_graph(16, 30, 2), 0.5, 3)
+        fd.insert_star(5, [(5, 3), (5, 12)])  # an insertion center to patch through
+        return fd
+
+    fd = wrapper()
+    edges = fd._true_edges()
+    present = edges[0]
+    c = present[0]
+    free = next(w for w in range(16) if w != c and (min(c, w), max(c, w)) not in edges)
+    absent = next((u, v) for u in range(16) for v in range(u + 1, 16)
+                  if c not in (u, v) and (u, v) not in edges)
+    index = fd.index
+    before = fd_state(fd)
+    # each update is rejected whole, also where its first edge is valid
+    for error, update, args in (
+            (EdgeAbsent, fd.delete_set, ([absent],)),
+            (EdgeAbsent, fd.delete_set, ([present, absent],)),
+            (EdgeAbsent, fd.delete_set, ([(3, 3)],)),
+            (NodeOutOfRange, fd.delete_set, ([present, (c, 16)],)),
+            (EdgePresent, fd.insert_star, (c, [(c, free), present])),
+            (InvalidParameters, fd.insert_star, (3, [(3, 3)])),
+            (InvalidParameters, fd.insert_star, (c, [(c, free), absent])),
+            (NodeOutOfRange, fd.insert_star, (16, [(16, 0)])),
+            (NodeOutOfRange, fd.insert_star, (c, [(c, free), (c, 16)]))):
+        with pytest.raises(error):
+            update(*args)
+        assert fd.index is index
+        assert fd_state(fd) == before
+    # the wrapper still updates as a fresh one does
+    fresh = wrapper()
+    for each in (fd, fresh):
+        each.delete_set([present])
+    assert fd_state(fd) == fd_state(fresh)
+    assert [[fd.query(x, y) for y in range(16)] for x in range(16)] == [
+        [fresh.query(x, y) for y in range(16)] for x in range(16)]
 
 
 def test_phase_isolation_matches_standalone_index():

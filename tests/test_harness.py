@@ -163,8 +163,11 @@ def test_cli_gen_and_run(tmp_path):
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch):
-    # config error: no graph source
+    # config error: no graph source, or two
     assert main(["run", "--algo", "es_tree"]) == 3
+    assert main(["gen", "--out", str(tmp_path / "g.txt")]) == 3
+    assert main(["gen", "--gnm", "4", "3", "--path", "4", "--out", str(tmp_path / "g.txt")]) == 3
+    assert not (tmp_path / "g.txt").exists()
     # audit failure path
     real_query = ApspIndexDet.query
 

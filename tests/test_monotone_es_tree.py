@@ -23,12 +23,10 @@ from decaps.graph_core import (
     WeightedAdjacency,
     edge_key,
 )
-from decaps.monotone_es_tree import COUNTER, HEAP, MonotoneEsTree, depth_bound_floor
+from decaps.monotone_es_tree import MonotoneEsTree, depth_bound_floor
 from decaps.oracle import bfs_levels, weighted_apsp
 
-from conftest import random_graph_and_trace
-
-BACKENDS = [HEAP, COUNTER]
+from conftest import fixpoint_levels, random_graph_and_trace
 
 
 def path_h(length):
@@ -43,15 +41,13 @@ def test_depth_bound():
     assert t.bound == 12
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_init_unit_path(backend):
-    t = MonotoneEsTree(path_h(3), 0, 5, 1, 2, 2, backend=backend)
+def test_init_unit_path():
+    t = MonotoneEsTree(path_h(3), 0, 5, 1, 2, 2)
     assert t.levels() == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_init_beyond_bound(backend):
-    t = MonotoneEsTree(path_h(7), 0, 1, 1, 2, 2, backend=backend)
+def test_init_beyond_bound():
+    t = MonotoneEsTree(path_h(7), 0, 1, 1, 2, 2)
     # bound = (1+1)*1+2 = 4
     assert t.levels() == [0, 1, 2, 3, 4, INF, INF, INF]
 
@@ -63,19 +59,17 @@ def test_init_invalid_parameters():
         MonotoneEsTree(path_h(2), 0, 3, 1, 2, 0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pure_inserts_change_no_levels(backend):
+def test_pure_inserts_change_no_levels():
     h = path_h(4)
-    t = MonotoneEsTree(h, 0, 6, 1, 2, 2, backend=backend)
+    t = MonotoneEsTree(h, 0, 6, 1, 2, 2)
     before = t.levels()
     t.apply_batch(h.apply([UpdateEvent(INSERT, 0, 4, 1), UpdateEvent(INSERT, 0, 3, 1)]))
     assert t.levels() == before
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_insert_then_noninsert_order_enforced(backend):
+def test_insert_then_noninsert_order_enforced():
     h = path_h(4)
-    t = MonotoneEsTree(h, 0, 6, 1, 2, 2, backend=backend)
+    t = MonotoneEsTree(h, 0, 6, 1, 2, 2)
     levels = t.levels()
     edges = h.edges()
     with pytest.raises(OrderViolation):
@@ -88,18 +82,17 @@ def test_insert_then_noninsert_order_enforced(backend):
     assert h.edges() == edges
     # and the tree still repairs like a fresh one
     fresh_h = path_h(4)
-    fresh = MonotoneEsTree(fresh_h, 0, 6, 1, 2, 2, backend=backend)
+    fresh = MonotoneEsTree(fresh_h, 0, 6, 1, 2, 2)
     batch = [UpdateEvent(DELETE, 0, 1, INF)]
     assert t.apply_batch(h.apply(batch)) == fresh.apply_batch(fresh_h.apply(batch))
     assert t.levels() == fresh.levels()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_rejected_batch_changes_nothing(backend):
+def test_rejected_batch_changes_nothing():
     # the first event is valid, the second names an absent edge: the whole
     # batch is refused before (0, 1) is deleted, so no tree sees a change
     h = path_h(4)
-    trees = [MonotoneEsTree(h, root, 6, 1, 2, 2, backend=backend) for root in range(5)]
+    trees = [MonotoneEsTree(h, root, 6, 1, 2, 2) for root in range(5)]
     levels = [t.levels() for t in trees]
     edges = h.edges()
     with pytest.raises(UnknownEdge):
@@ -109,11 +102,10 @@ def test_rejected_batch_changes_nothing(backend):
     assert trees[0].levels() == [0, 1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_stretched_node_stays_fixed(backend):
+def test_stretched_node_stays_fixed():
     # path 0-1-2-3-4; insert a light edge (0,4): node 4 becomes stretched
     h = path_h(4)
-    t = MonotoneEsTree(h, 0, 6, 1, 2, 2, backend=backend)
+    t = MonotoneEsTree(h, 0, 6, 1, 2, 2)
     t.apply_batch(h.apply([UpdateEvent(INSERT, 0, 4, 1)]))
     assert t.level_query(4) == 4
     assert (4, 0) in t.stretched_edges()
@@ -124,10 +116,9 @@ def test_stretched_node_stays_fixed(backend):
     assert t.level_query(3) == 5  # re-routed through the stretched node: 4 + 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_unknown_edge_and_bad_weight(backend):
+def test_unknown_edge_and_bad_weight():
     h = path_h(3)
-    t = MonotoneEsTree(h, 0, 5, 1, 2, 2, backend=backend)
+    t = MonotoneEsTree(h, 0, 5, 1, 2, 2)
     edges = h.edges()
     with pytest.raises(UnknownEdge):
         h.apply([UpdateEvent(INCREASE, 0, 3, 5)])
@@ -158,8 +149,27 @@ def test_unknown_edge_and_bad_weight(backend):
     assert t.levels() == [0, 4, 5, 6]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_matches_classic_tree_without_insertions(backend):
+def test_non_integer_weights_rejected():
+    # the bucket search and the unit raises need integer weights: H refuses
+    # others when it is built and in whole batches, before any change
+    for w in (1.5, 2.0):
+        with pytest.raises(InvalidParameters):
+            WeightedAdjacency(2, {(0, 1): w})
+    h = WeightedAdjacency(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
+    t = MonotoneEsTree(h, 0, 6, 1, 0, 1)
+    edges = h.edges()
+    for batch in ([UpdateEvent(INCREASE, 2, 3, 3), UpdateEvent(INCREASE, 0, 1, 2.5)],
+                  [UpdateEvent(INSERT, 0, 2, 1.5)],
+                  [UpdateEvent(INCREASE, 0, 1, INF)]):
+        with pytest.raises(InvalidParameters):
+            h.apply(batch)
+        assert h.edges() == edges
+    assert t.levels() == [0, 1, 2, 1]
+    t.apply_batch(h.apply([UpdateEvent(INCREASE, 0, 1, 3)]))
+    assert t.levels() == [0, 3, 2, 1]
+
+
+def test_matches_classic_tree_without_insertions():
     # low-degree graph, no hubs: the emulator is the graph itself and never
     # inserts, so the monotone tree must hold H's exact distances, cut off at
     # its bound, step by step
@@ -168,7 +178,7 @@ def test_matches_classic_tree_without_insertions(backend):
         8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7), (2, 6)])
     em = LocallyPerseveringEmulator(g, 1.0, hubs=[])
     Q = 8
-    mono = MonotoneEsTree(em.h, 0, Q, 1, 2, em.tau, backend=backend)
+    mono = MonotoneEsTree(em.h, 0, Q, 1, 2, em.tau)
 
     def exact():
         dist = weighted_apsp(8, em.h.edges())[0]
@@ -184,10 +194,9 @@ def test_matches_classic_tree_without_insertions(backend):
         assert mono.levels() == exact()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_root_level_and_lower_bound(backend, fig_graph):
+def test_root_level_and_lower_bound(fig_graph):
     em = LocallyPerseveringEmulator(fig_graph, 1.0, hubs=[1, 5])
-    t = MonotoneEsTree(em.h, 0, 4, 1, 2, em.tau, backend=backend)
+    t = MonotoneEsTree(em.h, 0, 4, 1, 2, em.tau)
     assert t.level_query(0) == 0
     for u, v in list(fig_graph.edges()):
         t.apply_batch(em.on_delete(u, v))
@@ -199,7 +208,7 @@ def test_root_level_and_lower_bound(backend, fig_graph):
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
-def test_backend_equality_and_invariants(data):
+def test_reference_levels_and_invariants(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     n = data.draw(st.integers(3, 14))
     g, order = random_graph_and_trace(rng, n, 3 * n)
@@ -208,53 +217,44 @@ def test_backend_equality_and_invariants(data):
     em = LocallyPerseveringEmulator(g, eps, hubs=hubs)
     root = data.draw(st.integers(0, n - 1))
     Q = data.draw(st.sampled_from([2, 4, n]))
-    th = MonotoneEsTree(em.h, root, Q, 1, 2, em.tau, backend=HEAP)
-    tc = MonotoneEsTree(em.h, root, Q, 1, 2, em.tau, backend=COUNTER)
-    # the same trees on a second copy of H that takes one event at a time
+    t = MonotoneEsTree(em.h, root, Q, 1, 2, em.tau)
+    # the same tree on a second copy of H that takes one event at a time
     h_single = WeightedAdjacency(n, em.snapshot())
-    singles = [MonotoneEsTree(h_single, root, Q, 1, 2, em.tau, backend=b) for b in BACKENDS]
+    single = MonotoneEsTree(h_single, root, Q, 1, 2, em.tau)
     inserted_pairs = set()
-    prev = th.levels()
+    prev = t.levels()
     for u, v in order:
         batch = em.on_delete(u, v)
         inserted_pairs |= {edge_key(ev.u, ev.v) for ev in batch if ev.kind == INSERT}
-        dh = th.apply_batch(batch)
-        dc = tc.apply_batch(batch)
-        # backend equivalence, level by level and for the raised nodes
-        assert th.levels() == tc.levels()
-        assert dh == dc
-        assert th.level_increases == tc.level_increases
+        raised = t.apply_batch(batch)
+        cur = t.levels()
+        # the least fixpoint at or above the levels before the batch
+        assert cur == fixpoint_levels(em.h.adj, root, t.bound, prev)
+        assert raised == {x for x in range(n) if cur[x] != prev[x]}
         # per-batch repair equals per-event repair
-        single_reports = [set(), set()]
+        single_raised = set()
         for ev in batch:
-            one = h_single.apply([ev])
-            for reports, tree in zip(single_reports, singles):
-                reports |= tree.apply_batch(one)
+            single_raised |= single.apply_batch(h_single.apply([ev]))
         assert h_single.edges() == em.h.edges() == em.snapshot()
-        for reports, single, tree in zip(single_reports, singles, (th, tc)):
-            assert single.levels() == tree.levels()
-            assert reports == dh
-            assert single.level_increases == tree.level_increases
-        cur = th.levels()
+        assert single.levels() == cur
+        assert single_raised == raised
+        assert single.level_increases == t.level_increases
         # monotonicity
         assert all(a >= b for a, b in zip(cur, prev))
         prev = cur
         # stretched edges trace back to insert events
-        for a, b in th.stretched_edges():
+        for a, b in t.stretched_edges():
             assert edge_key(a, b) in inserted_pairs
         # tree-edge inequality through retrievable parents
-        for backend_tree in (th, tc):
-            for x in range(n):
-                p = backend_tree.parent(x)
-                if p is not None:
-                    w = em.h.adj[x][p]
-                    assert backend_tree.level_query(x) >= backend_tree.level_query(p) + w
+        for x in range(n):
+            p = t.parent(x)
+            if p is not None:
+                assert t.level_query(x) >= t.level_query(p) + em.h.adj[x][p]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_threshold_reports_match_truncated_tree(backend, data):
+def test_threshold_reports_match_truncated_tree(data):
     # a range-Q tree stands in for a range-q tree: its levels cut off at
     # bound(q) are the q-tree's levels, apply_batch returns exactly the nodes
     # whose level rose, and those that rose past bound(q) are exactly the
@@ -269,8 +269,8 @@ def test_threshold_reports_match_truncated_tree(backend, data):
     root = data.draw(st.integers(0, n - 1))
     q = data.draw(st.integers(1, 3))
     Q = q + data.draw(st.integers(0, n))
-    small = MonotoneEsTree(em.h, root, q, 1, 2, em.tau, backend=backend)
-    big = MonotoneEsTree(em.h, root, Q, 1, 2, em.tau, backend=backend)
+    small = MonotoneEsTree(em.h, root, q, 1, 2, em.tau)
+    big = MonotoneEsTree(em.h, root, Q, 1, 2, em.tau)
 
     def truncated():
         return [lx if lx <= small.bound else INF for lx in big.levels()]

@@ -17,12 +17,12 @@ from decaps.errors import (
     UnknownCenter,
 )
 from decaps.graph_core import INF, DecrementalGraph
-from decaps.monotone_es_tree import COUNTER, HEAP, MonotoneEsTree
+from decaps.monotone_es_tree import MonotoneEsTree
 from decaps.harness import generate_trace, gnm_graph
 from decaps.oracle import bfs_apsp
 from decaps.randomized_apsp import ApspIndexRandom, RandomCenterCover
 
-from conftest import random_graph_and_trace
+from conftest import fixpoint_levels, random_graph_and_trace
 
 
 def test_cover_init_validation(fig_graph):
@@ -176,13 +176,13 @@ def test_one_tree_per_root_with_largest_range():
                 assert layer._trees[layer.centers.index(x)] is tree
 
 
-@pytest.mark.parametrize("backend", [HEAP, COUNTER])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_cover_on_deeper_shared_trees(backend, data):
+def test_cover_on_deeper_shared_trees(data):
     # a cover that reads deeper trees through its own bound equals a cover
-    # with range-Q trees of its own; sparse graphs, few hubs and a small q
-    # put nodes between the cover's bounds and the deeper trees' bounds
+    # with range-Q trees of its own, and the deeper trees hold the levels of
+    # the fixpoint definition; sparse graphs, few hubs and a small q put
+    # nodes between the cover's bounds and the deeper trees' bounds
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     n = data.draw(st.integers(4, 16))
     g, order = random_graph_and_trace(rng, n, data.draw(st.integers(n, 2 * n)))
@@ -196,8 +196,7 @@ def test_cover_on_deeper_shared_trees(backend, data):
                             centers=centers)
     em = LocallyPerseveringEmulator(g2, eps, hubs=hubs)
     # a tree at every root, centers or not, each deeper by its own margin
-    deep = {x: MonotoneEsTree(em.h, x, Q + data.draw(st.integers(0, 20)), 1, 2, em.tau,
-                              backend=backend)
+    deep = {x: MonotoneEsTree(em.h, x, Q + data.draw(st.integers(0, 20)), 1, 2, em.tau)
             for x in range(n)}
     shared = RandomCenterCover(g2, q, Q, emulator=em, centers=centers, trees=deep)
 
@@ -209,7 +208,10 @@ def test_cover_on_deeper_shared_trees(backend, data):
     for u, v in order:
         own.delete(u, v)
         batch = em.on_delete(u, v)
+        before = {x: tree.levels() for x, tree in deep.items()}
         raised = {x: tree.apply_batch(batch) for x, tree in deep.items()}
+        for x, tree in deep.items():
+            assert tree.levels() == fixpoint_levels(em.h.adj, x, tree.bound, before[x])
         shared.on_batch(raised)
         assert state(shared) == state(own)
 
