@@ -19,22 +19,29 @@ from decaps.oracle import bfs_levels
 
 from conftest import random_graph_and_trace
 
+# the engine under test, named in test ids by its repair path: per-node
+# support counters with one-unit raises
+COUNTER_ENGINE = pytest.mark.parametrize("make_tree", [EsTree], ids=["counter"])
 
-def test_init_fig_levels(fig_graph):
-    t = EsTree(fig_graph, 0, 3)
+
+@COUNTER_ENGINE
+def test_init_fig_levels(make_tree, fig_graph):
+    t = make_tree(fig_graph, 0, 3)
     assert [t.level_query(x) for x in range(6)] == [0, 1, 1, 1, 2, 2]
 
 
-def test_init_depth_cutoff():
+@COUNTER_ENGINE
+def test_init_depth_cutoff(make_tree):
     g = DecrementalGraph.from_edge_list(3, [(0, 1), (1, 2)])
-    t = EsTree(g, 0, 1)
+    t = make_tree(g, 0, 1)
     assert t.level_query(1) == 1
     assert t.level_query(2) is INF
 
 
-def test_init_disconnected():
+@COUNTER_ENGINE
+def test_init_disconnected(make_tree):
     g = DecrementalGraph.from_edge_list(3, [(0, 1)])
-    t = EsTree(g, 0, 3)
+    t = make_tree(g, 0, 3)
     assert t.level_query(2) is INF
 
 
@@ -45,8 +52,9 @@ def test_init_errors(fig_graph):
         EsTree(fig_graph, 0, 3).level_query(17)
 
 
-def test_fig_deletion_levels_and_messages(fig_graph):
-    t = EsTree(fig_graph, 0, 3)
+@COUNTER_ENGINE
+def test_fig_deletion_levels_and_messages(make_tree, fig_graph):
+    t = make_tree(fig_graph, 0, 3)
     fig_graph.delete_edge(0, 1)
     raised = t.after_delete(0, 1)
     assert t.level_query(1) == 2
@@ -56,17 +64,19 @@ def test_fig_deletion_levels_and_messages(fig_graph):
     assert t.ops == 5  # the raised a and d check 3 + 2 neighbors
 
 
-def test_deletion_dropping_node():
+@COUNTER_ENGINE
+def test_deletion_dropping_node(make_tree):
     g = DecrementalGraph.from_edge_list(3, [(0, 1), (1, 2)])
-    t = EsTree(g, 0, 3)
+    t = make_tree(g, 0, 3)
     g.delete_edge(1, 2)
     assert t.after_delete(1, 2) == {2}
     assert t.level_query(2) is INF
 
 
-def test_cycle_reroute():
+@COUNTER_ENGINE
+def test_cycle_reroute(make_tree):
     g = DecrementalGraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    t = EsTree(g, 0, 4)
+    t = make_tree(g, 0, 4)
     g.delete_edge(0, 1)
     t.after_delete(0, 1)
     assert t.level_query(1) == 3  # via 0-3-2-1

@@ -28,6 +28,10 @@ from decaps.oracle import bfs_levels, weighted_apsp
 
 from conftest import fixpoint_levels, random_graph_and_trace
 
+# the engine under test, named in test ids by its repair path: per-node
+# support counters with one-unit raises
+COUNTER_ENGINE = pytest.mark.parametrize("make_tree", [MonotoneEsTree], ids=["counter"])
+
 
 def path_h(length):
     return WeightedAdjacency(length + 1, {(i, i + 1): 1 for i in range(length)})
@@ -41,13 +45,15 @@ def test_depth_bound():
     assert t.bound == 12
 
 
-def test_init_unit_path():
-    t = MonotoneEsTree(path_h(3), 0, 5, 1, 2, 2)
+@COUNTER_ENGINE
+def test_init_unit_path(make_tree):
+    t = make_tree(path_h(3), 0, 5, 1, 2, 2)
     assert t.levels() == [0, 1, 2, 3]
 
 
-def test_init_beyond_bound():
-    t = MonotoneEsTree(path_h(7), 0, 1, 1, 2, 2)
+@COUNTER_ENGINE
+def test_init_beyond_bound(make_tree):
+    t = make_tree(path_h(7), 0, 1, 1, 2, 2)
     # bound = (1+1)*1+2 = 4
     assert t.levels() == [0, 1, 2, 3, 4, INF, INF, INF]
 
@@ -59,17 +65,19 @@ def test_init_invalid_parameters():
         MonotoneEsTree(path_h(2), 0, 3, 1, 2, 0)
 
 
-def test_pure_inserts_change_no_levels():
+@COUNTER_ENGINE
+def test_pure_inserts_change_no_levels(make_tree):
     h = path_h(4)
-    t = MonotoneEsTree(h, 0, 6, 1, 2, 2)
+    t = make_tree(h, 0, 6, 1, 2, 2)
     before = t.levels()
     t.apply_batch(h.apply([UpdateEvent(INSERT, 0, 4, 1), UpdateEvent(INSERT, 0, 3, 1)]))
     assert t.levels() == before
 
 
-def test_insert_then_noninsert_order_enforced():
+@COUNTER_ENGINE
+def test_insert_then_noninsert_order_enforced(make_tree):
     h = path_h(4)
-    t = MonotoneEsTree(h, 0, 6, 1, 2, 2)
+    t = make_tree(h, 0, 6, 1, 2, 2)
     levels = t.levels()
     edges = h.edges()
     with pytest.raises(OrderViolation):
@@ -82,17 +90,18 @@ def test_insert_then_noninsert_order_enforced():
     assert h.edges() == edges
     # and the tree still repairs like a fresh one
     fresh_h = path_h(4)
-    fresh = MonotoneEsTree(fresh_h, 0, 6, 1, 2, 2)
+    fresh = make_tree(fresh_h, 0, 6, 1, 2, 2)
     batch = [UpdateEvent(DELETE, 0, 1, INF)]
     assert t.apply_batch(h.apply(batch)) == fresh.apply_batch(fresh_h.apply(batch))
     assert t.levels() == fresh.levels()
 
 
-def test_rejected_batch_changes_nothing():
+@COUNTER_ENGINE
+def test_rejected_batch_changes_nothing(make_tree):
     # the first event is valid, the second names an absent edge: the whole
     # batch is refused before (0, 1) is deleted, so no tree sees a change
     h = path_h(4)
-    trees = [MonotoneEsTree(h, root, 6, 1, 2, 2) for root in range(5)]
+    trees = [make_tree(h, root, 6, 1, 2, 2) for root in range(5)]
     levels = [t.levels() for t in trees]
     edges = h.edges()
     with pytest.raises(UnknownEdge):
@@ -102,10 +111,11 @@ def test_rejected_batch_changes_nothing():
     assert trees[0].levels() == [0, 1, 2, 3, 4]
 
 
-def test_stretched_node_stays_fixed():
+@COUNTER_ENGINE
+def test_stretched_node_stays_fixed(make_tree):
     # path 0-1-2-3-4; insert a light edge (0,4): node 4 becomes stretched
     h = path_h(4)
-    t = MonotoneEsTree(h, 0, 6, 1, 2, 2)
+    t = make_tree(h, 0, 6, 1, 2, 2)
     t.apply_batch(h.apply([UpdateEvent(INSERT, 0, 4, 1)]))
     assert t.level_query(4) == 4
     assert (4, 0) in t.stretched_edges()
@@ -116,9 +126,10 @@ def test_stretched_node_stays_fixed():
     assert t.level_query(3) == 5  # re-routed through the stretched node: 4 + 1
 
 
-def test_unknown_edge_and_bad_weight():
+@COUNTER_ENGINE
+def test_unknown_edge_and_bad_weight(make_tree):
     h = path_h(3)
-    t = MonotoneEsTree(h, 0, 5, 1, 2, 2)
+    t = make_tree(h, 0, 5, 1, 2, 2)
     edges = h.edges()
     with pytest.raises(UnknownEdge):
         h.apply([UpdateEvent(INCREASE, 0, 3, 5)])
@@ -169,7 +180,8 @@ def test_non_integer_weights_rejected():
     assert t.levels() == [0, 3, 2, 1]
 
 
-def test_matches_classic_tree_without_insertions():
+@COUNTER_ENGINE
+def test_matches_classic_tree_without_insertions(make_tree):
     # low-degree graph, no hubs: the emulator is the graph itself and never
     # inserts, so the monotone tree must hold H's exact distances, cut off at
     # its bound, step by step
@@ -178,7 +190,7 @@ def test_matches_classic_tree_without_insertions():
         8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7), (2, 6)])
     em = LocallyPerseveringEmulator(g, 1.0, hubs=[])
     Q = 8
-    mono = MonotoneEsTree(em.h, 0, Q, 1, 2, em.tau)
+    mono = make_tree(em.h, 0, Q, 1, 2, em.tau)
 
     def exact():
         dist = weighted_apsp(8, em.h.edges())[0]
@@ -194,9 +206,10 @@ def test_matches_classic_tree_without_insertions():
         assert mono.levels() == exact()
 
 
-def test_root_level_and_lower_bound(fig_graph):
+@COUNTER_ENGINE
+def test_root_level_and_lower_bound(make_tree, fig_graph):
     em = LocallyPerseveringEmulator(fig_graph, 1.0, hubs=[1, 5])
-    t = MonotoneEsTree(em.h, 0, 4, 1, 2, em.tau)
+    t = make_tree(em.h, 0, 4, 1, 2, em.tau)
     assert t.level_query(0) == 0
     for u, v in list(fig_graph.edges()):
         t.apply_batch(em.on_delete(u, v))
@@ -252,9 +265,10 @@ def test_reference_levels_and_invariants(data):
                 assert t.level_query(x) >= t.level_query(p) + em.h.adj[x][p]
 
 
+@COUNTER_ENGINE
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_threshold_reports_match_truncated_tree(data):
+def test_threshold_reports_match_truncated_tree(make_tree, data):
     # a range-Q tree stands in for a range-q tree: its levels cut off at
     # bound(q) are the q-tree's levels, apply_batch returns exactly the nodes
     # whose level rose, and those that rose past bound(q) are exactly the
@@ -269,8 +283,8 @@ def test_threshold_reports_match_truncated_tree(data):
     root = data.draw(st.integers(0, n - 1))
     q = data.draw(st.integers(1, 3))
     Q = q + data.draw(st.integers(0, n))
-    small = MonotoneEsTree(em.h, root, q, 1, 2, em.tau)
-    big = MonotoneEsTree(em.h, root, Q, 1, 2, em.tau)
+    small = make_tree(em.h, root, q, 1, 2, em.tau)
+    big = make_tree(em.h, root, Q, 1, 2, em.tau)
 
     def truncated():
         return [lx if lx <= small.bound else INF for lx in big.levels()]

@@ -24,6 +24,10 @@ from decaps.randomized_apsp import ApspIndexRandom, RandomCenterCover
 
 from conftest import fixpoint_levels, random_graph_and_trace
 
+# the engine under test, named in test ids by its repair path: per-node
+# support counters with one-unit raises
+COUNTER_ENGINE = pytest.mark.parametrize("make_tree", [MonotoneEsTree], ids=["counter"])
+
 
 def test_cover_init_validation(fig_graph):
     with pytest.raises(InvalidRange):
@@ -176,9 +180,10 @@ def test_one_tree_per_root_with_largest_range():
                 assert layer._trees[layer.centers.index(x)] is tree
 
 
+@COUNTER_ENGINE
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_cover_on_deeper_shared_trees(data):
+def test_cover_on_deeper_shared_trees(make_tree, data):
     # a cover that reads deeper trees through its own bound equals a cover
     # with range-Q trees of its own, and the deeper trees hold the levels of
     # the fixpoint definition; sparse graphs, few hubs and a small q put
@@ -196,7 +201,7 @@ def test_cover_on_deeper_shared_trees(data):
                             centers=centers)
     em = LocallyPerseveringEmulator(g2, eps, hubs=hubs)
     # a tree at every root, centers or not, each deeper by its own margin
-    deep = {x: MonotoneEsTree(em.h, x, Q + data.draw(st.integers(0, 20)), 1, 2, em.tau)
+    deep = {x: make_tree(em.h, x, Q + data.draw(st.integers(0, 20)), 1, 2, em.tau)
             for x in range(n)}
     shared = RandomCenterCover(g2, q, Q, emulator=em, centers=centers, trees=deep)
 
