@@ -29,7 +29,7 @@ def main():
     print(f"opens={cov.opens} (<= 2n/q = {2 * n // q}), "
           f"moving distance={cov.moving_distance} (<= n = {n})")
 
-    # the layered index drives one cover per distance scale
+    # the index: an exact patch for small distances, one cover per larger scale
     g2 = DecrementalGraph.from_edge_list(9, [(i, i + 1) for i in range(8)])
     idx = ApspIndexDet(g2, eps=0.5)
     truth = bfs_apsp(g2)

@@ -12,17 +12,17 @@ Three pieces:
   in a component smaller than its radius; that center absorbs the component
   into T^j and moves across the deleted edge, then a greedy pass opens
   centers at uncovered nodes in ascending id order.
-* :class:`ApspIndexDet`: one cover per distance scale. Layers whose cover
-  radius floor(eps_int * 2^p) rounds to zero open a center at every node and
-  hence answer exactly for distances up to 2^{p+2}; the remaining layers give
-  the (1 + 2*eps_int) guarantee for larger distances. The public eps is
-  halved internally so queries satisfy dist <= answer <= (1+eps)*dist.
+* :class:`ApspIndexDet`: an exact patch (a center at every node) up to 2^{p+2}
+  for the largest scale p whose cover radius floor(eps_int * 2^p) is 0, and
+  one cover per larger scale, giving the (1 + 2*eps_int) guarantee past the
+  patch. The public eps is halved internally so queries satisfy
+  dist <= answer <= (1+eps)*dist.
 
 A deletion costs work in proportion to what it changes, not to n:
 
 * The candidate center is looked up in u's cover list only. A ball has
   radius r^j <= q/2 and levels are integers, so a ball that holds u puts u
-  within q // 2 <= cover_radius of its center, and u lists that center.
+  within q // 2 of its center, inside the cover radius q: u lists it.
 * Component checks are bounded BFS (``DecrementalGraph.small_component``):
   only "is the component smaller than the limit" matters, so the search
   stops once the limit is reached.
@@ -56,7 +56,8 @@ from .errors import (
     UnknownCenter,
 )
 from .es_tree import EsTree
-from .graph_core import INF, DecrementalGraph
+from .graph_core import DecrementalGraph
+from .randomized_apsp import search_layers
 
 
 class MovingCenters:
@@ -65,6 +66,8 @@ class MovingCenters:
     ``cover_radius`` feeds the per-node center lists: node x lists center j
     while its level in j's tree is at most cover_radius. find_center returns
     the head of that list in O(1); distance queries read tree levels in O(1).
+    ``_levels[j]`` is the level list of center j's current tree and ``bound``
+    (= Q) its depth bound, the reads ``search_layers`` makes.
     """
 
     def __init__(self, g: DecrementalGraph, cover_radius: int, Q: int):
@@ -74,8 +77,10 @@ class MovingCenters:
         self.g = g
         self.cover_radius = cover_radius
         self.Q = Q
+        self.bound = Q
         self.location: list[int] = []
         self._trees: list[EsTree] = []
+        self._levels: list[list] = []  # updated in place, replaced by a move
         self._cover: list[dict[int, bool]] = [dict() for _ in range(g.n)]
         self.opens = 0
         self.moving_distance = 0
@@ -96,6 +101,7 @@ class MovingCenters:
         tree = EsTree(self.g, x, self.Q)
         self.location.append(x)
         self._trees.append(tree)
+        self._levels.append(tree.level)
         self.opens += 1
         self._round_ops.add(j)
         self._add_cover(j, tree)
@@ -133,6 +139,7 @@ class MovingCenters:
         self._retired_ops += old.ops
         tree = EsTree(self.g, x, self.Q)
         self._trees[j] = tree
+        self._levels[j] = tree.level
         self._add_cover(j, tree)
         return popped
 
@@ -204,28 +211,20 @@ class MovingCenters:
 
 class DetCenterCover:
     """Deterministic center cover: every node in a component of size >= q has
-    a center within the cover radius after every deletion.
+    a center within the cover radius q after every deletion.
 
-    ``cover_radius`` (default q) must be at least 2 * (q // 2). Centers open
-    more than cover_radius apart, and only then are balls of integer radius
-    at most q // 2 around them disjoint; a smaller radius lets two balls
-    overlap, and a later deletion would raise InvariantViolation. The bound
-    implies cover_radius >= q // 2, which the candidate lookup needs: every
-    ball lies inside its center's cover lists.
+    Centers open more than q apart, so balls of integer radius at most
+    q // 2 around them are disjoint, and every ball lies inside its center's
+    cover lists, which the candidate lookup needs.
     """
 
-    def __init__(self, g: DecrementalGraph, q: int, Q: int, cover_radius=None):
+    def __init__(self, g: DecrementalGraph, q: int, Q: int):
         if not 1 <= q <= Q:
             raise InvalidRange(f"need 1 <= q <= Q, got q={q}, Q={Q}")
-        if cover_radius is None:
-            cover_radius = q
-        if cover_radius < 2 * (q // 2):
-            raise InvalidRange(
-                f"need cover_radius >= 2 * (q // 2), got {cover_radius} for q={q}")
         self.g = g
         self.q = q
         self.Q = Q
-        self.mc = MovingCenters(g, cover_radius, Q)
+        self.mc = MovingCenters(g, q, Q)
         self.collected: list[set[int]] = []   # T^j
         self.radius2: list[int] = []          # 2 * r^j, exact in half-units
         self._skip_small: list[bool] = [False] * g.n
@@ -342,7 +341,10 @@ class DetCenterCover:
 
 
 class ApspIndexDet:
-    """ceil(log n) deterministic covers answering (1+eps)-approximate queries."""
+    """An exact patch and ceil(log n) deterministic covers answering
+    (1+eps)-approximate queries. ``patch`` has center x at node x and is exact
+    up to ``patch_range``; ``layers[k]`` is the k-th cover, with (q, Q) in
+    ``layer_params[k]``."""
 
     def __init__(self, g: DecrementalGraph, eps: float):
         if not 0 < eps <= 1:
@@ -352,53 +354,50 @@ class ApspIndexDet:
         self.eps_internal = eps / 2.0
         self.layers: list[DetCenterCover] = []
         self.layer_params: list[tuple[int, int]] = []
+        # scale 0 has radius 0 (eps_internal <= 1/2); n <= 1 has no scale
+        self.patch_range = 4
         n = g.n
         max_p = max(0, (n - 1).bit_length() - 1) if n > 1 else -1
         for p in range(max_p + 1):
-            rho = math.floor(self.eps_internal * (1 << p))
-            q_p = max(1, rho)
+            q_p = math.floor(self.eps_internal * (1 << p))
             Q_p = 1 << (p + 2)
+            if q_p == 0:
+                # a radius-0 cover opens a center at every node and never
+                # opens or moves one again: its trees are the patch's, cut off
+                self.patch_range = Q_p
+                continue
             self.layer_params.append((q_p, Q_p))
-            self.layers.append(DetCenterCover(g, q_p, Q_p, cover_radius=rho))
+            self.layers.append(DetCenterCover(g, q_p, Q_p))
+        self.patch = MovingCenters(g, 0, self.patch_range)
+        for x in range(n):
+            self.patch.open(x)
+        self._covers = [layer.mc for layer in self.layers]
 
     def delete(self, u: int, v: int) -> None:
         self.g.delete_edge(u, v)
         cut = self.g.split_side(u, v)
+        self.patch.after_delete(u, v, cut)  # pops nothing at cover radius 0
         for layer in self.layers:
             layer.on_deleted(u, v, cut)
 
     @property
     def level_increases(self) -> int:
-        """Level increases of every tree the layers built, retired ones included."""
-        return sum(layer.mc.level_increases for layer in self.layers)
+        """Level increases of every tree the index built, retired ones included."""
+        return self.patch.level_increases + sum(mc.level_increases for mc in self._covers)
 
     @property
     def ops(self) -> int:
-        """Work (``ops``) of every tree the layers built, retired ones included."""
-        return sum(layer.mc.ops for layer in self.layers)
-
-    def layer_estimate(self, p: int, x: int, y: int):
-        layer = self.layers[p]
-        j = layer.find_center(x)
-        if j is None:
-            return INF
-        return layer.distance(j, x) + layer.distance(j, y)
+        """Work (``ops``) of every tree the index built, retired ones included."""
+        return self.patch.ops + sum(mc.ops for mc in self._covers)
 
     def query(self, x: int, y: int):
-        """Estimate with dist <= result <= (1+eps)*dist; INF if disconnected."""
+        """Estimate with dist <= result <= (1+eps)*dist; INF if disconnected.
+
+        The patch is exact up to its range; past it, ``search_layers`` answers.
+        """
         if not (0 <= x < self.g.n and 0 <= y < self.g.n):
             raise NodeOutOfRange(f"pair ({x}, {y}) out of range")
-        if x == y:
-            return 0
-        if not self.layers:
-            return INF
-        lo, hi = 0, len(self.layers) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            layer = self.layers[mid]
-            j = layer.find_center(x)
-            if j is None or layer.distance(j, x) + layer.distance(j, y) != INF:
-                hi = mid
-            else:
-                lo = mid + 1
-        return self.layer_estimate(lo, x, y)
+        d = self.patch._levels[x][y]
+        if d <= self.patch_range:
+            return d
+        return search_layers(self._covers, x, y)

@@ -239,10 +239,17 @@ class WeightedAdjacency:
     def __init__(self, n: int, edges: dict[tuple[int, int], int]):
         self.n = n
         self.adj: list[dict[int, int]] = [dict() for _ in range(n)]
+        adj = self.adj
         for (u, v), w in edges.items():
+            if not (0 <= u < n and 0 <= v < n):
+                raise NodeOutOfRange(f"edge ({u}, {v}) not in [0, {n})")
+            if u == v:
+                raise SelfLoop(f"self-loop at node {u}")
+            if v in adj[u]:
+                raise DuplicateEdge(f"duplicate edge ({u}, {v})")
             _check_weight(w)
-            self.adj[u][v] = w
-            self.adj[v][u] = w
+            adj[u][v] = w
+            adj[v][u] = w
 
     def edges(self) -> dict[tuple[int, int], int]:
         """Current edges as {(u, v) with u < v: weight}."""

@@ -58,7 +58,6 @@ class ExperimentConfig:
     trace_order: str = "random"       # random | adversarial-path-peel
     eps: float = 0.5
     phase_t: int = 1
-    q: int | None = None
     Q: int | None = None
     root: int = 0
     seed: int = 0
@@ -252,7 +251,9 @@ def run_det_apsp(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrac
                 for y in range(x + 1, n):
                     est = index.query(x, y)
                     d = truth[x, y]
-                    if est < d - 1e-9 or (np.isfinite(d) and est > (1 + cfg.eps) * d + 1e-9):
+                    exact = d <= index.patch_range  # the patch answers exactly
+                    if est < d - 1e-9 or (exact and est != d) or (
+                            np.isfinite(d) and est > (1 + cfg.eps) * d + 1e-9):
                         raise _fail(cfg, i, {"pair": [x, y], "estimate": float(est),
                                              "distance": float(d)})
         if cfg.audit == "full":
@@ -505,7 +506,6 @@ def _config_from_args(args) -> ExperimentConfig:
         trace_order=args.order,
         eps=args.eps,
         phase_t=args.phase_t,
-        q=args.q,
         Q=args.Q,
         root=args.root,
         seed=args.seed,
@@ -537,7 +537,6 @@ def main(argv=None) -> int:
                        choices=["random", "adversarial-path-peel"])
         p.add_argument("--eps", type=float, default=0.5)
         p.add_argument("--phase-t", dest="phase_t", type=int, default=1)
-        p.add_argument("--q", type=int)
         p.add_argument("--Q", type=int)
         p.add_argument("--root", type=int, default=0)
         p.add_argument("--updates", type=int, default=0,

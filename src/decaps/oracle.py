@@ -45,28 +45,11 @@ def bfs_apsp(g: DecrementalGraph) -> np.ndarray:
 
 
 def dijkstra_apsp(g: DecrementalGraph) -> np.ndarray:
-    """Second, independent implementation: repeated Dijkstra at unit weights.
+    """Second, independent implementation: Dijkstra at unit weights.
 
     Used only to cross-check bfs_apsp; the two must agree exactly.
     """
-    n = g.n
-    out = np.full((n, n), np.inf)
-    adj = g._adj
-    for x in range(n):
-        dist = [INF] * n
-        dist[x] = 0
-        heap = [(0, x)]
-        while heap:
-            d, y = heappop(heap)
-            if d > dist[y]:
-                continue
-            for z in adj[y]:
-                nd = d + 1
-                if nd < dist[z]:
-                    dist[z] = nd
-                    heappush(heap, (nd, z))
-        out[x] = dist
-    return out
+    return weighted_apsp(g.n, dict.fromkeys(g.edges(), 1))
 
 
 def weighted_apsp(n: int, weighted_edges: dict) -> np.ndarray:

@@ -57,6 +57,35 @@ def _repair_trees(roots_and_trees, batch, cut) -> dict[int, set[int]]:
     return raised
 
 
+def search_layers(layers, x: int, y: int):
+    """The estimate of the minimal usable layer for valid x and y; INF
+    without layers. Serves both APSP indexes: a layer (``RandomCenterCover``
+    or ``MovingCenters``) has cover lists ``_cover``, center j's levels
+    ``_levels[j]`` and the depth bound ``bound`` of its reads. A layer is
+    usable when x has no center or y is within the bound of x's first
+    center, and estimates x's level plus y's there. x's level is within the
+    cover threshold, below the bound, so it needs no cut.
+    """
+    lo, hi = 0, len(layers) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        layer = layers[mid]
+        cov = layer._cover[x]
+        if not cov or layer._levels[next(iter(cov))][y] <= layer.bound:
+            hi = mid
+        else:
+            lo = mid + 1
+    if not layers:
+        return INF
+    layer = layers[lo]
+    cov = layer._cover[x]
+    if not cov:
+        return INF
+    level = layer._levels[next(iter(cov))]
+    ly = level[y]
+    return level[x] + ly if ly <= layer.bound else INF
+
+
 class RandomCenterCover:
     """Approximate center cover with fixed random center locations.
 
@@ -243,31 +272,6 @@ class ApspIndexRandom:
         dy = layer.distance(j, y)
         return dx + dy
 
-    def _search_layers(self, x: int, y: int):
-        """``layer_estimate`` at the minimal usable layer, for valid x and y.
-
-        Reads each layer's cover list and levels directly: the first center
-        in x's list and y's level cut off at the layer's bound. x's level is
-        within the cover threshold, below that bound, so it needs no cut.
-        """
-        layers = self.layers
-        lo, hi = 0, len(layers) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            layer = layers[mid]
-            cov = layer._cover[x]
-            if not cov or layer._levels[next(iter(cov))][y] <= layer.bound:
-                hi = mid
-            else:
-                lo = mid + 1
-        layer = layers[lo]
-        cov = layer._cover[x]
-        if not cov:
-            return INF
-        level = layer._levels[next(iter(cov))]
-        ly = level[y]
-        return level[x] + ly if ly <= layer.bound else INF
-
     def query_1eps2(self, x: int, y: int):
         """Estimate with dist <= result <= (1+eps)*dist + 2 (whp)."""
         n = self.g.n
@@ -277,7 +281,7 @@ class ApspIndexRandom:
             return 0
         ly = self.trees[x].level[y]
         patch_est = ly if ly <= self.patch_bound else INF
-        layered = self._search_layers(x, y)
+        layered = search_layers(self.layers, x, y)
         return min(patch_est, layered)
 
     def query_2eps(self, x: int, y: int):

@@ -27,16 +27,36 @@ def random_graph_and_trace(rng: random.Random, n: int, m: int):
     return g, order
 
 
+def _mc_state(mc):
+    return (mc.location, [(t.root, t.levels(), t.level_increases, t.ops) for t in mc._trees],
+            [list(level) for level in mc._levels], mc._cover, mc.opens, mc.moving_distance,
+            mc.level_increases, mc.ops)
+
+
 def det_state(idx):
-    """Everything a deletion may change in an ``ApspIndexDet``."""
-    layers = []
-    for layer in idx.layers:
-        mc = layer.mc
-        layers.append((
-            mc.location, [(t.root, t.levels(), t.level_increases, t.ops) for t in mc._trees],
-            mc._cover, mc.opens, mc.moving_distance, mc.level_increases, mc.ops,
-            layer.collected, layer.radius2, layer._skip_small))
-    return idx.g.edges(), idx.g.version, layers
+    """Everything a deletion may change in an ``ApspIndexDet``: its graph,
+    its exact patch and every cover layer."""
+    layers = [(_mc_state(layer.mc), layer.collected, layer.radius2, layer._skip_small)
+              for layer in idx.layers]
+    return idx.g.edges(), idx.g.version, _mc_state(idx.patch), layers
+
+
+def reference_search(layers, x: int, y: int):
+    """The layered binary search through each layer's checked public reads,
+    ``find_center`` and ``distance``: the reference for ``search_layers``."""
+    lo, hi = 0, len(layers) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        layer = layers[mid]
+        j = layer.find_center(x)
+        if j is None or layer.distance(j, x) + layer.distance(j, y) != INF:
+            hi = mid
+        else:
+            lo = mid + 1
+    j = layers[lo].find_center(x) if layers else None
+    if j is None:
+        return INF
+    return layers[lo].distance(j, x) + layers[lo].distance(j, y)
 
 
 def fixpoint_levels(adj, root: int, bound: int, before: list) -> list:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -18,8 +19,9 @@ from decaps.errors import (
 from decaps.graph_core import INF, DecrementalGraph
 from decaps.harness import ExperimentConfig, build_graph, generate_trace, gnm_graph
 from decaps.oracle import bfs_apsp, bfs_levels
+from decaps.randomized_apsp import search_layers
 
-from conftest import det_state, random_graph_and_trace
+from conftest import det_state, random_graph_and_trace, reference_search
 
 
 def fig3_path(q):
@@ -112,17 +114,6 @@ def test_cc_validation(fig_graph):
         DetCenterCover(fig_graph, 5, 4)
 
 
-def test_cc_rejects_cover_radius_below_half_q():
-    # below q // 2 u's cover list may miss the ball holding u; below
-    # 2 * (q // 2) two centers' balls may overlap
-    g = fig3_path(8)
-    for q, rho in ((4, 1), (5, 1), (8, 3), (2, 1), (4, 3), (5, 3), (8, 7)):
-        with pytest.raises(InvalidRange):
-            DetCenterCover(g, q, 16, cover_radius=rho)
-    for q, rho in ((1, 0), (2, 2), (3, 2), (5, 4), (8, 8)):
-        DetCenterCover(g, q, 16, cover_radius=rho)
-
-
 def test_cc_fig3_open_then_move():
     q = 8
     g = fig3_path(q)  # v0..v9 with shortcut (3, 9)
@@ -178,13 +169,22 @@ def test_cc_queries_against_oracle():
 
 
 def test_cover_radius_zero_opens_everywhere():
-    g = DecrementalGraph.from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
-    cov = DetCenterCover(g, 1, 4, cover_radius=0)
-    assert cov.opens == 5
-    for x in range(5):
-        j = cov.find_center(x)
-        assert cov.location(j) == x
-        assert cov.distance(j, x) == 0
+    # the exact patch: a radius-0 MovingCenters with center x at node x,
+    # which no deletion opens, moves or pops from a cover list
+    g = DecrementalGraph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    idx = ApspIndexDet(g, 0.25)
+    patch = idx.patch
+    assert idx.patch_range == 16 and not idx.layers  # scales 0 to 2, radius 0
+    assert patch.cover_radius == 0 and patch.bound == patch.Q == idx.patch_range
+    for deletion in [None, (1, 2), (3, 4), (0, 1)]:
+        if deletion is not None:
+            idx.delete(*deletion)
+        truth = bfs_apsp(g)
+        assert patch.opens == 5 and patch.moving_distance == 0
+        for x in range(5):
+            assert patch.location[x] == x and patch.find_center(x) == x
+            assert [patch.distance(x, y) for y in range(5)] == list(truth[x])
+            assert [idx.query(x, y) for y in range(5)] == list(truth[x])
 
 
 @settings(max_examples=10, deadline=None)
@@ -225,8 +225,7 @@ def test_incremental_greedy_matches_full_scan(data):
     n = data.draw(st.integers(2, 20))
     g, order = random_graph_and_trace(rng, n, data.draw(st.integers(n, 3 * n)))
     q = data.draw(st.integers(1, 4))
-    rho = data.draw(st.integers(2 * (q // 2), q))
-    cov = DetCenterCover(g, q, 4 * q, cover_radius=rho)
+    cov = DetCenterCover(g, q, 4 * q)
     mc = cov.mc
     for u, v in order:
         # the trees still hold the pre-deletion levels, as in on_deleted
@@ -248,11 +247,14 @@ def test_incremental_greedy_matches_full_scan(data):
 # over every tree built. The ops (a repair's neighbour checks) were recorded
 # once the exact trees became unit-weight monotone trees; the messages they
 # replace, one per neighbour of a raised node, read 26,200 and 356,017.
+# The exact patch replaced the two radius-0 layers: it does the work of the
+# upper one, and the totals (once 308,960 and 23,267, 576,957 and 316,512)
+# fell by exactly the lower one's.
 PINNED_COUNTERS = [
     ("grid", "adversarial-path-peel",
-     [100, 100, 100, 39, 12, 5, 2], [0, 0, 0, 0, 12, 15, 14], 308960, 23267),
+     [100, 39, 12, 5, 2], [0, 0, 12, 15, 14], 302876, 21153),
     ("gnm", "random",
-     [120, 120, 120, 52, 23, 7, 2], [0, 0, 0, 0, 23, 19, 10], 576957, 316512),
+     [120, 52, 23, 7, 2], [0, 0, 23, 19, 10], 546385, 260335),
 ]
 
 
@@ -269,8 +271,8 @@ def test_det_apsp_counters_pinned(graph, order, opens, moving, increases, ops):
     trees = {}  # every tree that ever lived, kept alive so ids stay unique
 
     def collect():
-        for layer in idx.layers:
-            for tree in layer.mc._trees:
+        for mc in [idx.patch] + [layer.mc for layer in idx.layers]:
+            for tree in mc._trees:
                 trees[id(tree)] = tree
     collect()
     for u, v in trace:
@@ -319,8 +321,11 @@ def test_det_apsp_layer_parameters():
     idx = ApspIndexDet(g, 0.5)
     for q_p, Q_p in idx.layer_params:
         assert 1 <= q_p <= Q_p
-    # layers cover scales up to 2^floor(log2 n)
-    assert len(idx.layers) == 6
+    # scales up to 2^floor(log2 n): 0 and 1 have radius 0 and make the
+    # patch, exact up to 2^(1+2); 2 to 5 are covers of radius 1, 2, 4, 8
+    assert idx.patch_range == 8
+    assert idx.layer_params == [(1, 16), (2, 32), (4, 64), (8, 128)]
+    assert len(idx.layers) == 4
 
 
 def test_det_apsp_query_basics():
@@ -352,8 +357,62 @@ def test_det_apsp_full_trace_sandwich(data):
             for y in range(n):
                 est = idx.query(x, y)
                 d = truth[x, y]
+                if d <= idx.patch_range:
+                    assert est == d, "the patch is exact"
                 assert est >= d - 1e-9, "underestimate"
                 if np.isfinite(d):
                     assert est <= (1 + eps) * d + 1e-9
                 else:
                     assert est == INF
+
+
+def test_search_layers_matches_reference_search():
+    # the grid peel moves centers in the top three covers, and each move
+    # replaces a tree, so the search must read the new tree's levels
+    g = build_graph(ExperimentConfig("det_apsp", generator="grid:10:10"))
+    trace = generate_trace(g, "adversarial-path-peel")
+    idx = ApspIndexDet(g, 0.5)
+    covers = [layer.mc for layer in idx.layers]
+    layered = 0
+    for deletion in [None, *trace]:
+        if deletion is not None:
+            idx.delete(*deletion)
+        for mc in covers:
+            assert all(level is tree.level for level, tree in zip(mc._levels, mc._trees))
+        for x in range(0, 100, 7):
+            for y in range(100):
+                ref = reference_search(idx.layers, x, y)
+                assert search_layers(covers, x, y) == ref
+                patch = idx.patch.distance(x, y)
+                assert idx.query(x, y) == (ref if patch is INF else patch)
+                layered += patch is INF and ref is not INF
+    assert sum(mc.moving_distance for mc in covers) > 0 and layered > 0
+
+
+# sha256 of every answer of ApspIndexDet.query, all n^2 pairs after every
+# deletion, on the full random traces of G(30, 60) seeds 0-2 and the full
+# 6x6 grid peel at eps 0.25, 0.5 and 1.0; recorded with one cover per scale,
+# radius-0 scales included, before the exact patch replaced those
+ANSWERS_SHA256 = "775832118cc35ac1aa2e80dae2901ad8b87b738ca52b83c271a50b98709320d3"
+
+
+def test_det_apsp_answers_pinned():
+    digest = hashlib.sha256()
+    layered = 0
+    for eps in (0.25, 0.5, 1.0):
+        runs = []
+        for seed in range(3):
+            g = gnm_graph(30, 60, seed)
+            runs.append((g, generate_trace(g, "random", seed)))
+        g = build_graph(ExperimentConfig("det_apsp", generator="grid:6:6"))
+        runs.append((g, generate_trace(g, "adversarial-path-peel")))
+        for g, trace in runs:
+            idx = ApspIndexDet(g, eps)
+            for u, v in trace:
+                idx.delete(u, v)
+                answers = [[idx.query(x, y) for y in range(g.n)] for x in range(g.n)]
+                digest.update(repr(answers).encode())
+                layered += sum(idx.patch.distance(x, y) is INF and answers[x][y] is not INF
+                               for x in range(g.n) for y in range(g.n))
+    assert layered > 0  # the covers answer some pairs, not only the patch
+    assert digest.hexdigest() == ANSWERS_SHA256

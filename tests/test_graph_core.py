@@ -10,6 +10,7 @@ from decaps.graph_core import (
     INF,
     DecrementalGraph,
     DeletionTrace,
+    WeightedAdjacency,
     read_edge_list,
     read_trace,
     write_edge_list,
@@ -43,6 +44,27 @@ def test_from_edge_list_errors():
         DecrementalGraph.from_edge_list(3, [(0, 1), (1, 0)])
     with pytest.raises(NodeOutOfRange):
         DecrementalGraph.from_edge_list(3, [(0, 3)])
+
+
+def test_weighted_adjacency_rejects_node_out_of_range():
+    with pytest.raises(NodeOutOfRange):
+        WeightedAdjacency(2, {(0, 5): 1})
+    with pytest.raises(NodeOutOfRange):
+        WeightedAdjacency(2, {(-1, 1): 1})
+
+
+def test_weighted_adjacency_rejects_self_loop():
+    # a stored self-loop would hide from edges() and no event could delete it
+    with pytest.raises(SelfLoop):
+        WeightedAdjacency(3, {(1, 1): 1, (0, 1): 1, (1, 2): 1})
+
+
+def test_weighted_adjacency_rejects_duplicate_edge():
+    # both orientations of one edge: the later weight would silently win
+    with pytest.raises(DuplicateEdge):
+        WeightedAdjacency(2, {(0, 1): 1, (1, 0): 3})
+    h = WeightedAdjacency(3, {(1, 0): 2, (1, 2): 1})
+    assert h.edges() == {(0, 1): 2, (1, 2): 1}
 
 
 def test_delete_edge_fig_distances(fig_graph):

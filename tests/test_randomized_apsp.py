@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decaps import randomized_apsp
 from decaps.emulator import LocallyPerseveringEmulator
 from decaps.errors import (
     EdgeAbsent,
@@ -20,9 +21,9 @@ from decaps.graph_core import INF, DecrementalGraph
 from decaps.monotone_es_tree import MonotoneEsTree
 from decaps.harness import generate_trace, gnm_graph
 from decaps.oracle import bfs_apsp
-from decaps.randomized_apsp import ApspIndexRandom, RandomCenterCover
+from decaps.randomized_apsp import ApspIndexRandom, RandomCenterCover, search_layers
 
-from conftest import fixpoint_levels, random_graph_and_trace
+from conftest import fixpoint_levels, random_graph_and_trace, reference_search
 
 # the engine under test, named in test ids by its repair path: per-node
 # support counters with one-unit raises
@@ -266,23 +267,6 @@ def test_rejected_deletions_change_nothing():
                        [[layer.cover_list(x) for x in range(12)] for layer in fresh.layers])
 
 
-def _reference_layered(idx, x, y):
-    # the layered binary search through the checked public reads
-    lo, hi = 0, len(idx.layers) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        layer = idx.layers[mid]
-        j = layer.find_center(x)
-        if j is None:
-            hi = mid
-            continue
-        if layer.distance(j, x) + layer.distance(j, y) != INF:
-            hi = mid
-        else:
-            lo = mid + 1
-    return idx.layer_estimate(lo, x, y)
-
-
 def _path_index(sampling_constant):
     # on a 400-node path with eps = 1 the top layer's range 529 exceeds the
     # patch range 360, so its centers' trees hold levels past the patch's
@@ -310,9 +294,9 @@ def test_query_matches_reference_search():
         for x in sources:
             uncovered += any(layer.find_center(x) is None for layer in idx.layers)
             for y in range(n):
-                ref = _reference_layered(idx, x, y) if x != y else 0
+                ref = reference_search(idx.layers, x, y) if x != y else 0
                 if x != y:
-                    assert idx._search_layers(x, y) == ref
+                    assert search_layers(idx.layers, x, y) == ref
                 patch = idx.trees[x].level_query(y)
                 patch = patch if patch <= idx.patch_bound else INF
                 assert idx.query_1eps2(x, y) == min(patch, ref)
@@ -330,7 +314,7 @@ def test_patch_reads_through_its_own_bound(monkeypatch):
     em = idx.emulator
     deep = [x for x, tree in enumerate(idx.trees) if tree.Q > idx.patch_range]
     own = {x: MonotoneEsTree(em.h, x, idx.patch_range, 1, 2, em.tau) for x in deep}
-    monkeypatch.setattr(ApspIndexRandom, "_search_layers", lambda self, x, y: INF)
+    monkeypatch.setattr(randomized_apsp, "search_layers", lambda layers, x, y: INF)
     past_patch = 0
     for deletion in [None, (398, 399), (0, 1), (359, 360)]:
         if deletion is not None:
