@@ -18,6 +18,12 @@ Three pieces:
   patch. The public eps is halved internally so queries satisfy
   dist <= answer <= (1+eps)*dist.
 
+Construction runs one BFS from every root at once
+(``graph_core.RootDistances``) on the graph as it stands, and sets
+every tree it builds, the patch's n trees and each cover's greedy opens,
+from its root's row: the levels, the support counts and the cover lists.
+Opens and moves after a deletion search from their root.
+
 A deletion costs work in proportion to what it changes, not to n:
 
 * The candidate center is looked up in u's cover list only. A ball has
@@ -56,7 +62,7 @@ from .errors import (
     UnknownCenter,
 )
 from .es_tree import EsTree
-from .graph_core import DecrementalGraph
+from .graph_core import DecrementalGraph, RootDistances
 from .randomized_apsp import search_layers
 
 
@@ -68,9 +74,16 @@ class MovingCenters:
     the head of that list in O(1); distance queries read tree levels in O(1).
     ``_levels[j]`` is the level list of center j's current tree and ``bound``
     (= Q) its depth bound, the reads ``search_layers`` makes.
+
+    ``rows``, the distances from every root at g's current version
+    (``graph_core.RootDistances``), sets the trees opened while g stays
+    at that version from their roots' rows; once g changes, every tree opened
+    or moved searches from its root. The owner sets ``_rows`` to None once it
+    has opened what it builds with them, which frees them.
     """
 
-    def __init__(self, g: DecrementalGraph, cover_radius: int, Q: int):
+    def __init__(self, g: DecrementalGraph, cover_radius: int, Q: int,
+                 rows: RootDistances | None = None):
         if Q < 1 or cover_radius < 0 or cover_radius > Q:
             raise InvalidRange(
                 f"need 0 <= cover_radius <= Q and Q >= 1, got {cover_radius}, {Q}")
@@ -88,6 +101,7 @@ class MovingCenters:
         # work of the trees that move retired
         self._retired_increases = 0
         self._retired_ops = 0
+        self._rows = rows
 
     def _check_center(self, j: int) -> None:
         if not 0 <= j < len(self.location):
@@ -98,21 +112,29 @@ class MovingCenters:
         if not 0 <= x < self.g.n:
             raise NodeOutOfRange(f"node {x} not in [0, {self.g.n})")
         j = len(self.location)
-        tree = EsTree(self.g, x, self.Q)
+        tree = self._new_tree(j, x)
         self.location.append(x)
         self._trees.append(tree)
         self._levels.append(tree.level)
         self.opens += 1
         self._round_ops.add(j)
-        self._add_cover(j, tree)
         return j
 
-    def _add_cover(self, j: int, tree: EsTree) -> None:
+    def _new_tree(self, j: int, x: int) -> EsTree:
+        """Center j's tree at x; adds j to the cover lists of its ball."""
+        rows = self._rows
+        if rows is not None and rows.version != self.g.version:
+            rows = self._rows = None  # the graph changed since the search
+        tree = EsTree(self.g, x, self.Q, rows)
         rho = self.cover_radius
+        if rows is not None:
+            ball = rows.within(x, rho)
+        else:
+            ball = [y for y, ly in enumerate(tree.level) if ly <= rho]  # INF never is
         cover = self._cover
-        for y, ly in enumerate(tree.level):
-            if ly <= rho:  # INF never is
-                cover[y][j] = True
+        for y in ball:
+            cover[y][j] = True
+        return tree
 
     def move(self, j: int, x: int, distance) -> list[int]:
         """Relocate center j to x, rebuilding its tree from scratch.
@@ -137,10 +159,8 @@ class MovingCenters:
         old = self._trees[j]
         self._retired_increases += old.level_increases
         self._retired_ops += old.ops
-        tree = EsTree(self.g, x, self.Q)
-        self._trees[j] = tree
+        tree = self._trees[j] = self._new_tree(j, x)
         self._levels[j] = tree.level
-        self._add_cover(j, tree)
         return popped
 
     def begin_deletion(self) -> None:
@@ -215,20 +235,23 @@ class DetCenterCover:
 
     Centers open more than q apart, so balls of integer radius at most
     q // 2 around them are disjoint, and every ball lies inside its center's
-    cover lists, which the candidate lookup needs.
+    cover lists, which the candidate lookup needs. ``rows``, if given, sets
+    the trees of the construction's greedy pass (see ``MovingCenters``).
     """
 
-    def __init__(self, g: DecrementalGraph, q: int, Q: int):
+    def __init__(self, g: DecrementalGraph, q: int, Q: int,
+                 rows: RootDistances | None = None):
         if not 1 <= q <= Q:
             raise InvalidRange(f"need 1 <= q <= Q, got q={q}, Q={Q}")
         self.g = g
         self.q = q
         self.Q = Q
-        self.mc = MovingCenters(g, q, Q)
+        self.mc = MovingCenters(g, q, Q, rows)
         self.collected: list[set[int]] = []   # T^j
         self.radius2: list[int] = []          # 2 * r^j, exact in half-units
         self._skip_small: list[bool] = [False] * g.n
         self._greedy_open(range(g.n))
+        self.mc._rows = None
 
     # -- Alg. 3 --------------------------------------------------------------
 
@@ -357,6 +380,8 @@ class ApspIndexDet:
         # scale 0 has radius 0 (eps_internal <= 1/2); n <= 1 has no scale
         self.patch_range = 4
         n = g.n
+        # every tree built here is set from one BFS from every root at once
+        rows = RootDistances(g)
         max_p = max(0, (n - 1).bit_length() - 1) if n > 1 else -1
         for p in range(max_p + 1):
             q_p = math.floor(self.eps_internal * (1 << p))
@@ -367,10 +392,11 @@ class ApspIndexDet:
                 self.patch_range = Q_p
                 continue
             self.layer_params.append((q_p, Q_p))
-            self.layers.append(DetCenterCover(g, q_p, Q_p))
-        self.patch = MovingCenters(g, 0, self.patch_range)
+            self.layers.append(DetCenterCover(g, q_p, Q_p, rows))
+        self.patch = MovingCenters(g, 0, self.patch_range, rows)
         for x in range(n):
             self.patch.open(x)
+        self.patch._rows = None
         self._covers = [layer.mc for layer in self.layers]
 
     def delete(self, u: int, v: int) -> None:

@@ -59,6 +59,8 @@ class FullyDynamicApsp:
         if self.index is not None:
             self._retired_increases += self.index.level_increases
             self._retired_ops += self.index.ops
+            # free the old phase before building the next
+            self.index = self._base = None
         self._base = DecrementalGraph.from_edge_list(self.n, self._true_edges())
         self.index = ApspIndexDet(self._base, self.eps)
         self.insertion_centers: dict[int, bool] = {}

@@ -7,13 +7,19 @@ engine reads either: ``DecrementalGraph`` stores weight 1 on every edge, and
 has_edge (needed by the (2+eps, 0) query wrapper) is a constant-time
 membership test. ``WeightedAdjacency`` is the weighted graph that update
 events act on: the emulator owns one, and every monotone tree reads it.
+``RootDistances`` holds a BFS from every root at once, at one version of a
+``DecrementalGraph``: the deterministic index sets the exact trees it builds
+at construction from its rows.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import chain
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import (
     DuplicateEdge,
@@ -218,6 +224,95 @@ class DecrementalGraph:
     def apply_trace(self, trace: "DeletionTrace") -> None:
         for u, v in trace:
             self.delete_edge(u, v)
+
+
+_SLAB = 1 << 15   # matrix entries one scan step reads
+_CHUNK = 1 << 10  # frontier pairs one expansion step reads
+
+
+class RootDistances:
+    """Distances from every root of a ``DecrementalGraph``, at one version.
+
+    ``dist[r, y]`` is the distance from r to y, or ``unreached`` if y is not
+    in r's component: int16 below 32,767 nodes, so an n-node matrix takes
+    2 n^2 bytes. ``unreached`` is the dtype's largest value, above every
+    distance; ``levels`` and ``within`` cut at unreached - 1 at most, so no
+    depth bound, n or more included, gives an unreached node a finite level.
+
+    The search is level-synchronous over all (root, node) pairs: level k is
+    found by scanning the matrix for k in slabs of ``_SLAB`` entries, and the
+    pairs found expand ``_CHUNK`` at a time through the neighbour arrays,
+    writing k + 1 straight into every unreached entry they touch. No array
+    but the matrix spans all pairs: the temporaries grow with ``_SLAB`` and
+    with ``_CHUNK`` times the degree, not with n^2.
+    """
+
+    __slots__ = ("graph", "version", "dist", "unreached", "src", "dst")
+
+    def __init__(self, g: DecrementalGraph):
+        n = g.n
+        adj = g._adj
+        # int32 positions while every flat index fits, to halve the temporaries
+        ix = np.int32 if n * n < 2 ** 31 else np.int64
+        deg = np.fromiter(map(len, adj), ix, count=n)
+        self.graph = g
+        self.version = g.version
+        # edge i runs from src[i] to dst[i]; the edges out of y are
+        # dst[start[y]:start[y + 1]]
+        start = np.zeros(n + 1, ix)
+        np.cumsum(deg, out=start[1:])
+        self.dst = dst = np.fromiter(chain.from_iterable(adj), ix, count=int(start[-1]))
+        self.src = np.repeat(np.arange(n, dtype=ix), deg)
+        dtype = np.int16 if n < np.iinfo(np.int16).max else np.int32
+        self.unreached = unreached = int(np.iinfo(dtype).max)
+        self.dist = dist = np.full((n, n), unreached, dtype)
+        flat = dist.reshape(-1)
+        flat[::n + 1] = 0
+        k = 0
+        while True:
+            found = False
+            for lo in range(0, n * n, _SLAB):
+                at = np.flatnonzero(flat[lo:lo + _SLAB] == k).astype(ix)
+                if not at.size:
+                    continue
+                found = True
+                at += lo
+                for c in range(0, at.size, _CHUNK):
+                    r, y = np.divmod(at[c:c + _CHUNK], n)
+                    d = deg[y]
+                    ends = np.cumsum(d)
+                    if not ends[-1]:
+                        continue
+                    # the neighbours of y, each paired with the pair's row
+                    pos = np.repeat(start[y] - (ends - d), d)
+                    pos += np.arange(ends[-1], dtype=ix)
+                    cand = dst[pos]
+                    del pos
+                    cand += np.repeat(r * n, d)
+                    cand = cand[flat[cand] == unreached]
+                    flat[cand] = k + 1
+            if not found:
+                return
+            k += 1
+
+    def levels(self, root: int, bound: int) -> tuple[list, list[int]]:
+        """Exact-tree state of ``root`` cut at ``bound``: the levels (ints,
+        INF past the bound or out of reach) and, per node, the number of
+        neighbours one level lower (0 past the bound)."""
+        row = self.dist[root]
+        past = row > min(bound, self.unreached - 1)
+        level = row.tolist()
+        for y in np.flatnonzero(past).tolist():
+            level[y] = INF
+        # unreached - 1 is no distance, so an unreached node counts nothing
+        support = np.bincount(self.src[row[self.src] - 1 == row[self.dst]],
+                              minlength=len(row))
+        support[past] = 0
+        return level, support.tolist()
+
+    def within(self, root: int, radius: int) -> list[int]:
+        """The nodes at distance at most ``radius`` from ``root``, ascending."""
+        return np.flatnonzero(self.dist[root] <= min(radius, self.unreached - 1)).tolist()
 
 
 def _check_weight(w) -> None:

@@ -74,9 +74,12 @@ drop costs none.
 Every weight is an integer of at least 1 (``WeightedAdjacency`` rejects
 others). Levels start from a bucket (Dial) search over those weights, which
 on unit weights is a BFS and counts every node's supports in the same pass:
-c(u) = |{v : level(v) + w(u, v) <= level(u)}|. The repair raises a node
-without support by one unit at a time. ``parent`` scans the node's
-adjacency, O(deg).
+c(u) = |{v : level(v) + w(u, v) <= level(u)}|. An exact tree may instead
+be set from its root's row of a BFS from every root at once
+(``RootDistances.levels``): on unit weights c(u) counts the neighbours one
+level lower, so the row gives the same levels and counts. The repair
+raises a node without support by one unit at a time. ``parent`` scans the
+node's adjacency, O(deg).
 """
 
 from __future__ import annotations
@@ -104,7 +107,10 @@ class MonotoneEsTree:
         self._setup(h.adj, root, Q, alpha, beta, tau)
 
     def _setup(self, adj: list[dict[int, int]], root: int, Q: int, alpha: int,
-               beta: int, tau: int) -> None:
+               beta: int, tau: int, rows=None) -> None:
+        """Check the parameters and set the initial levels: from the root's
+        row of ``rows`` (a ``RootDistances`` of the unit-weight graph
+        ``adj``) when given, else by the bucket search."""
         n = len(adj)
         if not 0 <= root < n:
             raise NodeOutOfRange(f"root {root} not in [0, {n})")
@@ -122,7 +128,10 @@ class MonotoneEsTree:
         self.level_increases = 0
         self.ops = 0
         self._adj = adj  # shared with every tree on the graph; read only
-        self._init_levels()
+        if rows is None:
+            self._init_levels()
+        else:
+            self.level, self._count = rows.levels(root, self.bound)
 
     # -- initialization ----------------------------------------------------
 

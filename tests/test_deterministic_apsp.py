@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,3 +417,17 @@ def test_det_apsp_answers_pinned():
                                for x in range(g.n) for y in range(g.n))
     assert layered > 0  # the covers answer some pairs, not only the patch
     assert digest.hexdigest() == ANSWERS_SHA256
+
+
+def test_build_temporaries_stay_small():
+    # the all-roots BFS behind the build keeps no temporary that spans all
+    # (root, node) pairs: only its int16 matrix (0.3 MiB here) does
+    g = gnm_graph(400, 1600, 1)
+    tracemalloc.start()
+    try:
+        index = ApspIndexDet(g, 0.5)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.patch.opens == 400
+    assert peak - size < 1 << 20

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decaps.errors import NodeOutOfRange, NonIncreasingWeight, UnknownEdge
+from decaps.errors import InvalidParameters, NodeOutOfRange, NonIncreasingWeight, UnknownEdge
 from decaps.es_tree import EsTree
 from decaps.graph_core import (
     DELETE,
     INCREASE,
     INF,
     DecrementalGraph,
+    RootDistances,
     UpdateEvent,
     WeightedAdjacency,
 )
@@ -178,3 +179,51 @@ def test_monotonicity_and_work_bound(data):
                    - min(Q, init_levels[x] if init_levels[x] is not INF else Q))
         for x in range(n))
     assert t.ops <= charge_bound + 2 * len(order)
+
+
+def components_graph(rng: random.Random, n: int) -> DecrementalGraph:
+    """Random edges inside a random split of the nodes into groups, so the
+    graph has several components, often isolated nodes among them."""
+    groups = [[] for _ in range(rng.randint(1, max(1, n // 3)))]
+    for x in range(n):
+        rng.choice(groups).append(x)
+    edges = []
+    for group in groups:
+        pairs = [(u, v) for i, u in enumerate(group) for v in group[i + 1:]]
+        edges += rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * len(group))))
+    return DecrementalGraph.from_edge_list(n, sorted(edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tree_set_from_row_equals_searched_tree(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(1, 40))
+    g = components_graph(rng, n)
+    rows = RootDistances(g)
+    root = data.draw(st.integers(0, n - 1))
+    # depth bounds below, at and above n
+    depth = data.draw(st.sampled_from([1, 2, max(1, n - 1), n, n + 1, 3 * n]))
+    from_row = EsTree(g, root, depth, rows)
+    searched = EsTree(g, root, depth)
+    for a, b in zip(from_row.level, searched.level):
+        assert a is INF if b is INF else type(a) is int and a == b
+    assert from_row._count == searched._count
+    order = g.edges()
+    rng.shuffle(order)
+    for u, v in order[:data.draw(st.integers(0, 6))]:
+        g.delete_edge(u, v)
+        cut = g.split_side(u, v) if data.draw(st.booleans()) else None
+        assert from_row.after_delete(u, v, cut) == searched.after_delete(u, v, cut)
+        assert from_row.levels() == searched.levels()
+
+
+def test_tree_rejects_rows_of_another_graph_or_version(fig_graph):
+    rows = RootDistances(fig_graph)
+    with pytest.raises(InvalidParameters):
+        EsTree(fig_graph.copy(), 0, 3, rows)
+    with pytest.raises(NodeOutOfRange):
+        EsTree(fig_graph, -1, 3, rows)
+    fig_graph.delete_edge(0, 1)
+    with pytest.raises(InvalidParameters):
+        EsTree(fig_graph, 0, 3, rows)

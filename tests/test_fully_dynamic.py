@@ -1,5 +1,6 @@
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from decaps.errors import (
     InvalidPhaseLength,
     NodeOutOfRange,
 )
+from decaps import fully_dynamic
 from decaps.fully_dynamic import FullyDynamicApsp
 from decaps.graph_core import INF, DecrementalGraph
-from decaps.harness import gnm_graph
+from decaps.harness import generate_mixed_updates, gnm_graph
 from decaps.oracle import bfs_apsp
 
 from conftest import det_state, random_graph_and_trace
@@ -156,6 +158,42 @@ def test_phase_isolation_matches_standalone_index():
         for x in range(14):
             for y in range(14):
                 assert fd.index.query(x, y) == standalone.query(x, y)
+
+
+def apply_update(fd, update) -> None:
+    if update[0] == "insert_star":
+        fd.insert_star(update[1], update[2])
+    else:
+        fd.delete_set(update[1])
+
+
+def test_work_counters_sum_the_phases():
+    g = gnm_graph(36, 90, 3)
+    fd = FullyDynamicApsp(g, 0.5, t=3)
+    phases = [fd.index]
+    for update in generate_mixed_updates(g, 20, seed=3):
+        apply_update(fd, update)
+        if fd.index is not phases[-1]:
+            phases.append(fd.index)
+    assert len(phases) == 7
+    assert fd.level_increases == sum(index.level_increases for index in phases) > 0
+    assert fd.ops == sum(index.ops for index in phases) > 0
+
+
+def test_phase_change_frees_the_old_index_before_the_rebuild(monkeypatch):
+    g = gnm_graph(36, 90, 3)
+    fd = FullyDynamicApsp(g, 0.5, t=2)
+    old = weakref.ref(fd.index)
+    alive = []
+
+    def build(base, eps):
+        alive.append(old() is not None)
+        return ApspIndexDet(base, eps)
+
+    monkeypatch.setattr(fully_dynamic, "ApspIndexDet", build)
+    for update in generate_mixed_updates(g, 2, seed=3):
+        apply_update(fd, update)
+    assert alive == [False]
 
 
 def test_query_identity_and_empty_insertions():
