@@ -18,11 +18,17 @@ Three pieces:
   patch. The public eps is halved internally so queries satisfy
   dist <= answer <= (1+eps)*dist.
 
-Construction runs one BFS from every root at once
-(``graph_core.RootDistances``) on the graph as it stands, and sets
-every tree it builds, the patch's n trees and each cover's greedy opens,
-from its root's row: the levels, the support counts and the cover lists.
-Opens and moves after a deletion search from their root.
+Construction is block-major (``graph_core.RootDistances``): it runs one
+BFS from a block of roots at once on the graph as it stands, in ascending
+blocks, and over each block the patch opens the block's roots and every
+cover runs its greedy pass over the block's nodes, registering each open's
+ball from its row at once. That gives the opens of one pass over all nodes:
+covers open in ascending node order, and the decision at x reads only the
+cover lists of centers opened at smaller nodes. The trees of the block's
+opens are then set in one vectorised call per cover, and one for the patch,
+from their roots' rows: the levels and the support counts. Only one block
+of rows is held at a time. Opens and moves after a deletion search from
+their root.
 
 A deletion costs work in proportion to what it changes, not to n:
 
@@ -40,7 +46,8 @@ A deletion costs work in proportion to what it changes, not to n:
   scan would.
 * A tree is repaired only when u and v sit on adjacent levels; otherwise
   the deleted edge supported neither endpoint and the repair would change
-  no level.
+  no level. Without a cut, a tree where the higher endpoint keeps another
+  support only loses one from its count, and is not called either.
 * One split search per deletion (``DecrementalGraph.split_side``), shared by
   every layer, scans at most about 8 * ceil(sqrt(n)) nodes. When it finds
   the side the deletion cut off, every tree drops its root-less side in one
@@ -75,15 +82,13 @@ class MovingCenters:
     ``_levels[j]`` is the level list of center j's current tree and ``bound``
     (= Q) its depth bound, the reads ``search_layers`` makes.
 
-    ``rows``, the distances from every root at g's current version
-    (``graph_core.RootDistances``), sets the trees opened while g stays
-    at that version from their roots' rows; once g changes, every tree opened
-    or moved searches from its root. The owner sets ``_rows`` to None once it
-    has opened what it builds with them, which frees them.
+    ``open`` and ``move`` search from the root. A build opens with
+    ``_register`` instead, the ball read off a ``RootDistances`` block, and
+    sets the trees of every center registered since in one ``_set_trees``
+    call from the same block.
     """
 
-    def __init__(self, g: DecrementalGraph, cover_radius: int, Q: int,
-                 rows: RootDistances | None = None):
+    def __init__(self, g: DecrementalGraph, cover_radius: int, Q: int):
         if Q < 1 or cover_radius < 0 or cover_radius > Q:
             raise InvalidRange(
                 f"need 0 <= cover_radius <= Q and Q >= 1, got {cover_radius}, {Q}")
@@ -101,7 +106,6 @@ class MovingCenters:
         # work of the trees that move retired
         self._retired_increases = 0
         self._retired_ops = 0
-        self._rows = rows
 
     def _check_center(self, j: int) -> None:
         if not 0 <= j < len(self.location):
@@ -111,30 +115,37 @@ class MovingCenters:
         """Open a new center at x; returns its id."""
         if not 0 <= x < self.g.n:
             raise NodeOutOfRange(f"node {x} not in [0, {self.g.n})")
-        j = len(self.location)
-        tree = self._new_tree(j, x)
-        self.location.append(x)
+        tree = EsTree(self.g, x, self.Q)
+        j = self._register(x, self._ball(tree))
         self._trees.append(tree)
         self._levels.append(tree.level)
+        return j
+
+    def _ball(self, tree: EsTree) -> list[int]:
+        rho = self.cover_radius
+        return [y for y, ly in enumerate(tree.level) if ly <= rho]  # INF never is
+
+    def _register(self, x: int, ball) -> int:
+        """A new center at x whose ball is ``ball``: its id, in the cover
+        lists of the ball; its tree is set by ``open`` or ``_set_trees``."""
+        j = len(self.location)
+        self.location.append(x)
+        cover = self._cover
+        for y in ball:
+            cover[y][j] = True
         self.opens += 1
         self._round_ops.add(j)
         return j
 
-    def _new_tree(self, j: int, x: int) -> EsTree:
-        """Center j's tree at x; adds j to the cover lists of its ball."""
-        rows = self._rows
-        if rows is not None and rows.version != self.g.version:
-            rows = self._rows = None  # the graph changed since the search
-        tree = EsTree(self.g, x, self.Q, rows)
-        rho = self.cover_radius
-        if rows is not None:
-            ball = rows.within(x, rho)
-        else:
-            ball = [y for y, ly in enumerate(tree.level) if ly <= rho]  # INF never is
-        cover = self._cover
-        for y in ball:
-            cover[y][j] = True
-        return tree
+    def _set_trees(self, rows: RootDistances) -> None:
+        """Set the trees of the centers registered since the last call, in
+        one vectorised pass over their rows in the current block of ``rows``."""
+        g, Q = self.g, self.Q
+        roots = self.location[len(self._trees):]
+        for x, start in zip(roots, rows.starts(roots, Q)):
+            tree = EsTree(g, x, Q, start)
+            self._trees.append(tree)
+            self._levels.append(tree.level)
 
     def move(self, j: int, x: int, distance) -> list[int]:
         """Relocate center j to x, rebuilding its tree from scratch.
@@ -150,8 +161,7 @@ class MovingCenters:
             raise RateViolation(
                 f"center {j} already opened or moved since the last deletion")
         self._round_ops.add(j)
-        rho = self.cover_radius
-        popped = [y for y, ly in enumerate(self._trees[j].level) if ly <= rho]
+        popped = self._ball(self._trees[j])
         for y in popped:
             self._cover[y].pop(j, None)
         self.moving_distance += distance
@@ -159,7 +169,10 @@ class MovingCenters:
         old = self._trees[j]
         self._retired_increases += old.level_increases
         self._retired_ops += old.ops
-        tree = self._trees[j] = self._new_tree(j, x)
+        tree = self._trees[j] = EsTree(self.g, x, self.Q)
+        cover = self._cover
+        for y in self._ball(tree):
+            cover[y][j] = True
         self._levels[j] = tree.level
         return popped
 
@@ -182,6 +195,9 @@ class MovingCenters:
         adjacent levels, the one case where the edge supported an endpoint:
         a tree with a finite node on the side without its root reached that
         side through (u, v), so u and v sit on adjacent levels there too.
+        Without a cut, a tree whose higher endpoint keeps another support
+        is not called either: its repair would only count that endpoint's
+        support down, raise nothing and cost no op, so the count drops here.
         Every node a tree raises or drops sat at least as high as the
         endpoint that leaned on (u, v), so only a tree where that endpoint
         sat within the cover radius can pop a node.
@@ -195,6 +211,12 @@ class MovingCenters:
             # INF on either side gives inf or nan here, never +-1
             if lu - lv not in (1, -1):
                 continue
+            if cut is None:
+                count = tree._count
+                hi = u if lu > lv else v
+                if count[hi] > 1:
+                    count[hi] -= 1
+                    continue
             raised = tree.after_delete(u, v, cut)
             if lu <= rho and lv <= rho:
                 for x in raised:
@@ -235,8 +257,10 @@ class DetCenterCover:
 
     Centers open more than q apart, so balls of integer radius at most
     q // 2 around them are disjoint, and every ball lies inside its center's
-    cover lists, which the candidate lookup needs. ``rows``, if given, sets
-    the trees of the construction's greedy pass (see ``MovingCenters``).
+    cover lists, which the candidate lookup needs. The construction's greedy
+    pass runs block by block over a ``RootDistances``: without ``rows`` the
+    cover sweeps its own; with it, the owner sweeps ``rows.blocks()`` and
+    calls ``_build_block`` on each block.
     """
 
     def __init__(self, g: DecrementalGraph, q: int, Q: int,
@@ -246,19 +270,30 @@ class DetCenterCover:
         self.g = g
         self.q = q
         self.Q = Q
-        self.mc = MovingCenters(g, q, Q, rows)
+        self.mc = MovingCenters(g, q, Q)
         self.collected: list[set[int]] = []   # T^j
         self.radius2: list[int] = []          # 2 * r^j, exact in half-units
         self._skip_small: list[bool] = [False] * g.n
-        self._greedy_open(range(g.n))
-        self.mc._rows = None
+        if rows is None:
+            rows = RootDistances(g)
+            for block in rows.blocks():
+                self._build_block(block, rows)
+
+    def _build_block(self, block: range, rows: RootDistances) -> None:
+        """The construction's greedy pass over the nodes of ``block``, the
+        current block of ``rows``; every earlier block must have had its
+        pass. Each open registers its ball from its row at once, and the
+        block's opens get their trees in one ``_set_trees`` call."""
+        self._greedy_open(block, rows)
+        self.mc._set_trees(rows)
 
     # -- Alg. 3 --------------------------------------------------------------
 
-    def _greedy_open(self, nodes) -> None:
+    def _greedy_open(self, nodes, rows: RootDistances | None = None) -> None:
         """Open a center at each uncovered node whose component has >= q nodes.
 
-        Visits ``nodes`` in ascending id order.
+        Visits ``nodes`` in ascending id order. With ``rows`` (a build), the
+        nodes lie in its current block and each open only registers.
         """
         mc = self.mc
         cover = mc._cover
@@ -274,7 +309,7 @@ class DetCenterCover:
                 for y in comp:
                     skip[y] = True
                 continue
-            j = mc.open(x)
+            j = mc.open(x) if rows is None else mc._register(x, rows.within(x, q))
             if j != len(self.collected):
                 raise InvariantViolation(
                     f"opened center id {j}, expected {len(self.collected)}")
@@ -380,7 +415,6 @@ class ApspIndexDet:
         # scale 0 has radius 0 (eps_internal <= 1/2); n <= 1 has no scale
         self.patch_range = 4
         n = g.n
-        # every tree built here is set from one BFS from every root at once
         rows = RootDistances(g)
         max_p = max(0, (n - 1).bit_length() - 1) if n > 1 else -1
         for p in range(max_p + 1):
@@ -393,10 +427,16 @@ class ApspIndexDet:
                 continue
             self.layer_params.append((q_p, Q_p))
             self.layers.append(DetCenterCover(g, q_p, Q_p, rows))
-        self.patch = MovingCenters(g, 0, self.patch_range, rows)
-        for x in range(n):
-            self.patch.open(x)
-        self.patch._rows = None
+        self.patch = MovingCenters(g, 0, self.patch_range)
+        # block-major: over each block the patch opens its roots, then every
+        # cover runs its greedy pass; a block's trees are set in one call per
+        # layer
+        for block in rows.blocks():
+            for x in block:
+                self.patch._register(x, (x,))  # the ball of radius 0
+            self.patch._set_trees(rows)
+            for layer in self.layers:
+                layer._build_block(block, rows)
         self._covers = [layer.mc for layer in self.layers]
 
     def delete(self, u: int, v: int) -> None:

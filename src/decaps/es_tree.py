@@ -5,10 +5,10 @@ On an unweighted graph without insertions the monotone ES-tree is the classic
 tree, so ``EsTree`` is a ``MonotoneEsTree`` on the graph's own adjacency,
 whose weights are all 1, with alpha 1, beta 0 and tau 1: its depth bound is
 ``depth``. A tree starts from a BFS from its root, or, when the owner builds
-many trees at one graph version, from its root's row of one BFS from every
-root at once (``graph_core.RootDistances``): ``ApspIndexDet`` sets
-every tree its construction builds that way, and its later opens and moves
-search. The owner deletes an edge from the graph once and calls
+many trees at one graph version, from a ``TreeStart`` that
+``graph_core.RootDistances`` sets for a block of roots in one vectorised
+pass: ``ApspIndexDet`` builds block by block that way, and its later opens
+and moves search. The owner deletes an edge from the graph once and calls
 ``after_delete`` on every tree, which repairs through one DELETE event.
 Levels, the one-step drop of a cut-off side and the work counters
 (``level_increases``, and ``ops``, which counts neighbour checks) are the
@@ -18,7 +18,7 @@ monotone tree's; ``monotone_es_tree`` shows why they are exact.
 from __future__ import annotations
 
 from .errors import InvalidParameters
-from .graph_core import DELETE, INF, DecrementalGraph, RootDistances
+from .graph_core import DELETE, INF, DecrementalGraph, TreeStart
 from .monotone_es_tree import MonotoneEsTree
 
 __all__ = ["EsTree"]
@@ -26,18 +26,18 @@ __all__ = ["EsTree"]
 
 class EsTree(MonotoneEsTree):
     def __init__(self, graph: DecrementalGraph, root: int, depth: int,
-                 rows: RootDistances | None = None):
+                 start: TreeStart | None = None):
         """Build a tree on a shared unweighted graph.
 
         ``depth`` is the distance range: any node farther than ``depth`` from
-        ``root`` has level infinity; ``bound`` holds it. With ``rows``, the
-        distances from every root at the graph's current version, the tree
-        is set from the root's row instead of searching.
+        ``root`` has level infinity; ``bound`` holds it. With ``start``, the
+        state ``RootDistances.starts`` set for this root and depth at the
+        graph's current version, the tree takes it instead of searching.
         """
-        if rows is not None and (rows.graph is not graph or rows.version != graph.version):
+        if start is not None and (start.graph is not graph or start.version != graph.version):
             raise InvalidParameters(
                 f"the distances are not of this graph at its version {graph.version}")
-        self._setup(graph._adj, root, depth, 1, 0, 1, rows)
+        self._setup(graph._adj, root, depth, 1, 0, 1, start)
 
     def after_delete(self, u: int, v: int, cut=None) -> set[int]:
         """Repair levels after (u, v) was removed from the shared graph.

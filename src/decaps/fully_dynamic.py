@@ -4,11 +4,21 @@ Updates are grouped in phases of t operations. Each phase starts by
 rebuilding a deterministic decremental index from the current graph; within
 the phase, deletions of phase-start edges are forwarded to that index, while
 insertions (stars around a center node) live only in the true graph and in
-the set I of insertion centers. After every update the distances from every
-node of I are recomputed on the true graph, so a query can combine the
-decremental estimate with exact two-leg paths through insertion centers:
+the set I of insertion centers. The exact distances from every node of I on
+the true graph are kept up to date, so a query can combine the decremental
+estimate with exact two-leg paths through insertion centers:
 
     answer(u, w) = min(delta1(u, w), min over x in I of d(u, x) + d(x, w))
+
+After an update, a center's distances are searched again only when the
+update can change them (``_keeps`` tells exactly). Distances d from x are
+the true ones iff d(x) = 0, every edge joins nodes at most 1 apart (or both
+at INF) and every other finite node has a neighbour one lower. An insertion
+only lowers distances and leaves every node its neighbours, so d stays true
+iff every inserted edge joins nodes at most 1 apart or both at INF. A
+deletion only raises them and keeps the edge condition, so d stays true iff
+every finite node still has a neighbour one lower: only the deeper end of a
+deleted edge whose ends sat on adjacent levels may have lost its last one.
 """
 
 from __future__ import annotations
@@ -67,12 +77,37 @@ class FullyDynamicApsp:
         self._center_dist: dict[int, list] = {}
         self.updates_in_phase = 0
 
-    def _after_update(self) -> None:
+    def _after_update(self, edges, inserted: bool) -> None:
+        """Phase bookkeeping after ``edges`` were inserted or deleted."""
         self.updates_in_phase += 1
         if self.updates_in_phase >= self.t:
             self._start_phase()
             return
-        self._center_dist = {x: self._bfs(x) for x in self.insertion_centers}
+        center_dist = self._center_dist
+        for x in self.insertion_centers:
+            dist = center_dist.get(x)
+            if dist is None or not self._keeps(dist, edges, inserted):
+                center_dist[x] = self._bfs(x)
+
+    def _keeps(self, dist: list, edges, inserted: bool) -> bool:
+        """Whether ``dist``, a center's distances before the update, are
+        still its distances in the true graph after it (see the module
+        docstring)."""
+        if inserted:
+            return all(abs(dist[a] - dist[b]) <= 1 or dist[a] is dist[b] is INF
+                       for a, b in edges)
+        adj = self._true_adj
+        for a, b in edges:
+            da, db = dist[a], dist[b]
+            if da == db:
+                continue
+            if da < db:
+                a, da = b, db
+            # a is the deeper end; it keeps its distance with a neighbour
+            # one level lower
+            if not any(dist[c] == da - 1 for c in adj[a]):
+                return False
+        return True
 
     def _bfs(self, root: int) -> list:
         dist = [INF] * self.n
@@ -121,7 +156,7 @@ class FullyDynamicApsp:
             self._true_adj[a].add(b)
             self._true_adj[b].add(a)
         self.insertion_centers[v] = True
-        self._after_update()
+        self._after_update(edges, True)
 
     def delete_set(self, edges) -> None:
         """Delete a set of edges from the true graph (one update)."""
@@ -137,7 +172,7 @@ class FullyDynamicApsp:
             # edges born in this phase never reached the decremental index
             if self._base.has_edge(a, b):
                 self.index.delete(a, b)
-        self._after_update()
+        self._after_update(edges, False)
 
     # -- queries --------------------------------------------------------------
 

@@ -7,9 +7,10 @@ engine reads either: ``DecrementalGraph`` stores weight 1 on every edge, and
 has_edge (needed by the (2+eps, 0) query wrapper) is a constant-time
 membership test. ``WeightedAdjacency`` is the weighted graph that update
 events act on: the emulator owns one, and every monotone tree reads it.
-``RootDistances`` holds a BFS from every root at once, at one version of a
-``DecrementalGraph``: the deterministic index sets the exact trees it builds
-at construction from its rows.
+``RootDistances`` runs a BFS from a block of roots at once, block by block,
+at one version of a ``DecrementalGraph``: the deterministic index sets the
+exact trees it builds at construction from each block's rows, many trees in
+one vectorised pass, and holds one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -89,17 +90,20 @@ class DecrementalGraph:
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DecrementalGraph":
         g = cls(n)
+        adj = g._adj
+        m = 0
         for u, v in edges:
-            g._check_node(u)
-            g._check_node(v)
+            if not (0 <= u < n and 0 <= v < n):
+                g._check_node(u)
+                g._check_node(v)
             if u == v:
                 raise SelfLoop(f"self-loop at node {u}")
-            if v in g._adj[u]:
+            if v in adj[u]:
                 raise DuplicateEdge(f"duplicate edge ({u}, {v})")
-            g._adj[u][v] = 1
-            g._adj[v][u] = 1
-            g._m += 1
-        g.m0 = g._m
+            adj[u][v] = 1
+            adj[v][u] = 1
+            m += 1
+        g._m = g.m0 = m
         return g
 
     def _check_node(self, x: int) -> None:
@@ -228,50 +232,96 @@ class DecrementalGraph:
 
 _SLAB = 1 << 15   # matrix entries one scan step reads
 _CHUNK = 1 << 10  # frontier pairs one expansion step reads
+_BLOCK = 32       # roots one block searches
+
+
+class TreeStart(NamedTuple):
+    """An exact tree's initial state, read off a ``RootDistances`` block:
+    the levels and support counts of ``root``'s tree cut at ``bound``, in
+    ``graph`` at ``version``."""
+
+    graph: "DecrementalGraph"
+    version: int
+    root: int
+    bound: int
+    level: list
+    count: list
 
 
 class RootDistances:
-    """Distances from every root of a ``DecrementalGraph``, at one version.
+    """Distances from the roots of a ``DecrementalGraph``, one block of roots
+    at a time, at one version.
 
-    ``dist[r, y]`` is the distance from r to y, or ``unreached`` if y is not
-    in r's component: int16 below 32,767 nodes, so an n-node matrix takes
-    2 n^2 bytes. ``unreached`` is the dtype's largest value, above every
-    distance; ``levels`` and ``within`` cut at unreached - 1 at most, so no
-    depth bound, n or more included, gives an unreached node a finite level.
+    ``blocks`` searches the roots in ascending blocks of ``_BLOCK``. While a
+    block is current, ``dist[i, y]`` is the distance from its i-th root to y,
+    or ``unreached`` if y is not in that root's component: int16 below 32,767
+    nodes, so a block of b roots takes 2 b n bytes. ``unreached`` is the
+    dtype's largest value, above every distance; ``starts`` and ``within``
+    cut at unreached - 1 at most, so no depth bound, n or more included,
+    gives an unreached node a finite level. ``count[i, y]`` is the number of
+    y's neighbours one level below y from the i-th root: the support count
+    of y in that root's exact tree at any depth bound y's level is within.
 
-    The search is level-synchronous over all (root, node) pairs: level k is
-    found by scanning the matrix for k in slabs of ``_SLAB`` entries, and the
-    pairs found expand ``_CHUNK`` at a time through the neighbour arrays,
-    writing k + 1 straight into every unreached entry they touch. No array
-    but the matrix spans all pairs: the temporaries grow with ``_SLAB`` and
-    with ``_CHUNK`` times the degree, not with n^2.
+    The search is level-synchronous over the block's (root, node) pairs:
+    level k is found by scanning the block for k in slabs of ``_SLAB``
+    entries, and the pairs found expand ``_CHUNK`` at a time through the
+    neighbour arrays, writing k + 1 straight into every unreached entry they
+    touch. The counts compare the two ends of every (root, edge) pair of the
+    block and sum each node's edges. No array spans all n^2 pairs: the
+    temporaries grow with the block, with ``_SLAB`` and with ``_CHUNK``
+    times the degree.
     """
 
-    __slots__ = ("graph", "version", "dist", "unreached", "src", "dst")
+    __slots__ = ("graph", "version", "roots", "dist", "count", "unreached", "_dtype", "_ix",
+                 "_deg", "_start", "_src", "_dst", "_heads", "_has_edges")
 
     def __init__(self, g: DecrementalGraph):
         n = g.n
         adj = g._adj
         # int32 positions while every flat index fits, to halve the temporaries
-        ix = np.int32 if n * n < 2 ** 31 else np.int64
-        deg = np.fromiter(map(len, adj), ix, count=n)
+        self._ix = ix = np.int32 if n * n < 2 ** 31 else np.int64
+        self._deg = deg = np.fromiter(map(len, adj), ix, count=n)
         self.graph = g
         self.version = g.version
         # edge i runs from src[i] to dst[i]; the edges out of y are
         # dst[start[y]:start[y + 1]]
-        start = np.zeros(n + 1, ix)
+        self._start = start = np.zeros(n + 1, ix)
         np.cumsum(deg, out=start[1:])
-        self.dst = dst = np.fromiter(chain.from_iterable(adj), ix, count=int(start[-1]))
-        self.src = np.repeat(np.arange(n, dtype=ix), deg)
-        dtype = np.int16 if n < np.iinfo(np.int16).max else np.int32
-        self.unreached = unreached = int(np.iinfo(dtype).max)
-        self.dist = dist = np.full((n, n), unreached, dtype)
+        self._dst = np.fromiter(chain.from_iterable(adj), ix, count=int(start[-1]))
+        self._src = np.repeat(np.arange(n, dtype=ix), deg)
+        # reduceat gives an empty segment the element at its index, not 0,
+        # and has no index past the last edge: sum only the nodes with edges
+        self._has_edges = deg > 0
+        self._heads = start[:-1][self._has_edges]
+        self._dtype = dtype = np.int16 if n < np.iinfo(np.int16).max else np.int32
+        self.unreached = int(np.iinfo(dtype).max)
+        self.roots = range(0)
+        self.dist = self.count = None
+
+    def blocks(self):
+        """Search the roots in ascending blocks; yields each block's roots (a
+        range) while its distances are current, and frees the last one."""
+        n = self.graph.n
+        for lo in range(0, n, _BLOCK):
+            self.dist = self.count = None  # at most one block at a time
+            self._search(range(lo, min(n, lo + _BLOCK)))
+            yield self.roots
+        self.roots, self.dist, self.count = range(0), None, None
+
+    def _search(self, roots: range) -> None:
+        n = self.graph.n
+        ix = self._ix
+        deg, start, dst = self._deg, self._start, self._dst
+        unreached = self.unreached
+        size = len(roots) * n
+        self.roots = roots
+        self.dist = dist = np.full((len(roots), n), unreached, self._dtype)
+        dist[np.arange(len(roots)), np.arange(roots.start, roots.stop)] = 0
         flat = dist.reshape(-1)
-        flat[::n + 1] = 0
         k = 0
         while True:
             found = False
-            for lo in range(0, n * n, _SLAB):
+            for lo in range(0, size, _SLAB):
                 at = np.flatnonzero(flat[lo:lo + _SLAB] == k).astype(ix)
                 if not at.size:
                     continue
@@ -292,27 +342,46 @@ class RootDistances:
                     cand = cand[flat[cand] == unreached]
                     flat[cand] = k + 1
             if not found:
-                return
+                break
             k += 1
+        # per pair, the neighbours one level lower; unreached - 1 is no
+        # distance, so an unreached node counts nothing
+        lower = dist[:, self._src]
+        lower -= 1
+        hit = lower == dist[:, self._dst]
+        del lower
+        self.count = count = np.zeros(dist.shape, np.int32)
+        if self._heads.size:
+            count[:, self._has_edges] = np.add.reduceat(hit, self._heads, axis=1)
 
-    def levels(self, root: int, bound: int) -> tuple[list, list[int]]:
-        """Exact-tree state of ``root`` cut at ``bound``: the levels (ints,
-        INF past the bound or out of reach) and, per node, the number of
+    def _row(self, root: int) -> int:
+        if root not in self.roots:
+            raise InvalidParameters(f"root {root} is not in the current block {self.roots}")
+        return root - self.roots.start
+
+    def starts(self, roots: list[int], bound: int) -> list[TreeStart]:
+        """The exact trees of ``roots``, all in the current block, cut at
+        ``bound``, set in one vectorised pass: per tree the levels (ints, INF
+        past the bound or out of reach) and, per node, the number of
         neighbours one level lower (0 past the bound)."""
-        row = self.dist[root]
-        past = row > min(bound, self.unreached - 1)
-        level = row.tolist()
-        for y in np.flatnonzero(past).tolist():
-            level[y] = INF
-        # unreached - 1 is no distance, so an unreached node counts nothing
-        support = np.bincount(self.src[row[self.src] - 1 == row[self.dst]],
-                              minlength=len(row))
-        support[past] = 0
-        return level, support.tolist()
+        if not roots:
+            return []
+        at = [self._row(x) for x in roots]
+        rows = self.dist[at]
+        past = rows > min(bound, self.unreached - 1)
+        level = rows.astype(object)
+        level[past] = INF
+        count = self.count[at]
+        count[past] = 0
+        g, version = self.graph, self.version
+        return [TreeStart(g, version, x, bound, lv, c)
+                for x, lv, c in zip(roots, level.tolist(), count.tolist())]
 
     def within(self, root: int, radius: int) -> list[int]:
-        """The nodes at distance at most ``radius`` from ``root``, ascending."""
-        return np.flatnonzero(self.dist[root] <= min(radius, self.unreached - 1)).tolist()
+        """The nodes at distance at most ``radius`` from ``root``, a root of
+        the current block, ascending."""
+        row = self.dist[self._row(root)]
+        return np.flatnonzero(row <= min(radius, self.unreached - 1)).tolist()
 
 
 def _check_weight(w) -> None:

@@ -1,10 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decaps.errors import InvalidParameters, NodeOutOfRange, NonIncreasingWeight, UnknownEdge
+from decaps import graph_core
 from decaps.es_tree import EsTree
 from decaps.graph_core import (
     DELETE,
@@ -199,16 +201,33 @@ def components_graph(rng: random.Random, n: int) -> DecrementalGraph:
 def test_tree_set_from_row_equals_searched_tree(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     n = data.draw(st.integers(1, 40))
+    # isolated nodes at the end too: no edge follows their empty segments
     g = components_graph(rng, n)
-    rows = RootDistances(g)
-    root = data.draw(st.integers(0, n - 1))
+    n += data.draw(st.integers(0, 2))
+    g = DecrementalGraph.from_edge_list(n, g.edges())
+    # blocks of one root, of a few, and of more roots than there are nodes
+    size = data.draw(st.sampled_from([1, 2, 7, n, n + 3]))
     # depth bounds below, at and above n
     depth = data.draw(st.sampled_from([1, 2, max(1, n - 1), n, n + 1, 3 * n]))
-    from_row = EsTree(g, root, depth, rows)
-    searched = EsTree(g, root, depth)
-    for a, b in zip(from_row.level, searched.level):
-        assert a is INF if b is INF else type(a) is int and a == b
-    assert from_row._count == searched._count
+    rows = RootDistances(g)
+    trees = {}
+    with mock.patch.object(graph_core, "_BLOCK", size):
+        for block in rows.blocks():
+            assert len(block) == min(size, n - block.start)
+            roots = [x for x in block if rng.random() < 0.7]
+            for x, start in zip(roots, rows.starts(roots, depth)):
+                trees[x] = from_row = EsTree(g, x, depth, start)
+                searched = EsTree(g, x, depth)
+                for a, b in zip(from_row.level, searched.level):
+                    assert a is INF if b is INF else type(a) is int and a == b
+                assert from_row._count == searched._count
+                assert rows.within(x, depth) == [
+                    y for y, ly in enumerate(searched.level) if ly is not INF]
+    assert rows.dist is None  # the last block is freed
+    if not trees:
+        return
+    root = data.draw(st.sampled_from(sorted(trees)))
+    from_row, searched = trees[root], EsTree(g, root, depth)
     order = g.edges()
     rng.shuffle(order)
     for u, v in order[:data.draw(st.integers(0, 6))]:
@@ -220,10 +239,23 @@ def test_tree_set_from_row_equals_searched_tree(data):
 
 def test_tree_rejects_rows_of_another_graph_or_version(fig_graph):
     rows = RootDistances(fig_graph)
-    with pytest.raises(InvalidParameters):
-        EsTree(fig_graph.copy(), 0, 3, rows)
-    with pytest.raises(NodeOutOfRange):
-        EsTree(fig_graph, -1, 3, rows)
+    with mock.patch.object(graph_core, "_BLOCK", 3):
+        blocks = rows.blocks()
+        next(blocks)
+        start = rows.starts([0], 3)[0]
+        with pytest.raises(InvalidParameters):
+            rows.starts([3], 3)  # a root of another block
+        with pytest.raises(InvalidParameters):
+            EsTree(fig_graph.copy(), 0, 3, start)
+        with pytest.raises(NodeOutOfRange):
+            EsTree(fig_graph, -1, 3, start)
+        with pytest.raises(InvalidParameters):
+            EsTree(fig_graph, 1, 3, start)  # another root
+        with pytest.raises(InvalidParameters):
+            EsTree(fig_graph, 0, 4, start)  # another depth
+        next(blocks)
+        with pytest.raises(InvalidParameters):
+            rows.within(0, 1)  # the block has passed
     fig_graph.delete_edge(0, 1)
     with pytest.raises(InvalidParameters):
-        EsTree(fig_graph, 0, 3, rows)
+        EsTree(fig_graph, 0, 3, start)

@@ -19,7 +19,7 @@ from decaps import fully_dynamic
 from decaps.fully_dynamic import FullyDynamicApsp
 from decaps.graph_core import INF, DecrementalGraph
 from decaps.harness import generate_mixed_updates, gnm_graph
-from decaps.oracle import bfs_apsp
+from decaps.oracle import bfs_apsp, bfs_levels
 
 from conftest import det_state, random_graph_and_trace
 
@@ -240,3 +240,25 @@ def test_mixed_trace_sandwich(data):
                     assert est <= (1 + eps) * d + 1e-9
                 else:
                     assert est == INF
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_center_distances_stay_exact(data):
+    # sparse graphs, so that deletions often take a node's last parent in
+    # some insertion center's BFS tree, and long phases, so that centers
+    # see several updates
+    seed = data.draw(st.integers(0, 10**6))
+    n = data.draw(st.integers(4, 25))
+    g, _ = random_graph_and_trace(random.Random(seed), n, data.draw(st.integers(n // 2, 2 * n)))
+    fd = FullyDynamicApsp(g, 0.5, math.ceil(math.sqrt(n)))
+    present = set(g.edges())
+    for update in generate_mixed_updates(g, 30, seed=seed):
+        apply_update(fd, update)
+        inserted = update[0] == "insert_star"
+        edges = {(min(a, b), max(a, b)) for a, b in update[-1]}
+        present = present | edges if inserted else present - edges
+        truth = DecrementalGraph.from_edge_list(n, sorted(present))
+        assert sorted(fd._center_dist) == sorted(fd.insertion_centers)
+        for x, dist in fd._center_dist.items():
+            assert dist == bfs_levels(truth, x)
