@@ -267,9 +267,9 @@ class RootDistances:
     entries, and the pairs found expand ``_CHUNK`` at a time through the
     neighbour arrays, writing k + 1 straight into every unreached entry they
     touch. The counts compare the two ends of every (root, edge) pair of the
-    block and sum each node's edges. No array spans all n^2 pairs: the
-    temporaries grow with the block, with ``_SLAB`` and with ``_CHUNK``
-    times the degree.
+    block, about ``_SLAB`` pairs at a time, and sum each node's edges. No
+    array spans all n^2 pairs: the temporaries grow with the block, with
+    ``_SLAB`` and with ``_CHUNK`` times the degree.
     """
 
     __slots__ = ("graph", "version", "roots", "dist", "count", "unreached", "_dtype", "_ix",
@@ -346,13 +346,16 @@ class RootDistances:
             k += 1
         # per pair, the neighbours one level lower; unreached - 1 is no
         # distance, so an unreached node counts nothing
-        lower = dist[:, self._src]
-        lower -= 1
-        hit = lower == dist[:, self._dst]
-        del lower
         self.count = count = np.zeros(dist.shape, np.int32)
         if self._heads.size:
-            count[:, self._has_edges] = np.add.reduceat(hit, self._heads, axis=1)
+            step = max(1, _SLAB // len(self._src))  # rows per _SLAB (root, edge) pairs
+            for i in range(0, len(roots), step):
+                part = dist[i:i + step]
+                lower = part[:, self._src]
+                lower -= 1
+                hit = lower == part[:, self._dst]
+                del lower
+                count[i:i + step, self._has_edges] = np.add.reduceat(hit, self._heads, axis=1)
 
     def _row(self, root: int) -> int:
         if root not in self.roots:
