@@ -29,9 +29,8 @@ def main():
 
     for u, v in order[6:]:
         em.on_delete(u, v)
-    edges_ever, updates = em.stats()
-    print(f"after the full trace: edges ever in H = {edges_ever}, "
-          f"total updates = {updates}")
+    print(f"after the full trace: edges ever in H = {em.edges_ever}, "
+          f"total updates = {em.updates_total}")
 
 
 if __name__ == "__main__":

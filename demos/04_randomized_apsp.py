@@ -41,8 +41,8 @@ def main():
             print(f"after {step + 1} deletions: farthest pair ({x},{y}) "
                   f"dist={truth[x, y]:.0f}, estimate={idx.query_1eps2(x, y)}, "
                   f"2eps-wrapper={idx.query_2eps(x, y)}")
-    edges_ever, updates = idx.emulator.stats()
-    print(f"emulator totals: {edges_ever} edges ever, {updates} updates")
+    em = idx.emulator
+    print(f"emulator totals: {em.edges_ever} edges ever, {em.updates_total} updates")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,13 @@ Layer-level opens stay below 2n/q and the total moving distance below n.
 from decaps import ApspIndexDet, DecrementalGraph, DetCenterCover, bfs_apsp
 
 
+def delete(cov, u, v):
+    """Delete (u, v) as ApspIndexDet.delete does for each of its covers: from
+    the graph, then the split search, then the cover's coverage upkeep."""
+    cov.g.delete_edge(u, v)
+    cov.on_deleted(u, v, cov.g.split_side(u, v))
+
+
 def main():
     q = 8
     n = q + 2
@@ -18,11 +25,11 @@ def main():
     print(f"path of {n} nodes with a shortcut; q={q}")
     print(f"initial: {cov.opens} center at node {cov.location(0)}")
 
-    cov.delete(q // 2 - 1, q + 1)
+    delete(cov, q // 2 - 1, q + 1)
     print(f"after cutting the shortcut: {cov.opens} centers "
           f"(new one at {cov.location(1)})")
 
-    cov.delete(q // 4, q // 4 + 1)
+    delete(cov, q // 4, q // 4 + 1)
     print(f"after stranding the head of the path: center 0 moved to "
           f"{cov.location(0)}, collected {sorted(cov.collected[0])}, "
           f"radius now {cov.radius2[0] / 2}")

@@ -180,12 +180,6 @@ class MovingCenters:
         """Open a new open/move accounting window (one per deletion)."""
         self._round_ops = set()
 
-    def delete_edge(self, u: int, v: int) -> None:
-        """Delete (u, v) from the shared graph and repair every tree."""
-        self.begin_deletion()
-        self.g.delete_edge(u, v)
-        self.after_delete(u, v, self.g.split_side(u, v))
-
     def after_delete(self, u: int, v: int, cut=None) -> set[int]:
         """Repair the trees after the shared graph lost (u, v).
 
@@ -315,11 +309,6 @@ class DetCenterCover:
                     f"opened center id {j}, expected {len(self.collected)}")
             self.collected.append(set())
             self.radius2.append(q)  # r^j = q/2
-
-    def delete(self, u: int, v: int) -> None:
-        """Delete (u, v) from the shared graph and restore coverage."""
-        self.g.delete_edge(u, v)
-        self.on_deleted(u, v, self.g.split_side(u, v))
 
     def on_deleted(self, u: int, v: int, cut=None) -> None:
         """Coverage maintenance once the shared graph already lost (u, v).

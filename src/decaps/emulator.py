@@ -55,7 +55,6 @@ class LocallyPerseveringEmulator:
         self.tau = math.ceil(2 / eps)
         self.weight_cap = self.tau + 1
         self.degree_threshold = math.ceil(math.sqrt(g.n)) if g.n else 0
-        self.sampling_constant = sampling_constant
         if hubs is None:
             rng = random.Random(seed)
             p = min(1.0, sampling_constant * math.log(g.n) / math.sqrt(g.n)) if g.n > 1 else 1.0
@@ -99,12 +98,9 @@ class LocallyPerseveringEmulator:
             return 1
         return self._hub_weight.get(pair)
 
-    def stats(self) -> tuple[int, int]:
-        """(number of edges ever contained in H, total number of updates)."""
-        return len(self._pairs_ever), self.updates_total
-
     @property
     def edges_ever(self) -> int:
+        """Number of edges ever contained in H."""
         return len(self._pairs_ever)
 
     # -- updates -------------------------------------------------------------

@@ -129,9 +129,6 @@ class DecrementalGraph:
         self._check_node(u)
         return self._adj[u].keys()
 
-    def neighbors_sorted(self, u: int) -> list[int]:
-        return sorted(self.neighbors(u))
-
     def delete_edge(self, u: int, v: int) -> None:
         self._check_node(u)
         self._check_node(v)
@@ -208,9 +205,6 @@ class DecrementalGraph:
             elif len(sides) == 2:
                 i = 1 - i
 
-    def component_size(self, x: int) -> int:
-        return len(self.component_of(x))
-
     def edges(self) -> list[tuple[int, int]]:
         """Current edges as sorted (u, v) pairs with u < v."""
         out = []
@@ -224,10 +218,6 @@ class DecrementalGraph:
     def copy(self) -> "DecrementalGraph":
         """Independent snapshot at the current version (version resets to 0)."""
         return DecrementalGraph.from_edge_list(self.n, self.edges())
-
-    def apply_trace(self, trace: "DeletionTrace") -> None:
-        for u, v in trace:
-            self.delete_edge(u, v)
 
 
 _SLAB = 1 << 15   # matrix entries one scan step reads
@@ -490,9 +480,6 @@ class DeletionTrace:
 
     def __getitem__(self, i):
         return self.pairs[i]
-
-    def prefix(self, k: int) -> "DeletionTrace":
-        return DeletionTrace(self.pairs[:k])
 
 
 # --- file formats ----------------------------------------------------------

@@ -7,7 +7,8 @@ Exposed as a CLI with three subcommands::
     decaps run   --algo det_apsp --graph g.txt --trace t.txt --eps 0.5 ...
     decaps audit ...   (run with audit forced to full-invariants)
 
-Exit codes: 0 pass, 2 audit failure (a replay bundle is dumped), 3 config
+Exit codes: 0 pass, 2 audit failure (a replay bundle is dumped; a stretch
+audit runs ``oracle.check_stretch`` and names the failing pair), 3 config
 error. Identical configs produce byte-identical CSV output.
 """
 
@@ -36,7 +37,7 @@ from .graph_core import (
     write_edge_list,
     write_trace,
 )
-from .oracle import NumpyBfsOracle, check_locally_persevering
+from .oracle import NumpyBfsOracle, check_locally_persevering, check_stretch
 from .randomized_apsp import ApspIndexRandom
 
 CSV_SCHEMA = "#schema=1"
@@ -45,6 +46,7 @@ CSV_HEADER = ("version,algorithm,audit_pass,level_increases,heap_ops,"
 
 AUDIT_LEVELS = ("none", "stretch", "full")
 FULL_AUDIT_NODE_CAP = 64
+SLACK = 1e-9  # added to beta, so that rounding in alpha * d fails no answer at the bound
 DEF8_NODE_CAP = 12
 
 
@@ -75,6 +77,8 @@ class ExperimentConfig:
             raise ConfigInvalid("exactly one of --graph, --gnm, --path/--grid required")
         if not 0 < self.eps <= 1:
             raise ConfigInvalid(f"eps must be in (0, 1], got {self.eps}")
+        if self.updates < 0:
+            raise ConfigInvalid(f"updates must be at least 0, got {self.updates}")
 
 
 def build_graph(cfg: ExperimentConfig) -> DecrementalGraph:
@@ -141,7 +145,7 @@ def generate_trace(g: DecrementalGraph, order: str = "random", seed=0,
         while frontier:
             nxt = []
             for y in frontier:
-                for z in work.neighbors_sorted(y):
+                for z in sorted(work.neighbors(y)):
                     if z not in parent:
                         parent[z] = y
                         nxt.append(z)
@@ -205,6 +209,23 @@ def _fail(cfg: ExperimentConfig, version: int, detail: dict) -> AuditFailure:
     return AuditFailure(f"audit failed at version {version}: {detail}", bundle)
 
 
+def _audit_answers(cfg: ExperimentConfig, version: int, query, truth, checks) -> None:
+    """Query each pair x < y once and check the answers against ``truth``
+    with ``check_stretch``, once per (alpha, beta, distance_range) in
+    ``checks``. Raises the audit failure of the first failing pair; its
+    detail is the pair's ``check_stretch`` failure record."""
+    n = len(truth)
+    estimates = np.array(truth)  # the pairs not queried pass as exact
+    for x in range(n):
+        for y in range(x + 1, n):
+            estimates[x, y] = query(x, y)
+    for alpha, beta, distance_range in checks:
+        context = {"alpha": alpha, "beta": beta, "distance_range": distance_range}
+        report = check_stretch(estimates, truth, alpha, beta, distance_range, context)
+        if not report.passed:
+            raise _fail(cfg, version, report.failures[0])
+
+
 def run_es_tree(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrace):
     n = g.n
     Q = cfg.Q or n
@@ -246,16 +267,9 @@ def run_det_apsp(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrac
         index.delete(u, v)
         if oracle is not None:
             oracle.note_delete(u, v)
-            truth = oracle.apsp()
-            for x in range(n):
-                for y in range(x + 1, n):
-                    est = index.query(x, y)
-                    d = truth[x, y]
-                    exact = d <= index.patch_range  # the patch answers exactly
-                    if est < d - 1e-9 or (exact and est != d) or (
-                            np.isfinite(d) and est > (1 + cfg.eps) * d + 1e-9):
-                        raise _fail(cfg, i, {"pair": [x, y], "estimate": float(est),
-                                             "distance": float(d)})
+            # the patch answers exactly within its range
+            _audit_answers(cfg, i, index.query, oracle.apsp(),
+                           [(1 + cfg.eps, SLACK, INF), (1, 0, index.patch_range)])
         if cfg.audit == "full":
             detail = audit_det_cover(index)
             if detail:
@@ -303,7 +317,7 @@ def audit_det_cover(index: ApspIndexDet) -> dict | None:
             return {"layer": p, "reason": "moving distance bound"}
         rho = layer.mc.cover_radius
         for x in range(n):
-            if layer.find_center(x) is None and g.component_size(x) >= layer.q:
+            if layer.find_center(x) is None and len(g.component_of(x)) >= layer.q:
                 return {"layer": p, "node": x, "reason": "coverage"}
             j = layer.find_center(x)
             if j is not None:
@@ -335,24 +349,13 @@ def run_rand_apsp(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTra
                 cover_sizes[p] = sizes
         if oracle is not None:
             oracle.note_delete(u, v)
-            truth = oracle.apsp()
-            for x in range(n):
-                for y in range(x + 1, n):
-                    est = index.query_1eps2(x, y)
-                    d = truth[x, y]
-                    if est < d - 1e-9:
-                        raise _fail(cfg, i, {"pair": [x, y], "estimate": float(est),
-                                             "distance": float(d),
-                                             "reason": "underestimate"})
-                    if np.isfinite(d) and est > (1 + cfg.eps) * d + 2 + 1e-9:
-                        raise _fail(cfg, i, {"pair": [x, y], "estimate": float(est),
-                                             "distance": float(d),
-                                             "reason": "stretch bound"})
-        _, updates = index.emulator.stats()
+            _audit_answers(cfg, i, index.query_1eps2, oracle.apsp(),
+                           [(1 + cfg.eps, 2 + SLACK, INF)])
         rows.append({"version": i, "audit_pass": True,
                      "level_increases": sum(t.level_increases for t in index.trees),
                      "heap_ops": sum(t.ops for t in index.trees),
-                     "emulator_events": updates, "opens": 0, "moving_distance": 0})
+                     "emulator_events": index.emulator.updates_total,
+                     "opens": 0, "moving_distance": 0})
     summary = {"emulator_edges_ever": index.emulator.edges_ever,
                "emulator_updates_total": index.emulator.updates_total}
     if keep_h:
@@ -382,14 +385,8 @@ def run_fully_dynamic(cfg: ExperimentConfig, g: DecrementalGraph, trace: Deletio
             true_edges -= set(chosen)
         if cfg.audit != "none":
             check = DecrementalGraph.from_edge_list(n, sorted(true_edges))
-            truth = NumpyBfsOracle(check).apsp()
-            for x in range(n):
-                for y in range(x + 1, n):
-                    est = fd.query(x, y)
-                    d = truth[x, y]
-                    if est < d - 1e-9 or (np.isfinite(d) and est > (1 + cfg.eps) * d + 1e-9):
-                        raise _fail(cfg, i, {"pair": [x, y], "estimate": float(est),
-                                             "distance": float(d)})
+            _audit_answers(cfg, i, fd.query, NumpyBfsOracle(check).apsp(),
+                           [(1 + cfg.eps, SLACK, INF)])
         # work of every index the wrapper built, earlier phases' too
         rows.append({"version": i, "audit_pass": True,
                      "level_increases": fd.level_increases, "heap_ops": fd.ops,

@@ -1,8 +1,8 @@
 """Randomized approximate APSP built from monotone ES-trees on a shared
 locally persevering emulator.
 
-A random center cover samples centers with probability min(1, a*ln(n)/q) and
-reads one single-source estimator per center over the emulator: a monotone
+A random center cover has centers sampled with probability min(1, a*ln(n)/q)
+and reads one single-source estimator per center over the emulator: a monotone
 tree whose levels, cut off at the cover's range-Q depth bound, answer
 distance queries, and whose raised nodes maintain the per-node cover lists
 S_x. The APSP index layers ceil(log n) covers (layer p serves distances
@@ -46,17 +46,6 @@ def _sample_centers(n: int, q: int, rng: random.Random,
     return [x for x in range(n) if rng.random() < p]
 
 
-def _repair_trees(roots_and_trees, batch, cut) -> dict[int, set[int]]:
-    """Repair each tree after ``batch`` and the deletion's ``cut``; maps the
-    root of every tree that changed to the nodes whose level rose."""
-    raised = {}
-    for root, tree in roots_and_trees:
-        nodes = tree.apply_batch(batch, cut)
-        if nodes:
-            raised[root] = nodes
-    return raised
-
-
 def search_layers(layers, x: int, y: int):
     """The estimate of the minimal usable layer for valid x and y; INF
     without layers. Serves both APSP indexes: a layer (``RandomCenterCover``
@@ -91,54 +80,41 @@ class RandomCenterCover:
 
     Center j reads a monotone tree rooted at its location whose depth bound
     is at least the cover's own, bound(Q) = floor((1 + 2/tau) * Q + 2).
-    ``trees`` maps each root to such a tree: the APSP index passes the trees
-    it shares among its layers and its patch; without it the cover builds a
-    range-Q tree per center. The cover reads a level l as l if l <= bound(Q)
+    ``trees`` maps each root to such a tree on ``emulator.h``: the APSP
+    index passes the trees it shares among its layers and its patch, and
+    repairs them itself. The cover reads a level l as l if l <= bound(Q)
     else INF. Center j is in node x's cover list S_x while x's level in j's
     tree is at most the cover threshold b(q) = bound(q); ``on_batch`` removes
     it in the batch that raises x past b(q).
 
     A tree kept to a smaller depth bound b is not needed: its levels always
     equal a deeper tree's levels cut off at b, T(l) = l if l <= b else INF.
-    Both start from the same Dijkstra levels, cut at different bounds. After
-    a batch, a monotone tree's levels are the fixpoint
-    L'(y) = max(L(y), min_v L'(v) + w(y, v)), set to INF past the depth
-    bound. Every emulator weight is at least 1, so a minimum of at most b is
-    attained at a neighbour v with L'(v) < b, where T(L'(v)) = L'(v), and a
-    minimum above b stays above it when the terms are cut off. Since T
-    commutes with max, induction on the level value gives L'_b = T(L'_B)
-    from L_b = T(L_B), and a node leaves [0, b] in the deeper tree exactly
-    when the shallower tree would drop it. This holds for b = bound(Q), the
-    cover's reads, and for b = b(q), its cover lists.
+    Both start from the levels of the same bucket (Dial) search, cut at
+    different bounds. After a batch, a monotone tree's levels are the
+    fixpoint L'(y) = max(L(y), min_v L'(v) + w(y, v)), set to INF past the
+    depth bound. Every emulator weight is at least 1, so a minimum of at
+    most b is attained at a neighbour v with L'(v) < b, where
+    T(L'(v)) = L'(v), and a minimum above b stays above it when the terms
+    are cut off. Since T commutes with max, induction on the level value
+    gives L'_b = T(L'_B) from L_b = T(L_B), and a node leaves [0, b] in the
+    deeper tree exactly when the shallower tree would drop it. This holds
+    for b = bound(Q), the cover's reads, and for b = b(q), its cover lists.
     """
 
-    def __init__(self, g: DecrementalGraph, q: int, Q: int,
-                 emulator: LocallyPerseveringEmulator | None = None,
-                 eps: float | None = None, seed=None, rng: random.Random | None = None,
-                 centers=None, sampling_constant: float = 3.0, trees=None):
+    def __init__(self, emulator: LocallyPerseveringEmulator, q: int, Q: int,
+                 centers, trees):
         if not 1 <= q <= Q:
             raise InvalidRange(f"need 1 <= q <= Q, got q={q}, Q={Q}")
-        if emulator is None:
-            if eps is None:
-                raise InvalidEpsilon("need eps to build an emulator")
-            emulator = LocallyPerseveringEmulator(g, eps, seed=seed)
-        self.g = g
+        self.g = emulator.g
         self.q = q
         self.Q = Q
         self.emulator = emulator
-        n = g.n
-        if centers is None:
-            if rng is None:
-                rng = random.Random(seed)
-            centers = _sample_centers(n, q, rng, sampling_constant)
+        n = self.g.n
         self.centers = sorted(set(centers))
 
         tau = emulator.tau
         self.bound = depth_bound_floor(Q, 1, 2, tau)
         self.cover_threshold = depth_bound_floor(q, 1, 2, tau)
-        if trees is None:
-            h = emulator.h
-            trees = {c: MonotoneEsTree(h, c, Q, 1, 2, tau) for c in self.centers}
         self._trees: list[MonotoneEsTree] = []
         for c in self.centers:
             try:
@@ -158,14 +134,6 @@ class RandomCenterCover:
             for x, lx in enumerate(level):
                 if lx <= threshold:
                     self._cover[x][j] = True
-
-    def delete(self, u: int, v: int) -> None:
-        """Delete (u, v) from the base graph via the emulator and repair the
-        cover's trees. Only for a cover that no other structure shares trees
-        with: the APSP index repairs its shared trees and calls ``on_batch``."""
-        batch = self.emulator.on_delete(u, v)
-        self.on_batch(_repair_trees(zip(self.centers, self._trees), batch,
-                                    self.emulator.last_cut))
 
     def on_batch(self, raised) -> None:
         """Update the cover lists after a batch; ``raised`` maps a tree's root
@@ -231,8 +199,7 @@ class ApspIndexRandom:
             hubs = [x for x in range(n) if self.rng.random() < p_hub]
         elif hubs is None:
             hubs = list(range(n))
-        self.emulator = LocallyPerseveringEmulator(g, self.eps_hat, hubs=hubs,
-                                                   sampling_constant=sampling_constant)
+        self.emulator = LocallyPerseveringEmulator(g, self.eps_hat, hubs=hubs)
         self.layer_params: list[tuple[int, int]] = []
         layer_centers = []
         max_p = max(0, (n - 1).bit_length() - 1) if n > 1 else 0
@@ -250,27 +217,21 @@ class ApspIndexRandom:
             for c in centers:
                 ranges[c] = max(ranges[c], Q_p)
         self.trees = [MonotoneEsTree(h, x, ranges[x], 1, 2, tau) for x in range(n)]
-        self.layers = [RandomCenterCover(g, q_p, Q_p, emulator=self.emulator,
-                                         centers=centers, trees=self.trees)
+        self.layers = [RandomCenterCover(self.emulator, q_p, Q_p, centers, self.trees)
                        for (q_p, Q_p), centers in zip(self.layer_params, layer_centers)]
 
     def delete(self, u: int, v: int) -> list[UpdateEvent]:
         """Delete (u, v) from the base graph; returns the emulator's event batch."""
         batch = self.emulator.on_delete(u, v)
-        raised = _repair_trees(enumerate(self.trees), batch, self.emulator.last_cut)
+        cut = self.emulator.last_cut
+        raised = {}  # root of every tree that changed -> nodes whose level rose
+        for root, tree in enumerate(self.trees):
+            nodes = tree.apply_batch(batch, cut)
+            if nodes:
+                raised[root] = nodes
         for layer in self.layers:
             layer.on_batch(raised)
         return batch
-
-    def layer_estimate(self, p: int, x: int, y: int):
-        """delta_p(cen, x) + delta_p(cen, y) through a center covering x."""
-        layer = self.layers[p]
-        j = layer.find_center(x)
-        if j is None:
-            return INF
-        dx = layer.distance(j, x)
-        dy = layer.distance(j, y)
-        return dx + dy
 
     def query_1eps2(self, x: int, y: int):
         """Estimate with dist <= result <= (1+eps)*dist + 2 (whp)."""

@@ -2,7 +2,11 @@ import random
 
 import pytest
 
+from decaps.deterministic_apsp import MovingCenters
+from decaps.emulator import LocallyPerseveringEmulator
 from decaps.graph_core import INF, DecrementalGraph
+from decaps.monotone_es_tree import MonotoneEsTree
+from decaps.randomized_apsp import RandomCenterCover, _sample_centers
 
 # Figure-style 6-node example used throughout: r=0, a=1, b=2, c=3, d=4, e=5.
 FIG_EDGES = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 2), (2, 5), (3, 5), (4, 5)]
@@ -25,6 +29,42 @@ def random_graph_and_trace(rng: random.Random, n: int, m: int):
     order = g.edges()
     rng.shuffle(order)
     return g, order
+
+
+def standalone_cover(g, q: int, Q: int, eps: float, hubs=None, seed=None,
+                     centers=None) -> RandomCenterCover:
+    """A random cover that owns its emulator on ``g`` and a range-Q tree per
+    center. The emulator samples its hubs with ``seed`` unless ``hubs`` is
+    given; the centers are sampled from ``random.Random(seed)`` unless given."""
+    em = LocallyPerseveringEmulator(g, eps, seed=seed, hubs=hubs)
+    if centers is None:
+        centers = _sample_centers(g.n, q, random.Random(seed), 3.0)
+    trees = {c: MonotoneEsTree(em.h, c, Q, 1, 2, em.tau) for c in centers}
+    return RandomCenterCover(em, q, Q, centers, trees)
+
+
+def delete_edge(structure, u: int, v: int) -> None:
+    """Delete (u, v) under a standalone cover the way the owning index does.
+
+    A ``RandomCenterCover`` (from ``standalone_cover``): the emulator's
+    batch, every tree's repair, then ``on_batch``. A ``MovingCenters`` or
+    ``DetCenterCover``: the graph deletion, ``split_side``, then
+    ``after_delete`` (in a new open/move window) or ``on_deleted``.
+    """
+    if isinstance(structure, RandomCenterCover):
+        em = structure.emulator
+        batch = em.on_delete(u, v)
+        structure.on_batch({c: tree.apply_batch(batch, em.last_cut)
+                            for c, tree in zip(structure.centers, structure._trees)})
+        return
+    g = structure.g
+    g.delete_edge(u, v)
+    cut = g.split_side(u, v)
+    if isinstance(structure, MovingCenters):
+        structure.begin_deletion()
+        structure.after_delete(u, v, cut)
+    else:
+        structure.on_deleted(u, v, cut)
 
 
 def _mc_state(mc):

@@ -8,6 +8,7 @@ path-peel order.
 """
 
 import random
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,9 +20,9 @@ from decaps.graph_core import INF, DecrementalGraph
 from decaps.harness import ExperimentConfig, build_graph, generate_trace
 from decaps.monotone_es_tree import MonotoneEsTree
 from decaps.oracle import bfs_levels
-from decaps.randomized_apsp import ApspIndexRandom, RandomCenterCover
+from decaps.randomized_apsp import ApspIndexRandom
 
-from conftest import fixpoint_levels, random_graph
+from conftest import delete_edge, fixpoint_levels, random_graph, standalone_cover
 
 
 def split_prone_input(data):
@@ -148,9 +149,13 @@ def test_every_entry_point_hands_the_cut_to_its_trees(monkeypatch):
     mc = MovingCenters(path(), 2, 8)
     for x in range(0, 20, 3):
         mc.open(x)
-    for delete in (ApspIndexDet(path(), 0.5).delete, DetCenterCover(path(), 2, 8).delete,
-                   mc.delete_edge, ApspIndexRandom(path(), 1.0, seed=0, hubs=[0, 5]).delete,
-                   RandomCenterCover(path(), 2, 8, eps=1.0, centers=[0, 1, 7]).delete):
+    # a standalone cover deletes through the helper that does what its
+    # owning index does
+    covers = (DetCenterCover(path(), 2, 8), mc,
+              standalone_cover(path(), 2, 8, 1.0, centers=[0, 1, 7]))
+    for delete in (ApspIndexDet(path(), 0.5).delete,
+                   ApspIndexRandom(path(), 1.0, seed=0, hubs=[0, 5]).delete,
+                   *[partial(delete_edge, cover) for cover in covers]):
         handed.clear()
         delete(0, 1)
         assert handed and all(cut == {0} for cut in handed)

@@ -22,7 +22,7 @@ from decaps.harness import ExperimentConfig, build_graph, generate_trace, gnm_gr
 from decaps.oracle import bfs_apsp, bfs_levels
 from decaps.randomized_apsp import search_layers
 
-from conftest import det_state, random_graph_and_trace, reference_search
+from conftest import delete_edge, det_state, random_graph_and_trace, reference_search
 
 
 def fig3_path(q):
@@ -58,7 +58,7 @@ def test_mc_rate_violation(fig_graph):
     j = mc.open(0)
     with pytest.raises(RateViolation):
         mc.move(j, 5, bfs_levels(fig_graph, 0)[5])
-    mc.delete_edge(0, 1)
+    delete_edge(mc, 0, 1)
     mc.move(j, 5, bfs_levels(fig_graph, 0)[5])  # fine after a deletion
     with pytest.raises(RateViolation):
         mc.move(j, 2, bfs_levels(fig_graph, 5)[2])
@@ -69,7 +69,7 @@ def test_mc_move_across_components():
     mc = MovingCenters(g, 2, 3)
     j = mc.open(0)
     assert mc.find_center(2) == j
-    mc.delete_edge(0, 1)
+    delete_edge(mc, 0, 1)
     # different component: the moving distance becomes infinite
     mc.move(j, 4, bfs_levels(g, mc.location[j])[4])
     assert mc.moving_distance == INF
@@ -122,14 +122,14 @@ def test_cc_fig3_open_then_move():
     assert cov.opens == 1 and cov.location(0) == 0
 
     # severing the shortcut uncovers v9: a second center opens there
-    cov.delete(q // 2 - 1, q + 1)
+    delete_edge(cov, q // 2 - 1, q + 1)
     assert cov.opens == 2
     assert cov.location(1) == q + 1
     assert cov.find_center(q + 1) == 1
 
     # Fig. 3(d): deleting (v_{q/4}, v_{q/4+1}) strands {v0..v_{q/4}} with
     # center 0, which collects them and moves to v_{q/4+1}
-    cov.delete(q // 4, q // 4 + 1)
+    delete_edge(cov, q // 4, q // 4 + 1)
     assert cov.collected[0] == {0, 1, 2}
     assert cov.radius2[0] == q - 2 * 3  # r = q/2 - 3, in half-units
     assert cov.location(0) == q // 4 + 1
@@ -144,7 +144,7 @@ def test_cc_delete_far_from_balls_is_quiet():
     opens_before = cov.opens
     moves_before = cov.moving_distance
     collected_before = [set(s) for s in cov.collected]
-    cov.delete(8, 9)  # v9 stays covered through the chord; no ball shrinks
+    delete_edge(cov, 8, 9)  # v9 stays covered through the chord; no ball shrinks
     assert cov.opens == opens_before
     assert cov.moving_distance == moves_before
     assert [set(s) for s in cov.collected] == collected_before
@@ -156,11 +156,11 @@ def test_cc_queries_against_oracle():
     q = 3
     cov = DetCenterCover(g, q, 12)
     for u, v in order:
-        cov.delete(u, v)
+        delete_edge(cov, u, v)
         truth = bfs_apsp(g)
         for x in range(18):
             j = cov.find_center(x)
-            if g.component_size(x) >= q:
+            if len(g.component_of(x)) >= q:
                 assert j is not None
             if j is not None:
                 assert truth[x, cov.location(j)] <= q
@@ -198,7 +198,7 @@ def test_cover_ledger_invariants(data):
     cov = DetCenterCover(g, q, 4 * q)
     prev_bt = {}
     for u, v in order:
-        cov.delete(u, v)
+        delete_edge(cov, u, v)
         seen = set()
         for j in cov.centers():
             # radius formula in half-units
@@ -215,7 +215,7 @@ def test_cover_ledger_invariants(data):
         assert cov.opens <= 2 * n / q
         assert cov.moving_distance <= n
         for x in range(n):
-            if g.component_size(x) >= q:
+            if len(g.component_of(x)) >= q:
                 assert cov.find_center(x) is not None, "coverage"
 
 
@@ -236,7 +236,7 @@ def test_incremental_greedy_matches_full_scan(data):
         scanned = [j for j in mc.centers() if in_ball(j)]
         listed = sorted(j for j in mc._cover[u] if in_ball(j))
         assert listed == scanned
-        cov.delete(u, v)
+        delete_edge(cov, u, v)
         opens = cov.opens
         cov._greedy_open(range(g.n))  # full scan over every node
         assert cov.opens == opens

@@ -122,13 +122,13 @@ def test_on_delete_absent_edge(fig_graph):
 def test_stats_fresh_and_replay(fig_graph):
     em = LocallyPerseveringEmulator(fig_graph, 1.0, hubs=[5])
     edges0 = len(em.snapshot())
-    assert em.stats() == (edges0, 0)
+    assert (em.edges_ever, em.updates_total) == (edges0, 0)
 
     rng = random.Random(17)
     g, order = random_graph_and_trace(rng, 20, 50)
     em = LocallyPerseveringEmulator(g, 0.5, seed=4)
     events = [ev for u, v in order for ev in em.on_delete(u, v)]
-    edges_ever, updates = em.stats()
+    edges_ever, updates = em.edges_ever, em.updates_total
     inserted = sum(1 for ev in events if ev.kind == INSERT)
     deleted = sum(1 for ev in events if ev.kind == DELETE)
     assert updates == len(events)

@@ -5,7 +5,8 @@ import pytest
 
 from decaps.deterministic_apsp import ApspIndexDet
 from decaps.errors import AuditFailure, ConfigInvalid
-from decaps.graph_core import DecrementalGraph, read_edge_list, read_trace
+from decaps.fully_dynamic import FullyDynamicApsp
+from decaps.graph_core import INF, DecrementalGraph, read_edge_list, read_trace
 from decaps.harness import (
     ExperimentConfig,
     build_graph,
@@ -15,6 +16,7 @@ from decaps.harness import (
     main,
     run_experiment,
 )
+from decaps.randomized_apsp import ApspIndexRandom
 
 
 def test_gnm_graph_deterministic():
@@ -39,7 +41,8 @@ def test_generate_trace_path_peel():
     assert trace[0] == (0, 1)
     assert len(trace) == 4
     # replay must be legal
-    g.apply_trace(trace)
+    for u, v in trace:
+        g.delete_edge(u, v)
     assert g.m == 0
 
 
@@ -123,23 +126,64 @@ def test_run_experiment_fully_dynamic():
     assert summary["audit_pass"]
 
 
-def test_broken_estimator_trips_audit(tmp_path, monkeypatch):
-    # fault injection: corrupt the deterministic index's answers
-    real_query = ApspIndexDet.query
+def _low(self, est):
+    return est - 1 if est != 0 and est != INF else est
+
+
+def _high(self, est):
+    return 2 * est + 3 if est != 0 and est != INF else est
+
+
+def _inexact_patch(self, est):
+    # within (1+eps)*d at eps 0.5, but not exact within the patch range
+    return est + 1 if 2 <= est <= self.patch_range else est
+
+
+# fault injection: each runner's audited query, answering too low, too high,
+# and (deterministic only) inexactly where the patch must be exact
+BROKEN = [("det_apsp", ApspIndexDet, "query", _low),
+          ("det_apsp", ApspIndexDet, "query", _high),
+          ("det_apsp", ApspIndexDet, "query", _inexact_patch),
+          ("rand_apsp", ApspIndexRandom, "query_1eps2", _low),
+          ("rand_apsp", ApspIndexRandom, "query_1eps2", _high),
+          ("fully_dynamic", FullyDynamicApsp, "query", _low),
+          ("fully_dynamic", FullyDynamicApsp, "query", _high)]
+
+
+@pytest.mark.parametrize("algorithm, cls, name, corrupt", BROKEN,
+                         ids=[f"{a}-{c.__name__.strip('_')}" for a, _, _, c in BROKEN])
+def test_broken_estimator_trips_audit(tmp_path, monkeypatch, algorithm, cls, name, corrupt):
+    real = getattr(cls, name)
+    answers = {}  # the corrupted answers of the latest version
 
     def broken(self, x, y):
-        est = real_query(self, x, y)
-        return est - 1 if est not in (0,) and est != float("inf") else est
+        est = answers[x, y] = corrupt(self, real(self, x, y))
+        return est
 
-    monkeypatch.setattr(ApspIndexDet, "query", broken)
-    cfg = ExperimentConfig(algorithm="det_apsp", gnm=(12, 26), eps=0.5,
-                           seed=1, audit="stretch", out=str(tmp_path / "bad"))
+    monkeypatch.setattr(cls, name, broken)
+    cfg = ExperimentConfig(algorithm=algorithm, gnm=(12, 26), eps=0.5, seed=1,
+                           phase_t=2, audit="stretch", out=str(tmp_path / "bad"))
     with pytest.raises(AuditFailure) as info:
         run_experiment(cfg)
-    assert info.value.bundle["config"]["algorithm"] == "det_apsp"
+    bundle = info.value.bundle
+    assert bundle["config"]["algorithm"] == algorithm
     bundle_path = tmp_path / "bad" / "replay_bundle.json"
     assert bundle_path.exists()
-    assert json.loads(bundle_path.read_text())["version"] >= 1
+    assert json.loads(bundle_path.read_text())["version"] == bundle["version"] >= 1
+    # the detail names the failing pair: its answer, its distance, its bound
+    detail = bundle["detail"]
+    assert set(detail) == {"pair", "dist", "estimate", "bound", "context"}
+    x, y = detail["pair"]
+    assert x < y and detail["estimate"] == answers[x, y]
+    d, est = detail["dist"], detail["estimate"]
+    if corrupt is _low:
+        assert est < d
+    elif corrupt is _high:
+        assert est > detail["bound"] == detail["context"]["alpha"] * d + detail["context"]["beta"]
+    else:
+        # only the second check, exact within the patch range, catches it
+        assert d < est <= 1.5 * d and detail["context"]["distance_range"] >= d
+        assert (detail["context"]["alpha"], detail["context"]["beta"]) == (1, 0)
 
 
 def test_cli_gen_and_run(tmp_path):
@@ -168,6 +212,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert main(["gen", "--out", str(tmp_path / "g.txt")]) == 3
     assert main(["gen", "--gnm", "4", "3", "--path", "4", "--out", str(tmp_path / "g.txt")]) == 3
     assert not (tmp_path / "g.txt").exists()
+    # a negative number of updates
+    assert main(["run", "--algo", "fully_dynamic", "--gnm", "10", "20", "--updates", "-5"]) == 3
     # audit failure path
     real_query = ApspIndexDet.query
 

@@ -23,7 +23,13 @@ from decaps.harness import generate_trace, gnm_graph
 from decaps.oracle import bfs_apsp
 from decaps.randomized_apsp import ApspIndexRandom, RandomCenterCover, search_layers
 
-from conftest import fixpoint_levels, random_graph_and_trace, reference_search
+from conftest import (
+    delete_edge,
+    fixpoint_levels,
+    random_graph_and_trace,
+    reference_search,
+    standalone_cover,
+)
 
 # the engine under test, named in test ids by its repair path: per-node
 # support counters with one-unit raises
@@ -31,22 +37,21 @@ COUNTER_ENGINE = pytest.mark.parametrize("make_tree", [MonotoneEsTree], ids=["co
 
 
 def test_cover_init_validation(fig_graph):
+    em = LocallyPerseveringEmulator(fig_graph, 1.0, hubs=[])
     with pytest.raises(InvalidRange):
-        RandomCenterCover(fig_graph, 0, 4, eps=1.0)
+        RandomCenterCover(em, 0, 4, [], {})
     with pytest.raises(InvalidRange):
-        RandomCenterCover(fig_graph, 5, 4, eps=1.0)
-    with pytest.raises(InvalidEpsilon):
-        RandomCenterCover(fig_graph, 1, 4)
+        RandomCenterCover(em, 5, 4, [], {})
 
 
 def test_cover_full_range_covers_connected():
     rng = random.Random(2)
     for seed in range(5):
         g, _ = random_graph_and_trace(rng, 14, 28)
-        cov = RandomCenterCover(g, 14, 14, eps=1.0, seed=seed)
+        cov = standalone_cover(g, 14, 14, 1.0, seed=seed)
         truth = bfs_apsp(g)
         for x in range(14):
-            if g.component_size(x) >= 14:
+            if len(g.component_of(x)) >= 14:
                 j = cov.find_center(x)
                 assert j is not None
                 assert truth[x, cov.location(j)] <= 14
@@ -54,7 +59,7 @@ def test_cover_full_range_covers_connected():
 
 def test_cover_all_centers_isolated_nodes():
     g = DecrementalGraph.from_edge_list(4, [])
-    cov = RandomCenterCover(g, 1, 2, eps=1.0, centers=list(range(4)))
+    cov = standalone_cover(g, 1, 2, 1.0, centers=list(range(4)))
     for x in range(4):
         assert cov.location(cov.find_center(x)) == x
         assert cov.distance(cov.find_center(x), x) == 0
@@ -62,13 +67,13 @@ def test_cover_all_centers_isolated_nodes():
 
 def test_cover_bot_for_uncovered_small_component():
     g = DecrementalGraph.from_edge_list(2, [])
-    cov = RandomCenterCover(g, 1, 1, eps=1.0, centers=[0])
+    cov = standalone_cover(g, 1, 1, 1.0, centers=[0])
     assert cov.find_center(1) is None
     assert cov.find_center(0) == 0
 
 
 def test_cover_distance_contract(fig_graph):
-    cov = RandomCenterCover(fig_graph, 2, 4, eps=1.0, centers=[0, 5])
+    cov = standalone_cover(fig_graph, 2, 4, 1.0, centers=[0, 5])
     truth = bfs_apsp(fig_graph)
     for j in range(2):
         for x in range(6):
@@ -87,10 +92,10 @@ def test_cover_distance_contract(fig_graph):
 def test_cover_lists_shrink_only():
     rng = random.Random(8)
     g, order = random_graph_and_trace(rng, 12, 30)
-    cov = RandomCenterCover(g, 3, 6, eps=0.5, seed=1)
+    cov = standalone_cover(g, 3, 6, 0.5, seed=1)
     sizes = [len(cov.cover_list(x)) for x in range(12)]
     for u, v in order:
-        cov.delete(u, v)
+        delete_edge(cov, u, v)
         cur = [len(cov.cover_list(x)) for x in range(12)]
         assert all(a <= b for a, b in zip(cur, sizes))
         sizes = cur
@@ -121,11 +126,14 @@ def test_layer_estimate_properties():
     g, order = random_graph_and_trace(rng, n, 3 * n)
     idx = ApspIndexRandom(g, 1.0, seed=5, hubs=list(range(n)))
     # rebuild every layer with all nodes as centers
-    from decaps.randomized_apsp import RandomCenterCover as RCC
-    idx.layers = [
-        RCC(g, q_p, Q_p, emulator=idx.emulator, centers=list(range(n)), trees=idx.trees)
-        for (q_p, Q_p) in idx.layer_params
-    ]
+    idx.layers = [RandomCenterCover(idx.emulator, q_p, Q_p, range(n), idx.trees)
+                  for (q_p, Q_p) in idx.layer_params]
+
+    def layer_estimate(layer, x, y):
+        # delta_p(cen, x) + delta_p(cen, y) through a center covering x
+        j = layer.find_center(x)
+        return INF if j is None else layer.distance(j, x) + layer.distance(j, y)
+
     alpha = 1 + 2 / idx.emulator.tau
     beta = 2
     eps_hat = idx.eps_hat
@@ -135,21 +143,21 @@ def test_layer_estimate_properties():
         for p, (q_p, Q_p) in enumerate(idx.layer_params):
             for x in range(n):
                 for y in range(n):
-                    est = idx.layer_estimate(p, x, y)
+                    est = layer_estimate(idx.layers[p], x, y)
                     d = truth[x, y]
                     assert est >= d - 1e-9  # property 1: never underestimates
                     if est != INF and d >= 2 ** p:
                         bound = ((alpha + 2 * alpha * alpha * eps_hat) * d
                                  + 2 * beta + 2 * alpha * beta)
                         assert est <= bound + 1e-9  # property 2
-                    if g.component_size(x) >= q_p and np.isfinite(d) and d <= 2 ** (p + 1):
+                    if len(g.component_of(x)) >= q_p and np.isfinite(d) and d <= 2 ** (p + 1):
                         assert est != INF  # property 3 (coverage)
 
 
 def test_rand_apsp_counters_pinned():
     # the benchmark's rand-gnm round: G(64, 256), first 40 random deletions
     g = gnm_graph(64, 256, 0)
-    trace = generate_trace(g, "random", seed=0).prefix(40)
+    trace = generate_trace(g, "random", seed=0).pairs[:40]
     idx = ApspIndexRandom(g, 0.5, seed=0)
     for u, v in trace:
         idx.delete(u, v)
@@ -198,13 +206,12 @@ def test_cover_on_deeper_shared_trees(make_tree, data):
     Q = q + data.draw(st.integers(0, n))
     centers = sorted(rng.sample(range(n), data.draw(st.integers(1, n))))
     g2 = DecrementalGraph.from_edge_list(n, g.edges())
-    own = RandomCenterCover(g, q, Q, emulator=LocallyPerseveringEmulator(g, eps, hubs=hubs),
-                            centers=centers)
+    own = standalone_cover(g, q, Q, eps, hubs=hubs, centers=centers)
     em = LocallyPerseveringEmulator(g2, eps, hubs=hubs)
     # a tree at every root, centers or not, each deeper by its own margin
     deep = {x: make_tree(em.h, x, Q + data.draw(st.integers(0, 20)), 1, 2, em.tau)
             for x in range(n)}
-    shared = RandomCenterCover(g2, q, Q, emulator=em, centers=centers, trees=deep)
+    shared = RandomCenterCover(em, q, Q, centers, deep)
 
     def state(cover):
         return ([cover.cover_list(x) for x in range(n)],
@@ -212,7 +219,7 @@ def test_cover_on_deeper_shared_trees(make_tree, data):
 
     assert state(shared) == state(own)
     for u, v in order:
-        own.delete(u, v)
+        delete_edge(own, u, v)
         batch = em.on_delete(u, v)
         before = {x: tree.levels() for x, tree in deep.items()}
         raised = {x: tree.apply_batch(batch) for x, tree in deep.items()}
@@ -226,16 +233,15 @@ def test_cover_rejects_unfit_trees():
     g = gnm_graph(8, 12, 1)
     em = LocallyPerseveringEmulator(g, 1.0, hubs=[0])
     fit = {x: MonotoneEsTree(em.h, x, 4, 1, 2, em.tau) for x in range(8)}
-    RandomCenterCover(g, 2, 4, emulator=em, centers=[1, 3], trees=fit)
+    RandomCenterCover(em, 2, 4, [1, 3], fit)
     shallow = dict(fit)
     shallow[3] = MonotoneEsTree(em.h, 3, 3, 1, 2, em.tau)
     with pytest.raises(InvalidParameters):
-        RandomCenterCover(g, 2, 4, emulator=em, centers=[1, 3], trees=shallow)
+        RandomCenterCover(em, 2, 4, [1, 3], shallow)
     with pytest.raises(InvalidParameters):
-        RandomCenterCover(g, 2, 4, emulator=em, centers=[1, 3], trees={1: fit[1]})
+        RandomCenterCover(em, 2, 4, [1, 3], {1: fit[1]})
     with pytest.raises(InvalidParameters):
-        RandomCenterCover(g, 2, 4, emulator=em, centers=[1, 3],
-                          trees={1: fit[1], 3: fit[2]})
+        RandomCenterCover(em, 2, 4, [1, 3], {1: fit[1], 3: fit[2]})
 
 
 def test_rejected_deletions_change_nothing():

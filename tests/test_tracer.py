@@ -1,7 +1,8 @@
-"""Smoke test of the benchmark's tracer against the library it wraps.
+"""Smoke test of the benchmark's tracer and workloads against the library.
 
-``perfbench/tracer.py`` wraps class attributes by name, so a renamed or
-moved entry point breaks the benchmark, not the library's own tests.
+``perfbench/tracer.py`` wraps class attributes by name and
+``perfbench/workloads.py`` imports harness names, so a renamed or moved
+entry point breaks the benchmark, not the library's own tests.
 """
 
 import sys
@@ -42,3 +43,19 @@ def test_tracer_records_both_tree_engines():
     assert not {"monotone_es_tree.build", "monotone_es_tree.apply_batch"} & det_spans
     assert {"monotone_es_tree.build", "monotone_es_tree.apply_batch",
             "randomized_apsp.delete"} <= recorded(tracer)
+
+
+def test_benchmark_workloads_build_their_inputs():
+    # the workloads import harness names and read trace attributes
+    from workloads import WORKLOADS
+
+    for name in ("det-gnm", "fd-mixed"):
+        inputs = WORKLOADS[name].inputs(1)
+        assert len(inputs.updates) == WORKLOADS[name].updates_per_round
+        assert len(inputs.pairs) == len(inputs.updates)
+
+
+def test_every_exported_name_resolves():
+    import decaps
+
+    assert [name for name in decaps.__all__ if not hasattr(decaps, name)] == []
