@@ -14,7 +14,8 @@ from decaps import DecrementalGraph, LocallyPerseveringEmulator, gnm_graph
 def main():
     rng = random.Random(7)
     g = gnm_graph(16, 48, seed=3)
-    em = LocallyPerseveringEmulator(g, eps=1.0, seed=11)
+    # two hubs, so that most pairs are unit edges and degree drops insert
+    em = LocallyPerseveringEmulator(g, eps=1.0, hubs=[0, 5])
     print(f"n={g.n}, m={g.m}; tau={em.tau}, weight cap={em.weight_cap}, "
           f"degree threshold={em.degree_threshold}")
     print(f"hubs: {em.hubs}")

@@ -235,7 +235,6 @@ def run_es_tree(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrace
     for i, (u, v) in enumerate(trace, start=1):
         g.delete_edge(u, v)
         tree.after_delete(u, v)
-        ok = True
         if oracle is not None:
             oracle.note_delete(u, v)
             truth = oracle.levels(cfg.root)
@@ -245,7 +244,7 @@ def run_es_tree(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrace
                 bad = int(np.nonzero(got != want)[0][0])
                 raise _fail(cfg, i, {"node": bad, "level": float(got[bad]),
                                      "distance": float(want[bad])})
-        rows.append({"version": i, "audit_pass": ok,
+        rows.append({"version": i, "audit_pass": True,
                      "level_increases": tree.level_increases,
                      "heap_ops": tree.ops,
                      "emulator_events": 0, "opens": 0, "moving_distance": 0})

@@ -39,7 +39,7 @@ from .graph_core import INF, DecrementalGraph, UpdateEvent
 from .monotone_es_tree import MonotoneEsTree, depth_bound_floor
 
 
-def _sample_centers(n: int, q: int, rng: random.Random,
+def _sample_centers(n: int, q: float, rng: random.Random,
                     sampling_constant: float) -> list[int]:
     """Each node independently with probability min(1, a*ln(n)/q)."""
     p = min(1.0, sampling_constant * math.log(n) / q) if n > 1 else 0.0
@@ -193,13 +193,12 @@ class ApspIndexRandom:
         self.eps_hat = eps / 18.0
         self.rng = random.Random(seed)
         n = g.n
-        # draw order: hub set first, then layer centers in layer order
-        if hubs is None and n > 1:
-            p_hub = min(1.0, sampling_constant * math.log(n) / math.sqrt(n))
-            hubs = [x for x in range(n) if self.rng.random() < p_hub]
-        elif hubs is None:
-            hubs = list(range(n))
-        self.emulator = LocallyPerseveringEmulator(g, self.eps_hat, hubs=hubs)
+        # draw order: the hubs (probability min(1, a*ln(n)/sqrt(n)), every
+        # node for n <= 1) unless given, then layer centers in layer order
+        if hubs is None:
+            hubs = (_sample_centers(n, math.sqrt(n), self.rng, sampling_constant)
+                    if n > 1 else list(range(n)))
+        self.emulator = LocallyPerseveringEmulator(g, self.eps_hat, hubs)
         self.layer_params: list[tuple[int, int]] = []
         layer_centers = []
         max_p = max(0, (n - 1).bit_length() - 1) if n > 1 else 0

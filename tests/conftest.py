@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -31,12 +32,22 @@ def random_graph_and_trace(rng: random.Random, n: int, m: int):
     return g, order
 
 
+def sampled_hubs(n: int, seed=None) -> list[int]:
+    """The hubs ``ApspIndexRandom(g, eps, seed)`` draws first from its rng:
+    each node with probability min(1, 3*ln(n)/sqrt(n)), every node for n <= 1."""
+    if n <= 1:
+        return list(range(n))
+    return _sample_centers(n, math.sqrt(n), random.Random(seed), 3.0)
+
+
 def standalone_cover(g, q: int, Q: int, eps: float, hubs=None, seed=None,
                      centers=None) -> RandomCenterCover:
     """A random cover that owns its emulator on ``g`` and a range-Q tree per
-    center. The emulator samples its hubs with ``seed`` unless ``hubs`` is
-    given; the centers are sampled from ``random.Random(seed)`` unless given."""
-    em = LocallyPerseveringEmulator(g, eps, seed=seed, hubs=hubs)
+    center. The hubs are ``sampled_hubs(g.n, seed)`` unless given; the
+    centers are sampled from another ``random.Random(seed)`` unless given."""
+    if hubs is None:
+        hubs = sampled_hubs(g.n, seed)
+    em = LocallyPerseveringEmulator(g, eps, hubs)
     if centers is None:
         centers = _sample_centers(g.n, q, random.Random(seed), 3.0)
     trees = {c: MonotoneEsTree(em.h, c, Q, 1, 2, em.tau) for c in centers}

@@ -26,6 +26,8 @@ from decaps.harness import (
 from decaps.oracle import NumpyBfsOracle, bfs_levels, check_locally_persevering
 from decaps.randomized_apsp import ApspIndexRandom
 
+from conftest import sampled_hubs
+
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[criterion {criterion:2d}] {'PASS' if ok else 'FAIL'} - {detail}")
@@ -279,7 +281,7 @@ def test_criterion_7_emulator_scaling():
         m = 4 * n
         g = gnm_graph(n, m, seed=n)
         trace = generate_trace(g, "random", seed=n)
-        em = LocallyPerseveringEmulator(g, eps, seed=n)
+        em = LocallyPerseveringEmulator(g, eps, sampled_hubs(n, seed=n))
         for u, v in trace:
             em.on_delete(u, v)
         ratios_e.append(em.edges_ever / (n ** 1.5 * math.log(n)))

@@ -18,7 +18,7 @@ from decaps.graph_core import (
 )
 from decaps.oracle import bfs_apsp, bfs_levels, weighted_apsp
 
-from conftest import FIG_EDGES, random_graph_and_trace
+from conftest import FIG_EDGES, random_graph_and_trace, sampled_hubs
 
 
 def test_build_fig_with_injected_hub(fig_graph):
@@ -54,9 +54,9 @@ def test_build_single_node():
 
 def test_build_invalid_epsilon(fig_graph):
     with pytest.raises(InvalidEpsilon):
-        LocallyPerseveringEmulator(fig_graph, 0.0)
+        LocallyPerseveringEmulator(fig_graph, 0.0, hubs=[])
     with pytest.raises(InvalidEpsilon):
-        LocallyPerseveringEmulator(fig_graph, 1.5)
+        LocallyPerseveringEmulator(fig_graph, 1.5, hubs=[])
 
 
 def test_degree_drop_inserts():
@@ -88,7 +88,7 @@ def test_hub_edge_weight_increase_and_delete():
     # path 0-1-2-3 with hub 0; eps=1 so W=3
     g = DecrementalGraph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
     em = LocallyPerseveringEmulator(g, 1.0, hubs=[0])
-    assert em.weight(0, 3) == 3
+    assert em.h.adj[0].get(3) == 3
     batch = em.on_delete(1, 2)
     kinds = {(ev.kind, edge_key(ev.u, ev.v)): ev.weight for ev in batch}
     # 2 and 3 leave hub range entirely
@@ -99,11 +99,11 @@ def test_hub_edge_weight_increase_and_delete():
 
     g = DecrementalGraph.from_edge_list(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     em = LocallyPerseveringEmulator(g, 1.0, hubs=[0])
-    assert em.weight(0, 3) == 2
+    assert em.h.adj[0].get(3) == 2
     batch = em.on_delete(0, 2)  # dist(0,3) grows to 3 = W: weight increase
     kinds = {(ev.kind, edge_key(ev.u, ev.v)): ev.weight for ev in batch}
     assert kinds[(INCREASE, (0, 3))] == 3
-    assert em.weight(0, 3) == 3
+    assert em.h.adj[0].get(3) == 3
 
 
 def test_low_degree_deletion_single_event():
@@ -126,7 +126,7 @@ def test_stats_fresh_and_replay(fig_graph):
 
     rng = random.Random(17)
     g, order = random_graph_and_trace(rng, 20, 50)
-    em = LocallyPerseveringEmulator(g, 0.5, seed=4)
+    em = LocallyPerseveringEmulator(g, 0.5, sampled_hubs(g.n, seed=4))
     events = [ev for u, v in order for ev in em.on_delete(u, v)]
     edges_ever, updates = em.edges_ever, em.updates_total
     inserted = sum(1 for ev in events if ev.kind == INSERT)
@@ -140,7 +140,7 @@ def test_per_hub_edge_update_count_bounded():
     rng = random.Random(23)
     for eps in (0.5, 1.0):
         g, order = random_graph_and_trace(rng, 16, 40)
-        em = LocallyPerseveringEmulator(g, eps, seed=9)
+        em = LocallyPerseveringEmulator(g, eps, sampled_hubs(g.n, seed=9))
         per_pair = {}
         for ev in (ev for u, v in order for ev in em.on_delete(u, v)):
             per_pair.setdefault(edge_key(ev.u, ev.v), []).append(ev.kind)
@@ -155,9 +155,9 @@ def test_never_underestimates_and_event_order(data):
     n = data.draw(st.integers(2, 14))
     g, order = random_graph_and_trace(rng, n, 3 * n)
     eps = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
-    em = LocallyPerseveringEmulator(g, eps, seed=data.draw(st.integers(0, 99)))
+    em = LocallyPerseveringEmulator(g, eps, sampled_hubs(n, seed=data.draw(st.integers(0, 99))))
     for u, v in order:
-        prev_weights = dict(em.snapshot())
+        prev_weights = em.h.edges()
         batch = em.on_delete(u, v)
         seen_other = False
         for ev in batch:
@@ -167,8 +167,7 @@ def test_never_underestimates_and_event_order(data):
                 seen_other = True
             # each pair changes at most once per batch, so its old weight is H's
             assert ev.old == prev_weights.get(edge_key(ev.u, ev.v))
-        snap = em.snapshot()
-        assert em.h.edges() == snap
+        snap = em.h.edges()
         # weights never decrease while an edge stays present
         for pair, w in snap.items():
             if pair in prev_weights:
@@ -176,3 +175,38 @@ def test_never_underestimates_and_event_order(data):
         hdist = weighted_apsp(n, snap)
         gdist = bfs_apsp(g)
         assert np.all(hdist >= gdist - 1e-9)
+
+
+def reference_h(g, hubs, weight_cap: int, s: int) -> dict:
+    """H built from scratch from the current G: (c, y) at dist_G(c, y) for
+    every hub c and y within ``weight_cap``, every G-edge with an endpoint
+    of degree at most ``s`` at weight 1, the minimum where both apply."""
+    out = {}
+    for c in hubs:
+        for y, d in enumerate(bfs_levels(g, c)):
+            if y != c and d <= weight_cap:
+                out[edge_key(c, y)] = d
+    for u, v in g.edges():
+        if min(g.degree(u), g.degree(v)) <= s:
+            out[(u, v)] = 1
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_h_matches_reference_after_every_deletion(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(2, 16))
+    g, order = random_graph_and_trace(rng, n, data.draw(st.integers(n, 4 * n)))
+    eps = data.draw(st.sampled_from([1 / 18, 0.25, 0.5, 1.0]))
+    hubs = rng.sample(range(n), data.draw(st.integers(0, n)))
+    em = LocallyPerseveringEmulator(g, eps, hubs)
+    ever = set(em.h.edges())
+    assert em.h.edges() == reference_h(g, hubs, em.weight_cap, em.degree_threshold)
+    assert em.edges_ever == len(ever)
+    for u, v in order:
+        em.on_delete(u, v)
+        h = em.h.edges()
+        assert h == reference_h(g, hubs, em.weight_cap, em.degree_threshold)
+        ever |= set(h)
+        assert em.edges_ever == len(ever)

@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("numpy")
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from tracer import Tracer  # noqa: E402
+from tracer import Tracer, index_structure  # noqa: E402
 
 from decaps import ApspIndexDet, ApspIndexRandom  # noqa: E402
 from decaps.harness import gnm_graph  # noqa: E402
@@ -43,6 +43,23 @@ def test_tracer_records_both_tree_engines():
     assert not {"monotone_es_tree.build", "monotone_es_tree.apply_batch"} & det_spans
     assert {"monotone_es_tree.build", "monotone_es_tree.apply_batch",
             "randomized_apsp.delete"} <= recorded(tracer)
+
+
+def test_index_structure_reads_the_emulator():
+    # the tracer reads hubs, snapshot(), edges_ever, cover lists and centers
+    index = ApspIndexRandom(gnm_graph(30, 120, seed=2), 0.5, seed=4, hubs=[0, 5])
+    h0 = len(index.emulator.h.edges())
+    built = index_structure(index, built=True)
+    assert built["emulator.hubs"] == 2 and built["emulator.h0_edges"] == h0
+    assert built["randomized_apsp.cover_entries"] == sum(
+        len(layer.cover_list(x)) for layer in index.layers for x in range(30))
+    assert [built[f"randomized_apsp.p{p}.centers"] for p in range(len(index.layers))] == [
+        len(layer.centers) for layer in index.layers]
+    for u, v in index.g.edges()[:40]:
+        index.delete(u, v)
+    after = index_structure(index, built=False)
+    assert after == {"emulator.edges_ever": index.emulator.edges_ever}
+    assert after["emulator.edges_ever"] >= h0
 
 
 def test_benchmark_workloads_build_their_inputs():
