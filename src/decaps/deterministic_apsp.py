@@ -19,16 +19,16 @@ Three pieces:
   dist <= answer <= (1+eps)*dist.
 
 Construction is block-major (``graph_core.RootDistances``): it runs one
-BFS from a block of roots at once on the graph as it stands, in ascending
-blocks, and over each block the patch opens the block's roots and every
-cover runs its greedy pass over the block's nodes, registering each open's
-ball from its row at once. That gives the opens of one pass over all nodes:
-covers open in ascending node order, and the decision at x reads only the
-cover lists of centers opened at smaller nodes. The trees of the block's
-opens are then set in one vectorised call per cover, and one for the patch,
-from their roots' rows: the levels and the support counts. Only one block
-of rows is held at a time. Opens and moves after a deletion search from
-their root.
+bit-parallel BFS from a block of 64 roots at once on the graph as it stands,
+in ascending blocks, and over each block the patch opens the block's roots
+and every cover runs its greedy pass over the block's nodes, registering
+each open's ball from its row at once. That gives the opens of one pass
+over all nodes: covers open in ascending node order, and the decision at x
+reads only the cover lists of centers opened at smaller nodes. The trees of
+the block's opens are then set in one vectorised call per cover, and one
+for the patch, from their roots' rows: the levels and the support counts.
+Only one block of rows is held at a time. Opens and moves after a deletion
+search from their root.
 
 A deletion costs work in proportion to what it changes, not to n:
 

@@ -6,11 +6,13 @@ The emulator H over a decremental graph G holds two kinds of edges:
   the weight cap W = ceil(2/eps) + 1, maintained by one depth-W tree per hub;
 * unit edges: every G-edge with an endpoint of degree at most ceil(sqrt(n)).
 
-The hubs come from the owner (``ApspIndexRandom`` samples them). Each
-base-graph deletion is turned into an ordered batch of update events (all
-insertions first, then weight increases and deletions); a pair present in
-both kinds is reported at the collapsed minimum weight, which is safe
-because both kinds can only coexist at weight 1.
+The hubs come from the owner (``ApspIndexRandom`` samples them). The hub
+trees start from one all-roots BFS over the hubs (``graph_core.RootDistances``),
+each block's trees set in one vectorised pass. Each base-graph deletion is
+turned into an ordered batch of update events (all insertions first, then
+weight increases and deletions); a pair present in both kinds is reported at
+the collapsed minimum weight, which is safe because both kinds can only
+coexist at weight 1.
 
 H is kept once, as one ``WeightedAdjacency`` (``h``). Since degrees only
 fall and levels only rise, ``on_delete`` derives each batch from G's degrees
@@ -31,6 +33,7 @@ from .graph_core import (
     INF,
     INSERT,
     DecrementalGraph,
+    RootDistances,
     UpdateEvent,
     WeightedAdjacency,
     edge_key,
@@ -53,7 +56,9 @@ class LocallyPerseveringEmulator:
         self.degree_threshold = s = math.ceil(math.sqrt(g.n)) if g.n else 0
         self.hubs = sorted(set(hubs))
         self._hub_set = set(self.hubs)
-        self._trees = {c: EsTree(g, c, self.weight_cap) for c in self.hubs}
+        rows = RootDistances(g, self.hubs)
+        self._trees = {c: EsTree(g, c, self.weight_cap, start) for block in rows.blocks()
+                       for c, start in zip(block, rows.starts(block, self.weight_cap))}
 
         unit = set()
         for u in range(g.n):

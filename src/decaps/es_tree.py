@@ -7,9 +7,10 @@ whose weights are all 1, with alpha 1, beta 0 and tau 1: its depth bound is
 ``depth``. A tree starts from a BFS from its root, or, when the owner builds
 many trees at one graph version, from a ``TreeStart`` that
 ``graph_core.RootDistances`` sets for a block of roots in one vectorised
-pass: ``ApspIndexDet`` builds block by block that way, and its later opens
-and moves search. The owner deletes an edge from the graph once and calls
-``after_delete`` on every tree, which repairs through one DELETE event.
+pass: ``ApspIndexDet`` and the emulator's hub trees build block by block
+that way, and the index's later opens and moves search. The owner deletes
+an edge from the graph once and calls ``after_delete`` on every tree, which
+repairs through one DELETE event.
 Levels, the one-step drop of a cut-off side and the work counters
 (``level_increases``, and ``ops``, which counts neighbour checks) are the
 monotone tree's; ``monotone_es_tree`` shows why they are exact.

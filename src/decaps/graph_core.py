@@ -7,10 +7,11 @@ engine reads either: ``DecrementalGraph`` stores weight 1 on every edge, and
 has_edge (needed by the (2+eps, 0) query wrapper) is a constant-time
 membership test. ``WeightedAdjacency`` is the weighted graph that update
 events act on: the emulator owns one, and every monotone tree reads it.
-``RootDistances`` runs a BFS from a block of roots at once, block by block,
-at one version of a ``DecrementalGraph``: the deterministic index sets the
-exact trees it builds at construction from each block's rows, many trees in
-one vectorised pass, and holds one block of rows at a time.
+``RootDistances`` runs a bit-parallel BFS from a block of roots at once,
+block by block, at one version of a ``DecrementalGraph``: the deterministic
+index and the emulator's hub trees set the exact trees they build at
+construction from each block's rows, many trees in one vectorised pass, and
+hold one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -220,9 +221,9 @@ class DecrementalGraph:
         return DecrementalGraph.from_edge_list(self.n, self.edges())
 
 
-_SLAB = 1 << 15   # matrix entries one scan step reads
-_CHUNK = 1 << 10  # frontier pairs one expansion step reads
-_BLOCK = 32       # roots one block searches
+_SLAB = 1 << 15   # (root, edge) pairs one count step compares
+_BLOCK = 64       # roots one block searches: one word of root bits per node
+_WORD = np.dtype("<u8")  # little-endian, so unpackbits reads bit i as root i
 
 
 class TreeStart(NamedTuple):
@@ -239,8 +240,8 @@ class TreeStart(NamedTuple):
 
 
 class RootDistances:
-    """Distances from the roots of a ``DecrementalGraph``, one block of roots
-    at a time, at one version.
+    """Distances from ``roots``, ascending distinct nodes of a
+    ``DecrementalGraph`` (every node by default), at one version.
 
     ``blocks`` searches the roots in ascending blocks of ``_BLOCK``. While a
     block is current, ``dist[i, y]`` is the distance from its i-th root to y,
@@ -252,35 +253,40 @@ class RootDistances:
     y's neighbours one level below y from the i-th root: the support count
     of y in that root's exact tree at any depth bound y's level is within.
 
-    The search is level-synchronous over the block's (root, node) pairs:
-    level k is found by scanning the block for k in slabs of ``_SLAB``
-    entries, and the pairs found expand ``_CHUNK`` at a time through the
-    neighbour arrays, writing k + 1 straight into every unreached entry they
-    touch. The counts compare the two ends of every (root, edge) pair of the
-    block, about ``_SLAB`` pairs at a time, and sum each node's edges. No
-    array spans all n^2 pairs: the temporaries grow with the block, with
-    ``_SLAB`` and with ``_CHUNK`` times the degree.
+    The search is bit-parallel and level-synchronous: each node holds one
+    word of root bits per 64 roots of the block, bit i set once the i-th
+    root has reached it. One level ORs, for every node, the frontier words
+    of its neighbours in one ``reduceat`` over the neighbour arrays and
+    keeps the bits not seen before. The distances are kept in bit-planes:
+    plane j holds the new bits of every level whose number has bit j set,
+    and the block's ``dist`` is unpacked from them once. The counts compare
+    the two ends of every (root, edge) pair of the block, about ``_SLAB``
+    pairs at a time, and sum each node's edges. No array spans all n^2
+    pairs: the temporaries grow with the block, the edges and ``_SLAB``.
     """
 
-    __slots__ = ("graph", "version", "roots", "dist", "count", "unreached", "_dtype", "_ix",
-                 "_deg", "_start", "_src", "_dst", "_heads", "_has_edges")
+    __slots__ = ("graph", "version", "roots", "dist", "count", "unreached", "_dtype",
+                 "_all_roots", "_src", "_dst", "_heads", "_has_edges")
 
-    def __init__(self, g: DecrementalGraph):
+    def __init__(self, g: DecrementalGraph, roots: list[int] | None = None):
         n = g.n
         adj = g._adj
-        # int32 positions while every flat index fits, to halve the temporaries
-        self._ix = ix = np.int32 if n * n < 2 ** 31 else np.int64
-        self._deg = deg = np.fromiter(map(len, adj), ix, count=n)
+        if roots is None:
+            roots = range(n)
+        elif any(not 0 <= x < n for x in roots):
+            raise NodeOutOfRange(f"a root of {roots} is not in [0, {n})")
+        self._all_roots = roots
+        deg = np.fromiter(map(len, adj), np.intp, count=n)
         self.graph = g
         self.version = g.version
         # edge i runs from src[i] to dst[i]; the edges out of y are
         # dst[start[y]:start[y + 1]]
-        self._start = start = np.zeros(n + 1, ix)
+        start = np.zeros(n + 1, np.intp)
         np.cumsum(deg, out=start[1:])
-        self._dst = np.fromiter(chain.from_iterable(adj), ix, count=int(start[-1]))
-        self._src = np.repeat(np.arange(n, dtype=ix), deg)
+        self._dst = np.fromiter(chain.from_iterable(adj), np.intp, count=int(start[-1]))
+        self._src = np.repeat(np.arange(n, dtype=np.intp), deg)
         # reduceat gives an empty segment the element at its index, not 0,
-        # and has no index past the last edge: sum only the nodes with edges
+        # and has no index past the last edge: reduce only the nodes with edges
         self._has_edges = deg > 0
         self._heads = start[:-1][self._has_edges]
         self._dtype = dtype = np.int16 if n < np.iinfo(np.int16).max else np.int32
@@ -290,67 +296,61 @@ class RootDistances:
 
     def blocks(self):
         """Search the roots in ascending blocks; yields each block's roots (a
-        range) while its distances are current, and frees the last one."""
-        n = self.graph.n
-        for lo in range(0, n, _BLOCK):
+        slice of ``roots``) while its distances are current, and frees the
+        last one."""
+        roots = self._all_roots
+        for lo in range(0, len(roots), _BLOCK):
             self.dist = self.count = None  # at most one block at a time
-            self._search(range(lo, min(n, lo + _BLOCK)))
+            self._search(roots[lo:lo + _BLOCK])
             yield self.roots
         self.roots, self.dist, self.count = range(0), None, None
 
-    def _search(self, roots: range) -> None:
-        n = self.graph.n
-        ix = self._ix
-        deg, start, dst = self._deg, self._start, self._dst
-        unreached = self.unreached
-        size = len(roots) * n
+    def _search(self, roots) -> None:
+        n, b = self.graph.n, len(roots)
+        dst, heads, has_edges = self._dst, self._heads, self._has_edges
         self.roots = roots
-        self.dist = dist = np.full((len(roots), n), unreached, self._dtype)
-        dist[np.arange(len(roots)), np.arange(roots.start, roots.stop)] = 0
-        flat = dist.reshape(-1)
-        k = 0
+        bit = np.arange(b, dtype=_WORD)
+        seen = np.zeros((n, -(-b // 64)), _WORD)
+        seen[list(roots), bit >> 6] = np.left_shift(1, bit & 63, dtype=_WORD)
+        front, planes, k = seen.copy(), [], 1
         while True:
-            found = False
-            for lo in range(0, size, _SLAB):
-                at = np.flatnonzero(flat[lo:lo + _SLAB] == k).astype(ix)
-                if not at.size:
-                    continue
-                found = True
-                at += lo
-                for c in range(0, at.size, _CHUNK):
-                    r, y = np.divmod(at[c:c + _CHUNK], n)
-                    d = deg[y]
-                    ends = np.cumsum(d)
-                    if not ends[-1]:
-                        continue
-                    # the neighbours of y, each paired with the pair's row
-                    pos = np.repeat(start[y] - (ends - d), d)
-                    pos += np.arange(ends[-1], dtype=ix)
-                    cand = dst[pos]
-                    del pos
-                    cand += np.repeat(r * n, d)
-                    cand = cand[flat[cand] == unreached]
-                    flat[cand] = k + 1
-            if not found:
+            new = np.zeros_like(seen)
+            new[has_edges] = np.bitwise_or.reduceat(front[dst], heads, axis=0)
+            new &= ~seen
+            if not new.any():
                 break
-            k += 1
+            seen |= new
+            if k.bit_length() > len(planes):
+                planes.append(np.zeros_like(seen))
+            for j, plane in enumerate(planes):
+                if k >> j & 1:
+                    plane |= new
+            front, k = new, k + 1
+
+        def rows(words):  # the root bits of every node, one row per root
+            return np.unpackbits(words.view(np.uint8), axis=1, count=b, bitorder="little").T
+
+        self.dist = dist = np.zeros((b, n), self._dtype)
+        for j, plane in enumerate(planes):
+            dist |= rows(plane).astype(self._dtype) << j
+        dist[rows(seen) == 0] = self.unreached
         # per pair, the neighbours one level lower; unreached - 1 is no
         # distance, so an unreached node counts nothing
         self.count = count = np.zeros(dist.shape, np.int32)
-        if self._heads.size:
+        if heads.size:
             step = max(1, _SLAB // len(self._src))  # rows per _SLAB (root, edge) pairs
-            for i in range(0, len(roots), step):
+            for i in range(0, b, step):
                 part = dist[i:i + step]
                 lower = part[:, self._src]
                 lower -= 1
-                hit = lower == part[:, self._dst]
+                hit = lower == part[:, dst]
                 del lower
-                count[i:i + step, self._has_edges] = np.add.reduceat(hit, self._heads, axis=1)
+                count[i:i + step, has_edges] = np.add.reduceat(hit, heads, axis=1)
 
     def _row(self, root: int) -> int:
         if root not in self.roots:
             raise InvalidParameters(f"root {root} is not in the current block {self.roots}")
-        return root - self.roots.start
+        return self.roots.index(root)
 
     def starts(self, roots: list[int], bound: int) -> list[TreeStart]:
         """The exact trees of ``roots``, all in the current block, cut at

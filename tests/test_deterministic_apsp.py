@@ -421,7 +421,8 @@ def test_det_apsp_answers_pinned():
 
 def test_build_temporaries_stay_small():
     # the all-roots BFS behind the build keeps no temporary that spans all
-    # (root, node) pairs: only its int16 matrix (0.3 MiB here) does
+    # (root, node) pairs, only one block of 64 roots at a time: its int16
+    # rows, int32 counts and the trees set from them (0.3 MiB here)
     g = gnm_graph(400, 1600, 1)
     tracemalloc.start()
     try:

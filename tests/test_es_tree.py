@@ -237,7 +237,47 @@ def test_tree_set_from_row_equals_searched_tree(data):
         assert from_row.levels() == searched.levels()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_root_distances_across_words(data):
+    # a block holds one word of root bits per 64 roots: blocks of one root,
+    # of a word less one, of a word, one past it and of more than two words,
+    # on up to 140 nodes, so a block spans one to three words
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.sampled_from([0, 1]) | st.integers(2, 140))
+    shape = data.draw(st.sampled_from(["components", "path", "edgeless"]))
+    if shape == "components":
+        edges = components_graph(rng, n).edges()
+    elif shape == "path":  # long levels fill many bit-planes
+        order = rng.sample(range(n), n)
+        edges = list(zip(order, order[1:]))
+    else:
+        edges = []
+    # isolated nodes at the end too: no edge follows their empty segments
+    n += data.draw(st.integers(0, 2))
+    g = DecrementalGraph.from_edge_list(n, edges)
+    roots = None
+    if data.draw(st.booleans()):
+        roots = sorted(rng.sample(range(n), rng.randint(0, n)))
+    size = data.draw(st.sampled_from([1, 63, 64, 65, 130]))
+    rows = RootDistances(g, roots)
+    searched = []
+    with mock.patch.object(graph_core, "_BLOCK", size):
+        for block in rows.blocks():
+            searched += block
+            for i, x in enumerate(block):
+                level = bfs_levels(g, x)
+                assert rows.dist[i].tolist() == [
+                    rows.unreached if d is INF else d for d in level]
+                assert rows.count[i].tolist() == [
+                    0 if d is INF else sum(level[z] == d - 1 for z in g.neighbors(y))
+                    for y, d in enumerate(level)]
+    assert searched == (list(range(n)) if roots is None else roots)
+
+
 def test_tree_rejects_rows_of_another_graph_or_version(fig_graph):
+    with pytest.raises(NodeOutOfRange):
+        RootDistances(fig_graph, [0, 6])
     rows = RootDistances(fig_graph)
     with mock.patch.object(graph_core, "_BLOCK", 3):
         blocks = rows.blocks()
