@@ -14,6 +14,7 @@ from decaps import (
     bfs_levels,
     gnm_graph,
 )
+from decaps.randomized_apsp import depth_bound_floor
 
 
 def main():
@@ -23,8 +24,9 @@ def main():
     em = LocallyPerseveringEmulator(g, eps=1.0, hubs=list(range(n)))
     root = 0
     # the tree reads the emulator's own H; on_delete updates it before the
-    # tree repairs itself once per batch
-    tree = MonotoneEsTree(em.h, root, Q=n, alpha=1, beta=2, tau=em.tau)
+    # tree repairs itself once per batch. Its depth bound keeps every node
+    # within distance n, so no level is cut off
+    tree = MonotoneEsTree(em.h, root, depth_bound_floor(n, em.tau))
 
     order = g.edges()
     rng.shuffle(order)

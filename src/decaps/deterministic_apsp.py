@@ -366,26 +366,6 @@ class DetCenterCover:
     def moving_distance(self):
         return self.mc.moving_distance
 
-    def ball(self, j: int) -> set[int]:
-        """B^j = nodes within r^j of center j, recomputed by bounded BFS."""
-        self.mc._check_center(j)
-        r2 = self.radius2[j]
-        root = self.mc.location[j]
-        out = {root}
-        frontier = [root]
-        depth = 0
-        adj = self.g._adj
-        while frontier and 2 * (depth + 1) <= r2:
-            depth += 1
-            nxt = []
-            for y in frontier:
-                for z in adj[y]:
-                    if z not in out:
-                        out.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return out
-
 
 class ApspIndexDet:
     """An exact patch and ceil(log n) deterministic covers answering

@@ -3,12 +3,12 @@ to a depth bound, over a shared ``DecrementalGraph``.
 
 On an unweighted graph without insertions the monotone ES-tree is the classic
 tree, so ``EsTree`` is a ``MonotoneEsTree`` on the graph's own adjacency,
-whose weights are all 1, with alpha 1, beta 0 and tau 1: its depth bound is
-``depth``. A tree starts from a BFS from its root, or, when the owner builds
-many trees at one graph version, from a ``TreeStart`` that
-``graph_core.RootDistances`` sets for a block of roots in one vectorised
-pass: ``ApspIndexDet`` and the emulator's hub trees build block by block
-that way, and the index's later opens and moves search. The owner deletes
+whose weights are all 1, kept to depth bound ``depth``. A tree starts from
+a BFS from its root, or, when the owner builds many trees at one graph
+version, from a ``TreeStart`` that ``graph_core.RootDistances`` sets for a
+block of roots in one vectorised pass: ``ApspIndexDet`` and the emulator's
+hub trees build block by block that way, and the index's later opens and
+moves search. The owner deletes
 an edge from the graph once and calls ``after_delete`` on every tree, which
 repairs through one DELETE event.
 Levels, the one-step drop of a cut-off side and the work counters
@@ -38,7 +38,7 @@ class EsTree(MonotoneEsTree):
         if start is not None and (start.graph is not graph or start.version != graph.version):
             raise InvalidParameters(
                 f"the distances are not of this graph at its version {graph.version}")
-        self._setup(graph._adj, root, depth, 1, 0, 1, start)
+        self._setup(graph._adj, root, depth, start)
 
     def after_delete(self, u: int, v: int, cut=None) -> set[int]:
         """Repair levels after (u, v) was removed from the shared graph.

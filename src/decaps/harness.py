@@ -266,11 +266,12 @@ def run_det_apsp(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrac
         index.delete(u, v)
         if oracle is not None:
             oracle.note_delete(u, v)
+            truth = oracle.apsp()
             # the patch answers exactly within its range
-            _audit_answers(cfg, i, index.query, oracle.apsp(),
+            _audit_answers(cfg, i, index.query, truth,
                            [(1 + cfg.eps, SLACK, INF), (1, 0, index.patch_range)])
         if cfg.audit == "full":
-            detail = audit_det_cover(index)
+            detail = audit_det_cover(index, truth)
             if detail:
                 raise _fail(cfg, i, detail)
         opens = sum(layer.opens for layer in index.layers)
@@ -291,17 +292,23 @@ def run_det_apsp(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrac
     return rows, {"bound_ledger": ledger}
 
 
-def audit_det_cover(index: ApspIndexDet) -> dict | None:
-    """Recompute the cover ledger from scratch; None when everything holds."""
-    g = index.g
-    n = g.n
+def audit_det_cover(index: ApspIndexDet, truth: np.ndarray) -> dict | None:
+    """Recompute the cover ledger; None when everything holds, else the
+    first failure's layer, center or node, and reason. ``truth`` is the
+    oracle's distance matrix of the index's graph as it stands: ball B^j
+    holds the nodes with 2 * dist <= radius2[j] from center j, and a row's
+    finite entries count its node's component. The cover radius is checked
+    on the trees' own distances."""
+    n = index.g.n
+    sizes = np.isfinite(truth).sum(axis=1)
     for p, layer in enumerate(index.layers):
         q_p, _ = index.layer_params[p]
         seen: set[int] = set()
         for j in layer.centers():
             if layer.radius2[j] != layer.q - 2 * len(layer.collected[j]):
                 return {"layer": p, "center": j, "reason": "radius formula"}
-            ball = layer.ball(j)
+            ball = set(np.flatnonzero(
+                2 * truth[layer.location(j)] <= layer.radius2[j]).tolist())
             if ball & layer.collected[j]:
                 return {"layer": p, "center": j, "reason": "ball meets collected set"}
             both = ball | layer.collected[j]
@@ -316,13 +323,12 @@ def audit_det_cover(index: ApspIndexDet) -> dict | None:
             return {"layer": p, "reason": "moving distance bound"}
         rho = layer.mc.cover_radius
         for x in range(n):
-            if layer.find_center(x) is None and len(g.component_of(x)) >= layer.q:
-                return {"layer": p, "node": x, "reason": "coverage"}
             j = layer.find_center(x)
-            if j is not None:
-                d = layer.distance(j, x)
-                if d is INF or d > rho:
-                    return {"layer": p, "node": x, "reason": "cover radius"}
+            if j is None:
+                if sizes[x] >= layer.q:
+                    return {"layer": p, "node": x, "reason": "coverage"}
+            elif layer.distance(j, x) > rho:
+                return {"layer": p, "node": x, "reason": "cover radius"}
     return None
 
 
@@ -487,17 +493,23 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _generator(args) -> str | None:
+    """The generator spec of ``--path`` or ``--grid``; both is a config error."""
+    if args.path and args.grid:
+        raise ConfigInvalid("give at most one of --path and --grid")
+    if args.path:
+        return f"path:{args.path}"
+    if args.grid:
+        return f"grid:{args.grid[0]}:{args.grid[1]}"
+    return None
+
+
 def _config_from_args(args) -> ExperimentConfig:
-    generator = None
-    if getattr(args, "path", None):
-        generator = f"path:{args.path}"
-    if getattr(args, "grid", None):
-        generator = f"grid:{args.grid[0]}:{args.grid[1]}"
     return ExperimentConfig(
         algorithm=args.algo,
         graph=args.graph,
         gnm=tuple(args.gnm) if args.gnm else None,
-        generator=generator,
+        generator=_generator(args),
         trace=args.trace,
         trace_order=args.order,
         eps=args.eps,
@@ -545,10 +557,7 @@ def main(argv=None) -> int:
         if args.command == "gen":
             cfg = ExperimentConfig(algorithm="es_tree", graph=args.graph,
                                    gnm=tuple(args.gnm) if args.gnm else None,
-                                   generator=(f"path:{args.path}" if args.path else
-                                              f"grid:{args.grid[0]}:{args.grid[1]}"
-                                              if args.grid else None),
-                                   seed=args.seed)
+                                   generator=_generator(args), seed=args.seed)
             cfg.validate()
             g = build_graph(cfg)
             write_edge_list(g, args.out)

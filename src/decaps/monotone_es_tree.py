@@ -9,12 +9,12 @@ only per-root state (levels and support counters) and never writes H. H
 receives each ordered event batch (all insertions first, then weight
 increases and deletions) once; every tree then repairs itself once per batch
 with :meth:`MonotoneEsTree.apply_batch`. Levels never decrease; insertions
-only refresh neighbor bookkeeping. The tree is maintained to depth
-(alpha + beta/tau) * Q + beta, so with the (1, 2, ceil(2/eps))-locally
-persevering emulator its level is a (1 + eps, 2)-approximate distance
-estimate for the base graph, up to Q. With alpha 1, beta 0, tau 1 on an
-unweighted graph without insertions the levels are exact distances up to Q:
-the classic Even-Shiloach tree (JACM 1981).
+only refresh neighbor bookkeeping. The depth bound is the tree's only depth
+input: a level that would pass it is INF. The randomized index picks it
+(``randomized_apsp.depth_bound_floor``) so that over the (1, 2, ceil(2/eps))-
+locally persevering emulator a level is a (1 + eps, 2)-approximate base-graph
+distance up to Q. On an unweighted graph without insertions the levels are
+exact distances up to the bound: the Even-Shiloach tree (JACM 1981).
 
 ``apply_batch`` returns the nodes whose level rose in the batch. One tree
 serves every reader whose depth bound b is at or below its own: the reader
@@ -90,41 +90,29 @@ from .errors import InvalidParameters, NodeOutOfRange
 from .graph_core import INF, WeightedAdjacency, cut_off
 
 
-def depth_bound_floor(Q: int, alpha: int, beta: int, tau: int) -> int:
-    """floor((alpha + beta/tau) * Q + beta), in exact integer arithmetic."""
-    return ((alpha * tau + beta) * Q + beta * tau) // tau
-
-
 class MonotoneEsTree:
-    def __init__(self, h: WeightedAdjacency, root: int, Q: int, alpha: int = 1,
-                 beta: int = 2, tau: int = 1):
+    def __init__(self, h: WeightedAdjacency, root: int, bound: int):
         """Initialize on the current state of the shared graph ``h``.
 
-        ``Q`` is the distance range of the estimates; the tree itself is kept
-        to depth (alpha + beta/tau) * Q + beta. ``level`` is updated in place,
-        so a reader may hold on to the list.
+        ``bound`` is the depth the tree is kept to: a node whose level would
+        pass it has level INF. ``level`` is updated in place, so a reader may
+        hold on to the list.
         """
-        self._setup(h.adj, root, Q, alpha, beta, tau)
+        self._setup(h.adj, root, bound)
 
-    def _setup(self, adj: list[dict[int, int]], root: int, Q: int, alpha: int,
-               beta: int, tau: int, start=None) -> None:
+    def _setup(self, adj: list[dict[int, int]], root: int, bound: int,
+               start=None) -> None:
         """Check the parameters and set the initial levels: from ``start``
         (a ``TreeStart`` of the unit-weight graph ``adj``) when given, else
         by the bucket search."""
         n = len(adj)
         if not 0 <= root < n:
             raise NodeOutOfRange(f"root {root} not in [0, {n})")
-        if Q < 1 or alpha < 1 or beta < 0 or tau < 1:
-            raise InvalidParameters(
-                f"need Q >= 1, alpha >= 1, beta >= 0, tau >= 1; "
-                f"got Q={Q}, alpha={alpha}, beta={beta}, tau={tau}")
+        if bound < 1:
+            raise InvalidParameters(f"need a depth bound of at least 1, got {bound}")
         self.n = n
         self.root = root
-        self.Q = Q
-        self.alpha = alpha
-        self.beta = beta
-        self.tau = tau
-        self.bound = depth_bound_floor(Q, alpha, beta, tau)
+        self.bound = bound
         self.level_increases = 0
         self.ops = 0
         self._adj = adj  # shared with every tree on the graph; read only

@@ -14,12 +14,13 @@ wrapper answers adjacent pairs exactly from the graph's adjacency check.
 
 H exists once: the emulator owns its weighted adjacency and applies each
 deletion's event batch to it. The index keeps exactly one monotone tree per
-root, kept to the largest range among the patch and the layers that center
-that root. The patch and every layer read the tree through their own depth
-bound, l if l <= bound else INF, which gives the levels a tree of their own
-would hold (see ``RandomCenterCover``). Each tree repairs once per batch,
-which gives the per-event levels (see ``monotone_es_tree``), and returns the
-nodes whose level rose; every layer updates its cover lists from those.
+root, kept to the depth bound (``depth_bound_floor``) of the largest range
+among the patch and the layers that center that root. The patch and every
+layer read the tree through their own depth bound, l if l <= bound else
+INF, which gives the levels a tree of their own would hold (see
+``RandomCenterCover``). Each tree repairs once per batch, which gives the
+per-event levels (see ``monotone_es_tree``), and returns the nodes whose
+level rose; every layer updates its cover lists from those.
 """
 
 from __future__ import annotations
@@ -36,7 +37,16 @@ from .errors import (
     UnknownCenter,
 )
 from .graph_core import INF, DecrementalGraph, UpdateEvent
-from .monotone_es_tree import MonotoneEsTree, depth_bound_floor
+from .monotone_es_tree import MonotoneEsTree
+
+
+def depth_bound_floor(Q: int, tau: int) -> int:
+    """floor((1 + 2/tau) * Q + 2) in exact integer arithmetic: over the
+    (1, 2, tau)-locally persevering emulator a monotone tree keeps a node at
+    base-graph distance d at a level of at most (1 + 2/tau) * d + 2, so at
+    this depth it cuts off no node within Q. This is the paper's depth
+    (alpha + beta/tau) * Q + beta with alpha 1 and beta 2."""
+    return ((tau + 2) * Q + 2 * tau) // tau
 
 
 def _sample_centers(n: int, q: float, rng: random.Random,
@@ -113,8 +123,8 @@ class RandomCenterCover:
         self.centers = sorted(set(centers))
 
         tau = emulator.tau
-        self.bound = depth_bound_floor(Q, 1, 2, tau)
-        self.cover_threshold = depth_bound_floor(q, 1, 2, tau)
+        self.bound = depth_bound_floor(Q, tau)
+        self.cover_threshold = depth_bound_floor(q, tau)
         self._trees: list[MonotoneEsTree] = []
         for c in self.centers:
             try:
@@ -209,13 +219,14 @@ class ApspIndexRandom:
             layer_centers.append(_sample_centers(n, q_p, self.rng, sampling_constant))
         self.patch_range = math.ceil(20.0 / self.eps_hat)
         h, tau = self.emulator.h, self.emulator.tau
-        self.patch_bound = depth_bound_floor(self.patch_range, 1, 2, tau)
+        self.patch_bound = depth_bound_floor(self.patch_range, tau)
         # one tree per root, with the largest range any reader of it needs
         ranges = [self.patch_range] * n
         for (_, Q_p), centers in zip(self.layer_params, layer_centers):
             for c in centers:
                 ranges[c] = max(ranges[c], Q_p)
-        self.trees = [MonotoneEsTree(h, x, ranges[x], 1, 2, tau) for x in range(n)]
+        self.trees = [MonotoneEsTree(h, x, depth_bound_floor(ranges[x], tau))
+                      for x in range(n)]
         self.layers = [RandomCenterCover(self.emulator, q_p, Q_p, centers, self.trees)
                        for (q_p, Q_p), centers in zip(self.layer_params, layer_centers)]
 

@@ -7,7 +7,7 @@ from decaps.deterministic_apsp import MovingCenters
 from decaps.emulator import LocallyPerseveringEmulator
 from decaps.graph_core import INF, DecrementalGraph
 from decaps.monotone_es_tree import MonotoneEsTree
-from decaps.randomized_apsp import RandomCenterCover, _sample_centers
+from decaps.randomized_apsp import RandomCenterCover, _sample_centers, depth_bound_floor
 
 # Figure-style 6-node example used throughout: r=0, a=1, b=2, c=3, d=4, e=5.
 FIG_EDGES = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 2), (2, 5), (3, 5), (4, 5)]
@@ -50,7 +50,7 @@ def standalone_cover(g, q: int, Q: int, eps: float, hubs=None, seed=None,
     em = LocallyPerseveringEmulator(g, eps, hubs)
     if centers is None:
         centers = _sample_centers(g.n, q, random.Random(seed), 3.0)
-    trees = {c: MonotoneEsTree(em.h, c, Q, 1, 2, em.tau) for c in centers}
+    trees = {c: MonotoneEsTree(em.h, c, depth_bound_floor(Q, em.tau)) for c in centers}
     return RandomCenterCover(em, q, Q, centers, trees)
 
 

@@ -102,7 +102,7 @@ def det_grid():
                                 sandwich_failures += 1
                         elif est != INF:
                             sandwich_failures += 1
-                detail = audit_det_cover(idx)
+                detail = audit_det_cover(idx, truth)
                 if detail is not None:
                     ledger_failures.append({"seed": seed, "eps": eps, **detail})
     return {

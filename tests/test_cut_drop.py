@@ -20,7 +20,7 @@ from decaps.graph_core import INF, DecrementalGraph
 from decaps.harness import ExperimentConfig, build_graph, generate_trace
 from decaps.monotone_es_tree import MonotoneEsTree
 from decaps.oracle import bfs_levels
-from decaps.randomized_apsp import ApspIndexRandom
+from decaps.randomized_apsp import ApspIndexRandom, depth_bound_floor
 
 from conftest import delete_edge, fixpoint_levels, random_graph, standalone_cover
 
@@ -62,7 +62,7 @@ def test_cut_drop_matches_unit_raises(data):
     pairs = []  # (tree handed the cut, tree without it)
     for root in roots:
         pairs.append((g._adj, *(EsTree(g, root, depth) for _ in range(2))))
-        pairs.append((em.h.adj, *(MonotoneEsTree(em.h, root, Q, 1, 2, em.tau)
+        pairs.append((em.h.adj, *(MonotoneEsTree(em.h, root, depth_bound_floor(Q, em.tau))
                                   for _ in range(2))))
     cuts = 0
     for u, v in order:
@@ -96,7 +96,8 @@ def test_counters_learn_of_crossing_edges_before_the_drop():
     g = DecrementalGraph.from_edge_list(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3),
                                             (1, 5), (2, 3), (2, 5), (3, 4)])
     em = LocallyPerseveringEmulator(g, 1.0, hubs=[4, 5])
-    with_cut, without = (MonotoneEsTree(em.h, 1, 1, 1, 2, em.tau) for _ in range(2))
+    bound = depth_bound_floor(1, em.tau)
+    with_cut, without = (MonotoneEsTree(em.h, 1, bound) for _ in range(2))
     for u, v in [(0, 4), (2, 3), (3, 4), (1, 2), (1, 5), (1, 3)]:
         batch = em.on_delete(u, v)
         before = with_cut.levels()
@@ -115,7 +116,7 @@ def test_a_cut_off_side_drops_without_work():
 
     g = path()
     em = LocallyPerseveringEmulator(g, 1.0, hubs=[])
-    tree = MonotoneEsTree(em.h, 0, 9, 1, 2, em.tau)
+    tree = MonotoneEsTree(em.h, 0, depth_bound_floor(9, em.tau))
     assert tree.apply_batch(em.on_delete(4, 5), em.last_cut) == set(range(5, 10))
     assert tree.ops == 0
     assert tree.level_increases == sum(tree.bound + 1 - x for x in range(5, 10))

@@ -203,7 +203,9 @@ def test_cover_ledger_invariants(data):
         for j in cov.centers():
             # radius formula in half-units
             assert cov.radius2[j] == cov.q - 2 * len(cov.collected[j])
-            ball = cov.ball(j)
+            # B^j: the nodes within r^j of center j
+            ball = {y for y, d in enumerate(bfs_levels(g, cov.location(j)))
+                    if 2 * d <= cov.radius2[j]}
             assert not ball & cov.collected[j]
             both = ball | cov.collected[j]
             assert not both & seen, "pairwise disjointness"

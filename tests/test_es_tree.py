@@ -122,7 +122,7 @@ def test_report_threshold_below_depth():
 def test_weighted_increase_and_delete():
     # the exact tree on a weighted graph: a monotone tree with beta 0
     h = WeightedAdjacency(4, {(0, 1): 2, (1, 2): 1, (0, 3): 5, (3, 2): 1})
-    t = MonotoneEsTree(h, 0, 10, 1, 0, 1)
+    t = MonotoneEsTree(h, 0, 10)
     assert t.bound == 10
     assert t.levels() == [0, 2, 3, 4]
     t.apply_batch(h.apply([UpdateEvent(INCREASE, 1, 2, 10)]))

@@ -9,6 +9,7 @@ from decaps.fully_dynamic import FullyDynamicApsp
 from decaps.graph_core import INF, DecrementalGraph, read_edge_list, read_trace
 from decaps.harness import (
     ExperimentConfig,
+    audit_det_cover,
     build_graph,
     generate_mixed_updates,
     generate_trace,
@@ -16,6 +17,7 @@ from decaps.harness import (
     main,
     run_experiment,
 )
+from decaps.oracle import bfs_apsp
 from decaps.randomized_apsp import ApspIndexRandom
 
 
@@ -186,6 +188,65 @@ def test_broken_estimator_trips_audit(tmp_path, monkeypatch, algorithm, cls, nam
         assert (detail["context"]["alpha"], detail["context"]["beta"]) == (1, 0)
 
 
+def _radius_off(layer):
+    layer.radius2[0] += 2
+
+
+def _ball_in_collected(layer):
+    # the formula still holds; the center's own node is in its ball
+    layer.collected[0].add(layer.location(0))
+    layer.radius2[0] -= 2
+
+
+def _uncovered(layer):
+    layer.mc._cover[layer.location(0)].clear()
+
+
+def _far_center(layer):
+    rho = layer.mc.cover_radius
+    x = next(x for x in range(layer.g.n) if layer.distance(1, x) > rho)
+    layer.mc._cover[x] = {1: True}
+
+
+# fault injection: each corrupts the ledger of the q = 4 layer in one way
+LEDGER = [(_radius_off, "radius formula"),
+          (_ball_in_collected, "ball meets collected set"),
+          (_uncovered, "coverage"),
+          (_far_center, "cover radius")]
+
+
+@pytest.mark.parametrize("corrupt, reason", LEDGER,
+                         ids=[c.__name__.strip("_") for c, _ in LEDGER])
+def test_corrupted_ledger_trips_audit(corrupt, reason):
+    g = gnm_graph(40, 80, seed=0)
+    idx = ApspIndexDet(g, 1.0)
+    truth = bfs_apsp(g)
+    assert audit_det_cover(idx, truth) is None
+    layer = idx.layers[2]
+    assert layer.q == 4 and len(layer.centers()) == 2
+    corrupt(layer)
+    detail = audit_det_cover(idx, truth)
+    assert detail is not None
+    assert (detail["layer"], detail["reason"]) == (2, reason)
+
+
+def test_cli_ledger_failure_exits_2(tmp_path, monkeypatch):
+    real_delete = ApspIndexDet.delete
+
+    def corrupting(self, u, v):
+        real_delete(self, u, v)
+        _radius_off(self.layers[0])
+
+    monkeypatch.setattr(ApspIndexDet, "delete", corrupting)
+    out = tmp_path / "bad"
+    rc = main(["run", "--algo", "det_apsp", "--gnm", "12", "24", "--seed", "1",
+               "--eps", "0.5", "--audit", "full", "--out", str(out)])
+    assert rc == 2
+    bundle = json.loads((out / "replay_bundle.json").read_text())
+    assert bundle["version"] == 1
+    assert bundle["detail"] == {"layer": 0, "center": 0, "reason": "radius formula"}
+
+
 def test_cli_gen_and_run(tmp_path):
     gpath = tmp_path / "g.txt"
     tpath = tmp_path / "t.txt"
@@ -211,7 +272,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert main(["run", "--algo", "es_tree"]) == 3
     assert main(["gen", "--out", str(tmp_path / "g.txt")]) == 3
     assert main(["gen", "--gnm", "4", "3", "--path", "4", "--out", str(tmp_path / "g.txt")]) == 3
+    assert main(["gen", "--path", "4", "--grid", "2", "2", "--out", str(tmp_path / "g.txt")]) == 3
     assert not (tmp_path / "g.txt").exists()
+    assert main(["run", "--algo", "es_tree", "--path", "4", "--grid", "2", "2"]) == 3
     # a negative number of updates
     assert main(["run", "--algo", "fully_dynamic", "--gnm", "10", "20", "--updates", "-5"]) == 3
     # audit failure path

@@ -23,8 +23,9 @@ from decaps.graph_core import (
     WeightedAdjacency,
     edge_key,
 )
-from decaps.monotone_es_tree import MonotoneEsTree, depth_bound_floor
+from decaps.monotone_es_tree import MonotoneEsTree
 from decaps.oracle import bfs_levels, weighted_apsp
+from decaps.randomized_apsp import depth_bound_floor
 
 from conftest import fixpoint_levels, random_graph_and_trace
 
@@ -38,37 +39,37 @@ def path_h(length):
 
 
 def test_depth_bound():
-    # alpha=1, beta=2, tau=4: bound = (1 + 2/4) * Q + 2
-    assert depth_bound_floor(10, 1, 2, 4) == 17
-    assert depth_bound_floor(5, 1, 2, 2) == 12  # (1+1)*5+2
-    t = MonotoneEsTree(path_h(3), 0, 5, 1, 2, 2)
+    # tau=4: bound = (1 + 2/4) * Q + 2
+    assert depth_bound_floor(10, 4) == 17
+    assert depth_bound_floor(5, 2) == 12  # (1+1)*5+2
+    assert depth_bound_floor(7, 3) == 13  # floor(11.66... + 2)
+    t = MonotoneEsTree(path_h(3), 0, 12)
     assert t.bound == 12
 
 
 @COUNTER_ENGINE
 def test_init_unit_path(make_tree):
-    t = make_tree(path_h(3), 0, 5, 1, 2, 2)
+    t = make_tree(path_h(3), 0, depth_bound_floor(5, 2))
     assert t.levels() == [0, 1, 2, 3]
 
 
 @COUNTER_ENGINE
 def test_init_beyond_bound(make_tree):
-    t = make_tree(path_h(7), 0, 1, 1, 2, 2)
-    # bound = (1+1)*1+2 = 4
+    t = make_tree(path_h(7), 0, 4)
     assert t.levels() == [0, 1, 2, 3, 4, INF, INF, INF]
 
 
 def test_init_invalid_parameters():
     with pytest.raises(InvalidParameters):
-        MonotoneEsTree(path_h(2), 0, 0, 1, 2, 2)
+        MonotoneEsTree(path_h(2), 0, 0)
     with pytest.raises(InvalidParameters):
-        MonotoneEsTree(path_h(2), 0, 3, 1, 2, 0)
+        MonotoneEsTree(path_h(2), 0, -3)
 
 
 @COUNTER_ENGINE
 def test_pure_inserts_change_no_levels(make_tree):
     h = path_h(4)
-    t = make_tree(h, 0, 6, 1, 2, 2)
+    t = make_tree(h, 0, depth_bound_floor(6, 2))
     before = t.levels()
     t.apply_batch(h.apply([UpdateEvent(INSERT, 0, 4, 1), UpdateEvent(INSERT, 0, 3, 1)]))
     assert t.levels() == before
@@ -77,7 +78,7 @@ def test_pure_inserts_change_no_levels(make_tree):
 @COUNTER_ENGINE
 def test_insert_then_noninsert_order_enforced(make_tree):
     h = path_h(4)
-    t = make_tree(h, 0, 6, 1, 2, 2)
+    t = make_tree(h, 0, depth_bound_floor(6, 2))
     levels = t.levels()
     edges = h.edges()
     with pytest.raises(OrderViolation):
@@ -90,7 +91,7 @@ def test_insert_then_noninsert_order_enforced(make_tree):
     assert h.edges() == edges
     # and the tree still repairs like a fresh one
     fresh_h = path_h(4)
-    fresh = make_tree(fresh_h, 0, 6, 1, 2, 2)
+    fresh = make_tree(fresh_h, 0, depth_bound_floor(6, 2))
     batch = [UpdateEvent(DELETE, 0, 1, INF)]
     assert t.apply_batch(h.apply(batch)) == fresh.apply_batch(fresh_h.apply(batch))
     assert t.levels() == fresh.levels()
@@ -101,7 +102,7 @@ def test_rejected_batch_changes_nothing(make_tree):
     # the first event is valid, the second names an absent edge: the whole
     # batch is refused before (0, 1) is deleted, so no tree sees a change
     h = path_h(4)
-    trees = [make_tree(h, root, 6, 1, 2, 2) for root in range(5)]
+    trees = [make_tree(h, root, depth_bound_floor(6, 2)) for root in range(5)]
     levels = [t.levels() for t in trees]
     edges = h.edges()
     with pytest.raises(UnknownEdge):
@@ -115,7 +116,7 @@ def test_rejected_batch_changes_nothing(make_tree):
 def test_stretched_node_stays_fixed(make_tree):
     # path 0-1-2-3-4; insert a light edge (0,4): node 4 becomes stretched
     h = path_h(4)
-    t = make_tree(h, 0, 6, 1, 2, 2)
+    t = make_tree(h, 0, depth_bound_floor(6, 2))
     t.apply_batch(h.apply([UpdateEvent(INSERT, 0, 4, 1)]))
     assert t.level_query(4) == 4
     assert (4, 0) in t.stretched_edges()
@@ -129,7 +130,7 @@ def test_stretched_node_stays_fixed(make_tree):
 @COUNTER_ENGINE
 def test_unknown_edge_and_bad_weight(make_tree):
     h = path_h(3)
-    t = make_tree(h, 0, 5, 1, 2, 2)
+    t = make_tree(h, 0, depth_bound_floor(5, 2))
     edges = h.edges()
     with pytest.raises(UnknownEdge):
         h.apply([UpdateEvent(INCREASE, 0, 3, 5)])
@@ -167,7 +168,7 @@ def test_non_integer_weights_rejected():
         with pytest.raises(InvalidParameters):
             WeightedAdjacency(2, {(0, 1): w})
     h = WeightedAdjacency(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
-    t = MonotoneEsTree(h, 0, 6, 1, 0, 1)
+    t = MonotoneEsTree(h, 0, 6)
     edges = h.edges()
     for batch in ([UpdateEvent(INCREASE, 2, 3, 3), UpdateEvent(INCREASE, 0, 1, 2.5)],
                   [UpdateEvent(INSERT, 0, 2, 1.5)],
@@ -190,7 +191,7 @@ def test_matches_classic_tree_without_insertions(make_tree):
         8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7), (2, 6)])
     em = LocallyPerseveringEmulator(g, 1.0, hubs=[])
     Q = 8
-    mono = make_tree(em.h, 0, Q, 1, 2, em.tau)
+    mono = make_tree(em.h, 0, depth_bound_floor(Q, em.tau))
 
     def exact():
         dist = weighted_apsp(8, em.h.edges())[0]
@@ -209,7 +210,7 @@ def test_matches_classic_tree_without_insertions(make_tree):
 @COUNTER_ENGINE
 def test_root_level_and_lower_bound(make_tree, fig_graph):
     em = LocallyPerseveringEmulator(fig_graph, 1.0, hubs=[1, 5])
-    t = make_tree(em.h, 0, 4, 1, 2, em.tau)
+    t = make_tree(em.h, 0, depth_bound_floor(4, em.tau))
     assert t.level_query(0) == 0
     for u, v in list(fig_graph.edges()):
         t.apply_batch(em.on_delete(u, v))
@@ -230,10 +231,10 @@ def test_reference_levels_and_invariants(data):
     em = LocallyPerseveringEmulator(g, eps, hubs=hubs)
     root = data.draw(st.integers(0, n - 1))
     Q = data.draw(st.sampled_from([2, 4, n]))
-    t = MonotoneEsTree(em.h, root, Q, 1, 2, em.tau)
+    t = MonotoneEsTree(em.h, root, depth_bound_floor(Q, em.tau))
     # the same tree on a second copy of H that takes one event at a time
     h_single = WeightedAdjacency(n, em.snapshot())
-    single = MonotoneEsTree(h_single, root, Q, 1, 2, em.tau)
+    single = MonotoneEsTree(h_single, root, depth_bound_floor(Q, em.tau))
     inserted_pairs = set()
     prev = t.levels()
     for u, v in order:
@@ -283,8 +284,8 @@ def test_threshold_reports_match_truncated_tree(make_tree, data):
     root = data.draw(st.integers(0, n - 1))
     q = data.draw(st.integers(1, 3))
     Q = q + data.draw(st.integers(0, n))
-    small = make_tree(em.h, root, q, 1, 2, em.tau)
-    big = make_tree(em.h, root, Q, 1, 2, em.tau)
+    small = make_tree(em.h, root, depth_bound_floor(q, em.tau))
+    big = make_tree(em.h, root, depth_bound_floor(Q, em.tau))
 
     def truncated():
         return [lx if lx <= small.bound else INF for lx in big.levels()]
@@ -318,7 +319,7 @@ def test_sandwich_on_reliable_emulator(data):
     em = LocallyPerseveringEmulator(g, eps, hubs=list(range(n)))
     root = data.draw(st.integers(0, n - 1))
     Q = n
-    t = MonotoneEsTree(em.h, root, Q, 1, 2, em.tau)
+    t = MonotoneEsTree(em.h, root, depth_bound_floor(Q, em.tau))
     for u, v in order:
         t.apply_batch(em.on_delete(u, v))
         truth = bfs_levels(g, root)

@@ -21,7 +21,12 @@ from decaps.graph_core import INF, DecrementalGraph
 from decaps.monotone_es_tree import MonotoneEsTree
 from decaps.harness import generate_trace, gnm_graph
 from decaps.oracle import bfs_apsp
-from decaps.randomized_apsp import ApspIndexRandom, RandomCenterCover, search_layers
+from decaps.randomized_apsp import (
+    ApspIndexRandom,
+    RandomCenterCover,
+    depth_bound_floor,
+    search_layers,
+)
 
 from conftest import (
     delete_edge,
@@ -164,7 +169,7 @@ def test_rand_apsp_counters_pinned():
     # one tree per root; every node is a center in all six layers and no
     # layer's range exceeds the patch range, so each tree is a patch tree
     assert len(idx.trees) == g.n
-    assert all(t.Q == idx.patch_range for t in idx.trees)
+    assert all(t.bound == idx.patch_bound for t in idx.trees)
     assert all(len(layer.centers) == g.n for layer in idx.layers)
     assert sum(t.level_increases for t in idx.trees) == 662
     assert sum(t.ops for t in idx.trees) == 41706
@@ -182,8 +187,9 @@ def test_one_tree_per_root_with_largest_range():
     assert max(Q for _, Q in idx.layer_params) > idx.patch_range
     for x, tree in enumerate(idx.trees):
         assert tree.root == x
-        assert tree.Q == max([idx.patch_range] + [
-            Q for (_, Q), layer in zip(idx.layer_params, idx.layers) if x in layer.centers])
+        assert tree.bound == depth_bound_floor(max([idx.patch_range] + [
+            Q for (_, Q), layer in zip(idx.layer_params, idx.layers) if x in layer.centers]),
+            idx.emulator.tau)
         for layer in idx.layers:
             if x in layer.centers:
                 assert layer._trees[layer.centers.index(x)] is tree
@@ -209,7 +215,8 @@ def test_cover_on_deeper_shared_trees(make_tree, data):
     own = standalone_cover(g, q, Q, eps, hubs=hubs, centers=centers)
     em = LocallyPerseveringEmulator(g2, eps, hubs=hubs)
     # a tree at every root, centers or not, each deeper by its own margin
-    deep = {x: make_tree(em.h, x, Q + data.draw(st.integers(0, 20)), 1, 2, em.tau)
+    deep = {x: make_tree(em.h, x, depth_bound_floor(Q + data.draw(st.integers(0, 20)),
+                                                    em.tau))
             for x in range(n)}
     shared = RandomCenterCover(em, q, Q, centers, deep)
 
@@ -232,10 +239,10 @@ def test_cover_on_deeper_shared_trees(make_tree, data):
 def test_cover_rejects_unfit_trees():
     g = gnm_graph(8, 12, 1)
     em = LocallyPerseveringEmulator(g, 1.0, hubs=[0])
-    fit = {x: MonotoneEsTree(em.h, x, 4, 1, 2, em.tau) for x in range(8)}
+    fit = {x: MonotoneEsTree(em.h, x, depth_bound_floor(4, em.tau)) for x in range(8)}
     RandomCenterCover(em, 2, 4, [1, 3], fit)
     shallow = dict(fit)
-    shallow[3] = MonotoneEsTree(em.h, 3, 3, 1, 2, em.tau)
+    shallow[3] = MonotoneEsTree(em.h, 3, depth_bound_floor(3, em.tau))
     with pytest.raises(InvalidParameters):
         RandomCenterCover(em, 2, 4, [1, 3], shallow)
     with pytest.raises(InvalidParameters):
@@ -318,8 +325,8 @@ def test_patch_reads_through_its_own_bound(monkeypatch):
     idx = _path_index(0.3)
     n = idx.g.n
     em = idx.emulator
-    deep = [x for x, tree in enumerate(idx.trees) if tree.Q > idx.patch_range]
-    own = {x: MonotoneEsTree(em.h, x, idx.patch_range, 1, 2, em.tau) for x in deep}
+    deep = [x for x, tree in enumerate(idx.trees) if tree.bound > idx.patch_bound]
+    own = {x: MonotoneEsTree(em.h, x, depth_bound_floor(idx.patch_range, em.tau)) for x in deep}
     monkeypatch.setattr(randomized_apsp, "search_layers", lambda layers, x, y: INF)
     past_patch = 0
     for deletion in [None, (398, 399), (0, 1), (359, 360)]:
