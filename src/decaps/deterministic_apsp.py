@@ -12,23 +12,21 @@ Three pieces:
   in a component smaller than its radius; that center absorbs the component
   into T^j and moves across the deleted edge, then a greedy pass opens
   centers at uncovered nodes in ascending id order.
-* :class:`ApspIndexDet`: an exact patch (a center at every node) up to 2^{p+2}
-  for the largest scale p whose cover radius floor(eps_int * 2^p) is 0, and
-  one cover per larger scale, giving the (1 + 2*eps_int) guarantee past the
-  patch. The public eps is halved internally so queries satisfy
-  dist <= answer <= (1+eps)*dist.
+* :class:`ApspIndexDet`: an exact patch (an exact tree at every node) up to
+  2^{p+2} for the largest scale p whose cover radius floor(eps_int * 2^p)
+  is 0, and one cover per larger scale, giving the (1 + 2*eps_int)
+  guarantee past the patch. The public eps is halved internally so queries
+  satisfy dist <= answer <= (1+eps)*dist.
 
-Construction is block-major (``graph_core.RootDistances``): it runs one
-bit-parallel BFS from a block of 64 roots at once on the graph as it stands,
-in ascending blocks, and over each block the patch opens the block's roots
-and every cover runs its greedy pass over the block's nodes, registering
-each open's ball from its row at once. That gives the opens of one pass
-over all nodes: covers open in ascending node order, and the decision at x
-reads only the cover lists of centers opened at smaller nodes. The trees of
-the block's opens are then set in one vectorised call per cover, and one
-for the patch, from their roots' rows: the levels and the support counts.
-Only one block of rows is held at a time. Opens and moves after a deletion
-search from their root.
+Construction is block-major (``graph_core.RootDistances``): one bit-parallel
+BFS from a block of 64 roots at a time, in ascending blocks. Over each block
+the patch's trees are set from their rows in one vectorised call, and every
+cover runs its greedy pass over the block's nodes, registering each open's
+ball from its row, then sets the trees of its opens in one call. Covers
+open in ascending node order and the decision at x reads only the cover
+lists of centers opened at smaller nodes, so this opens what one pass over
+all nodes would. Only one block of rows is held at a time; opens and moves
+after a deletion search from their root.
 
 A deletion costs work in proportion to what it changes, not to n:
 
@@ -44,16 +42,12 @@ A deletion costs work in proportion to what it changes, not to n:
   radius, so the greedy pass re-checks exactly those nodes, in ascending id
   order. Opens only add coverage, so it opens the same centers as a full
   scan would.
-* A tree is repaired only when u and v sit on adjacent levels; otherwise
-  the deleted edge supported neither endpoint and the repair would change
-  no level. Without a cut, a tree where the higher endpoint keeps another
-  support only loses one from its count, and is not called either.
+* Trees are repaired through ``es_tree.after_delete_all``, which calls
+  only the trees whose levels the deletion changes.
 * One split search per deletion (``DecrementalGraph.split_side``), shared by
   every layer, scans at most about 8 * ceil(sqrt(n)) nodes. When it finds
   the side the deletion cut off, every tree drops its root-less side in one
-  pass instead of raising each node there one level at a time up to Q: a
-  tree rooted outside the side scans the side, and one rooted inside it
-  scans all n levels. A deletion that splits nothing pays only the search.
+  pass instead of raising each node there one level at a time up to Q.
 """
 
 from __future__ import annotations
@@ -68,7 +62,7 @@ from .errors import (
     RateViolation,
     UnknownCenter,
 )
-from .es_tree import EsTree
+from .es_tree import EsTree, after_delete_all
 from .graph_core import DecrementalGraph, RootDistances
 from .randomized_apsp import search_layers
 
@@ -94,7 +88,6 @@ class MovingCenters:
                 f"need 0 <= cover_radius <= Q and Q >= 1, got {cover_radius}, {Q}")
         self.g = g
         self.cover_radius = cover_radius
-        self.Q = Q
         self.bound = Q
         self.location: list[int] = []
         self._trees: list[EsTree] = []
@@ -115,7 +108,7 @@ class MovingCenters:
         """Open a new center at x; returns its id."""
         if not 0 <= x < self.g.n:
             raise NodeOutOfRange(f"node {x} not in [0, {self.g.n})")
-        tree = EsTree(self.g, x, self.Q)
+        tree = EsTree(self.g, x, self.bound)
         j = self._register(x, self._ball(tree))
         self._trees.append(tree)
         self._levels.append(tree.level)
@@ -140,7 +133,7 @@ class MovingCenters:
     def _set_trees(self, rows: RootDistances) -> None:
         """Set the trees of the centers registered since the last call, in
         one vectorised pass over their rows in the current block of ``rows``."""
-        g, Q = self.g, self.Q
+        g, Q = self.g, self.bound
         roots = self.location[len(self._trees):]
         for x, start in zip(roots, rows.starts(roots, Q)):
             tree = EsTree(g, x, Q, start)
@@ -169,7 +162,7 @@ class MovingCenters:
         old = self._trees[j]
         self._retired_increases += old.level_increases
         self._retired_ops += old.ops
-        tree = self._trees[j] = EsTree(self.g, x, self.Q)
+        tree = self._trees[j] = EsTree(self.g, x, self.bound)
         cover = self._cover
         for y in self._ball(tree):
             cover[y][j] = True
@@ -185,38 +178,17 @@ class MovingCenters:
 
         ``cut`` is the side the deletion split off (``split_side``), or
         None. Returns the nodes popped from cover lists: those a tree raised
-        past the cover radius. A tree is called only when u and v sit on
-        adjacent levels, the one case where the edge supported an endpoint:
-        a tree with a finite node on the side without its root reached that
-        side through (u, v), so u and v sit on adjacent levels there too.
-        Without a cut, a tree whose higher endpoint keeps another support
-        is not called either: its repair would only count that endpoint's
-        support down, raise nothing and cost no op, so the count drops here.
-        Every node a tree raises or drops sat at least as high as the
-        endpoint that leaned on (u, v), so only a tree where that endpoint
-        sat within the cover radius can pop a node.
+        past the cover radius.
         """
         cover = self._cover
         rho = self.cover_radius
         freed: set[int] = set()
-        for j, tree in enumerate(self._trees):
-            level = tree.level
-            lu, lv = level[u], level[v]
-            # INF on either side gives inf or nan here, never +-1
-            if lu - lv not in (1, -1):
-                continue
-            if cut is None:
-                count = tree._count
-                hi = u if lu > lv else v
-                if count[hi] > 1:
-                    count[hi] -= 1
-                    continue
-            raised = tree.after_delete(u, v, cut)
-            if lu <= rho and lv <= rho:
-                for x in raised:
-                    # a node already past the radius holds no entry of j
-                    if level[x] > rho and cover[x].pop(j, False):
-                        freed.add(x)
+        for j, raised in after_delete_all(self._trees, u, v, cut):
+            level = self._levels[j]
+            for x in raised:
+                # a node already past the radius holds no entry of j
+                if level[x] > rho and cover[x].pop(j, False):
+                    freed.add(x)
         return freed
 
     def distance(self, j: int, x: int):
@@ -369,9 +341,9 @@ class DetCenterCover:
 
 class ApspIndexDet:
     """An exact patch and ceil(log n) deterministic covers answering
-    (1+eps)-approximate queries. ``patch`` has center x at node x and is exact
-    up to ``patch_range``; ``layers[k]`` is the k-th cover, with (q, Q) in
-    ``layer_params[k]``."""
+    (1+eps)-approximate queries. ``patch[x]`` is the exact tree rooted at x,
+    kept to depth ``patch_range``; ``layers[k]`` is the k-th cover, with
+    (q, Q) in ``layer_params[k]``."""
 
     def __init__(self, g: DecrementalGraph, eps: float):
         if not 0 < eps <= 1:
@@ -396,14 +368,10 @@ class ApspIndexDet:
                 continue
             self.layer_params.append((q_p, Q_p))
             self.layers.append(DetCenterCover(g, q_p, Q_p, rows))
-        self.patch = MovingCenters(g, 0, self.patch_range)
-        # block-major: over each block the patch opens its roots, then every
-        # cover runs its greedy pass; a block's trees are set in one call per
-        # layer
-        for block in rows.blocks():
-            for x in block:
-                self.patch._register(x, (x,))  # the ball of radius 0
-            self.patch._set_trees(rows)
+        self.patch: list[EsTree] = []
+        for block in rows.blocks():  # block-major, see the module docstring
+            self.patch += [EsTree(g, x, self.patch_range, start)
+                           for x, start in zip(block, rows.starts(block, self.patch_range))]
             for layer in self.layers:
                 layer._build_block(block, rows)
         self._covers = [layer.mc for layer in self.layers]
@@ -411,19 +379,19 @@ class ApspIndexDet:
     def delete(self, u: int, v: int) -> None:
         self.g.delete_edge(u, v)
         cut = self.g.split_side(u, v)
-        self.patch.after_delete(u, v, cut)  # pops nothing at cover radius 0
+        after_delete_all(self.patch, u, v, cut)
         for layer in self.layers:
             layer.on_deleted(u, v, cut)
 
     @property
     def level_increases(self) -> int:
         """Level increases of every tree the index built, retired ones included."""
-        return self.patch.level_increases + sum(mc.level_increases for mc in self._covers)
+        return sum(t.level_increases for t in self.patch + self._covers)
 
     @property
     def ops(self) -> int:
         """Work (``ops``) of every tree the index built, retired ones included."""
-        return self.patch.ops + sum(mc.ops for mc in self._covers)
+        return sum(t.ops for t in self.patch + self._covers)
 
     def query(self, x: int, y: int):
         """Estimate with dist <= result <= (1+eps)*dist; INF if disconnected.
@@ -432,7 +400,7 @@ class ApspIndexDet:
         """
         if not (0 <= x < self.g.n and 0 <= y < self.g.n):
             raise NodeOutOfRange(f"pair ({x}, {y}) out of range")
-        d = self.patch._levels[x][y]
+        d = self.patch[x].level[y]
         if d <= self.patch_range:
             return d
         return search_layers(self._covers, x, y)

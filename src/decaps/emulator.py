@@ -6,13 +6,14 @@ The emulator H over a decremental graph G holds two kinds of edges:
   the weight cap W = ceil(2/eps) + 1, maintained by one depth-W tree per hub;
 * unit edges: every G-edge with an endpoint of degree at most ceil(sqrt(n)).
 
-The hubs come from the owner (``ApspIndexRandom`` samples them). The hub
-trees start from one all-roots BFS over the hubs (``graph_core.RootDistances``),
-each block's trees set in one vectorised pass. Each base-graph deletion is
-turned into an ordered batch of update events (all insertions first, then
-weight increases and deletions); a pair present in both kinds is reported at
-the collapsed minimum weight, which is safe because both kinds can only
-coexist at weight 1.
+The hubs come from the owner (``ApspIndexRandom`` samples them). Their
+trees, a list aligned with ``hubs``, start from one all-roots BFS
+(``graph_core.RootDistances``) and repair through
+``es_tree.after_delete_all``. Each base-graph deletion is turned into an
+ordered batch of update events (all insertions first, then weight increases
+and deletions); a pair present in both kinds is reported at the collapsed
+minimum weight, which is safe because both kinds can only coexist at
+weight 1.
 
 H is kept once, as one ``WeightedAdjacency`` (``h``). Since degrees only
 fall and levels only rise, ``on_delete`` derives each batch from G's degrees
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidEpsilon
-from .es_tree import EsTree
+from .es_tree import EsTree, after_delete_all
 from .graph_core import (
     DELETE,
     INCREASE,
@@ -57,8 +58,8 @@ class LocallyPerseveringEmulator:
         self.hubs = sorted(set(hubs))
         self._hub_set = set(self.hubs)
         rows = RootDistances(g, self.hubs)
-        self._trees = {c: EsTree(g, c, self.weight_cap, start) for block in rows.blocks()
-                       for c, start in zip(block, rows.starts(block, self.weight_cap))}
+        self._trees = [EsTree(g, c, self.weight_cap, start) for block in rows.blocks()
+                       for c, start in zip(block, rows.starts(block, self.weight_cap))]
 
         unit = set()
         for u in range(g.n):
@@ -66,8 +67,8 @@ class LocallyPerseveringEmulator:
                 for v in g.neighbors(u):
                     unit.add(edge_key(u, v))
         h0: dict[tuple[int, int], int] = {}
-        for c in self.hubs:
-            level = self._trees[c].level
+        for c, tree in zip(self.hubs, self._trees):
+            level = tree.level
             for y in range(g.n):
                 if y != c and level[y] is not INF:
                     h0.setdefault(edge_key(c, y), int(level[y]))
@@ -114,9 +115,9 @@ class LocallyPerseveringEmulator:
         # a unit pair is a G-edge at level 1 and never rises; a pair of two
         # hubs rises in both trees alike and is reported from the smaller hub
         rest: list[UpdateEvent] = []
-        for c, tree in self._trees.items():
-            level = tree.level
-            for y in sorted(tree.after_delete(u, v, cut)):
+        for i, raised in after_delete_all(self._trees, u, v, cut):
+            c, level = self.hubs[i], self._trees[i].level
+            for y in sorted(raised):
                 if y > c or y not in hub_set:
                     new = level[y]  # INF past the tree's depth, the weight cap
                     kind = DELETE if new is INF else INCREASE

@@ -4,13 +4,11 @@ to a depth bound, over a shared ``DecrementalGraph``.
 On an unweighted graph without insertions the monotone ES-tree is the classic
 tree, so ``EsTree`` is a ``MonotoneEsTree`` on the graph's own adjacency,
 whose weights are all 1, kept to depth bound ``depth``. A tree starts from
-a BFS from its root, or, when the owner builds many trees at one graph
-version, from a ``TreeStart`` that ``graph_core.RootDistances`` sets for a
-block of roots in one vectorised pass: ``ApspIndexDet`` and the emulator's
-hub trees build block by block that way, and the index's later opens and
-moves search. The owner deletes
-an edge from the graph once and calls ``after_delete`` on every tree, which
-repairs through one DELETE event.
+a BFS from its root, or from a ``TreeStart`` that ``graph_core.RootDistances``
+sets for a block of roots in one vectorised pass, as ``ApspIndexDet`` and the
+emulator's hub trees do at build time. The owner deletes an edge from the
+graph once and repairs its trees with ``after_delete_all``, which calls
+``after_delete`` only on the trees whose levels the deletion changes.
 Levels, the one-step drop of a cut-off side and the work counters
 (``level_increases``, and ``ops``, which counts neighbour checks) are the
 monotone tree's; ``monotone_es_tree`` shows why they are exact.
@@ -19,10 +17,10 @@ monotone tree's; ``monotone_es_tree`` shows why they are exact.
 from __future__ import annotations
 
 from .errors import InvalidParameters
-from .graph_core import DELETE, INF, DecrementalGraph, TreeStart
+from .graph_core import DecrementalGraph, TreeStart
 from .monotone_es_tree import MonotoneEsTree
 
-__all__ = ["EsTree"]
+__all__ = ["EsTree", "after_delete_all"]
 
 
 class EsTree(MonotoneEsTree):
@@ -45,17 +43,55 @@ class EsTree(MonotoneEsTree):
 
         ``cut`` is the side this deletion split off the graph
         (``DecrementalGraph.split_side``), or None. Returns the nodes whose
-        level rose.
+        level rose. ``after_delete_all`` shows why the repair is complete.
         """
         if cut is not None:
-            # every path to the root from the endpoint on the side without
-            # it ran through the other endpoint, which therefore sat a level
-            # lower and did not lean on it: no support on the root's side
-            # changes, and dropping the other side is the whole repair
             return self._drop_side(cut)
-        return self._apply(((DELETE, u, v, INF, 1),))
+        level = self.level
+        lu, lv = level[u], level[v]
+        if lu - lv not in (1, -1):  # INF on either side gives inf or nan
+            return set()
+        hi = u if lu > lv else v
+        self._count[hi] -= 1
+        raised: set[int] = set()
+        self._raise_levels((hi,), raised)  # raises hi only if it lost its last support
+        return raised
 
     @property
     def messages(self) -> int:
         """``ops`` under its earlier name, which perfbench's tracer reads."""
         return self.ops
+
+
+def after_delete_all(trees: list[EsTree], u: int, v: int,
+                     cut=None) -> list[tuple[int, set[int]]]:
+    """Repair ``trees`` after their shared graph lost (u, v), with ``cut``
+    as in ``EsTree.after_delete``; returns (i, raised) for each tree
+    ``trees[i]`` that raised a node, in index order.
+
+    Levels are exact, so unless u and v sit on adjacent levels the edge
+    supported neither endpoint and no level changes; otherwise it supported
+    only the higher one. Without a cut, a tree where that endpoint keeps
+    another support only has its count lowered here and is not called.
+    With a cut, a tree with a finite node on the side without its root
+    reached it through (u, v): u and v sit on adjacent levels, the lower
+    one on the root's side, where it leaned on no node of the other side.
+    So no support on the root's side changes, and dropping the other side
+    is the whole repair; a tree skipped with a cut has nothing to drop.
+    """
+    out = []
+    for i, tree in enumerate(trees):
+        level = tree.level
+        lu, lv = level[u], level[v]
+        if lu - lv not in (1, -1):
+            continue
+        if cut is None:
+            count = tree._count
+            hi = u if lu > lv else v
+            if count[hi] > 1:
+                count[hi] -= 1
+                continue
+        raised = tree.after_delete(u, v, cut)
+        if raised:
+            out.append((i, raised))
+    return out

@@ -228,7 +228,7 @@ def _audit_answers(cfg: ExperimentConfig, version: int, query, truth, checks) ->
 
 def run_es_tree(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrace):
     n = g.n
-    Q = cfg.Q or n
+    Q = n if cfg.Q is None else cfg.Q
     tree = EsTree(g, cfg.root, Q)
     oracle = NumpyBfsOracle(g) if cfg.audit != "none" else None
     rows = []

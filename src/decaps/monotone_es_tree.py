@@ -239,11 +239,6 @@ class MonotoneEsTree:
             self._raise_levels(seeds, raised)
         return raised
 
-    # the same function under a second name: subclasses repair through it,
-    # so wrapping ``apply_batch`` on this class (as perfbench's tracer does)
-    # leaves their calls out
-    _apply = apply_batch
-
     def _drop_side(self, cut) -> set[int]:
         """Set every finite level on the root-less side of a split to INF.
 

@@ -78,8 +78,13 @@ def delete_edge(structure, u: int, v: int) -> None:
         structure.on_deleted(u, v, cut)
 
 
+def tree_state(t):
+    """A tree's root, levels, support counts and work counters."""
+    return t.root, t.levels(), list(t._count), t.level_increases, t.ops
+
+
 def _mc_state(mc):
-    return (mc.location, [(t.root, t.levels(), t.level_increases, t.ops) for t in mc._trees],
+    return (mc.location, [tree_state(t) for t in mc._trees],
             [list(level) for level in mc._levels], mc._cover, mc.opens, mc.moving_distance,
             mc.level_increases, mc.ops)
 
@@ -89,7 +94,7 @@ def det_state(idx):
     its exact patch and every cover layer."""
     layers = [(_mc_state(layer.mc), layer.collected, layer.radius2, layer._skip_small)
               for layer in idx.layers]
-    return idx.g.edges(), idx.g.version, _mc_state(idx.patch), layers
+    return idx.g.edges(), idx.g.version, [tree_state(t) for t in idx.patch], layers
 
 
 def reference_search(layers, x: int, y: int):

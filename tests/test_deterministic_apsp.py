@@ -170,21 +170,20 @@ def test_cc_queries_against_oracle():
 
 
 def test_cover_radius_zero_opens_everywhere():
-    # the exact patch: a radius-0 MovingCenters with center x at node x,
-    # which no deletion opens, moves or pops from a cover list
+    # the exact patch: an exact tree rooted at every node, kept to the
+    # patch's range, which answers every pair within it
     g = DecrementalGraph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     idx = ApspIndexDet(g, 0.25)
     patch = idx.patch
     assert idx.patch_range == 16 and not idx.layers  # scales 0 to 2, radius 0
-    assert patch.cover_radius == 0 and patch.bound == patch.Q == idx.patch_range
+    assert len(patch) == 5
     for deletion in [None, (1, 2), (3, 4), (0, 1)]:
         if deletion is not None:
             idx.delete(*deletion)
         truth = bfs_apsp(g)
-        assert patch.opens == 5 and patch.moving_distance == 0
-        for x in range(5):
-            assert patch.location[x] == x and patch.find_center(x) == x
-            assert [patch.distance(x, y) for y in range(5)] == list(truth[x])
+        for x, tree in enumerate(patch):
+            assert tree.root == x and tree.bound == idx.patch_range
+            assert tree.levels() == list(truth[x])
             assert [idx.query(x, y) for y in range(5)] == list(truth[x])
 
 
@@ -274,9 +273,8 @@ def test_det_apsp_counters_pinned(graph, order, opens, moving, increases, ops):
     trees = {}  # every tree that ever lived, kept alive so ids stay unique
 
     def collect():
-        for mc in [idx.patch] + [layer.mc for layer in idx.layers]:
-            for tree in mc._trees:
-                trees[id(tree)] = tree
+        for tree in idx.patch + [t for layer in idx.layers for t in layer.mc._trees]:
+            trees[id(tree)] = tree
     collect()
     for u, v in trace:
         idx.delete(u, v)
@@ -386,7 +384,7 @@ def test_search_layers_matches_reference_search():
             for y in range(100):
                 ref = reference_search(idx.layers, x, y)
                 assert search_layers(covers, x, y) == ref
-                patch = idx.patch.distance(x, y)
+                patch = idx.patch[x].level_query(y)
                 assert idx.query(x, y) == (ref if patch is INF else patch)
                 layered += patch is INF and ref is not INF
     assert sum(mc.moving_distance for mc in covers) > 0 and layered > 0
@@ -415,7 +413,7 @@ def test_det_apsp_answers_pinned():
                 idx.delete(u, v)
                 answers = [[idx.query(x, y) for y in range(g.n)] for x in range(g.n)]
                 digest.update(repr(answers).encode())
-                layered += sum(idx.patch.distance(x, y) is INF and answers[x][y] is not INF
+                layered += sum(idx.patch[x].level_query(y) is INF and answers[x][y] is not INF
                                for x in range(g.n) for y in range(g.n))
     assert layered > 0  # the covers answer some pairs, not only the patch
     assert digest.hexdigest() == ANSWERS_SHA256
@@ -432,5 +430,5 @@ def test_build_temporaries_stay_small():
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert index.patch.opens == 400
+    assert len(index.patch) == 400
     assert peak - size < 1 << 20

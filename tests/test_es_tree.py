@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from decaps import graph_core
 from decaps.errors import InvalidParameters, NodeOutOfRange, NonIncreasingWeight, UnknownEdge
-from decaps.es_tree import EsTree
+from decaps.es_tree import EsTree, after_delete_all
 from decaps.graph_core import (
     DELETE,
     INCREASE,
@@ -20,7 +20,7 @@ from decaps.graph_core import (
 from decaps.monotone_es_tree import MonotoneEsTree
 from decaps.oracle import bfs_levels
 
-from conftest import random_graph_and_trace
+from conftest import random_graph_and_trace, tree_state
 
 # the engine under test, named in test ids by its repair path: per-node
 # support counters with one-unit raises
@@ -181,6 +181,53 @@ def test_monotonicity_and_work_bound(data):
                    - min(Q, init_levels[x] if init_levels[x] is not INF else Q))
         for x in range(n))
     assert t.ops <= charge_bound + 2 * len(order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_after_delete_all_equals_every_tree_repaired(data):
+    # the call over many trees skips trees whose levels the deletion cannot
+    # change and counts a support down in place; calling every tree on a
+    # second copy of the graph must leave the same state. Full traces of
+    # sparse graphs split components, and each deletion hands its cut.
+    seed = data.draw(st.integers(0, 10**6))
+    n = data.draw(st.integers(2, 24))
+    m = data.draw(st.integers(0, 2 * n))
+    bounds = data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    graphs = [random_graph_and_trace(random.Random(seed), n, m) for _ in range(2)]
+    order = graphs[0][1]
+    together, alone = ([EsTree(g, x, b) for x, b in enumerate(bounds)] for g, _ in graphs)
+    for u, v in order:
+        cuts = []
+        for g, _ in graphs:
+            g.delete_edge(u, v)
+            cuts.append(g.split_side(u, v))
+        assert cuts[0] == cuts[1]
+        cut = cuts[0]
+        got = after_delete_all(together, u, v, cut)
+        each = [t.after_delete(u, v, cut) for t in alone]
+        assert got == [(i, raised) for i, raised in enumerate(each) if raised]
+        assert [tree_state(t) for t in together] == [tree_state(t) for t in alone]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_after_delete_matches_the_delete_event(data):
+    # the exact tree's own repair against the monotone tree's event pass on
+    # the one DELETE event, over a weighted mirror of the graph
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(2, 24))
+    g, order = random_graph_and_trace(rng, n, data.draw(st.integers(0, 3 * n)))
+    h = WeightedAdjacency(n, dict.fromkeys(g.edges(), 1))
+    root = data.draw(st.integers(0, n - 1))
+    bound = data.draw(st.integers(1, n))
+    exact, mirror = EsTree(g, root, bound), MonotoneEsTree(h, root, bound)
+    assert tree_state(exact) == tree_state(mirror)
+    for u, v in order:
+        g.delete_edge(u, v)
+        batch = h.apply([UpdateEvent(DELETE, u, v, INF)])
+        assert exact.after_delete(u, v) == mirror.apply_batch(batch)
+        assert tree_state(exact) == tree_state(mirror)
 
 
 def components_graph(rng: random.Random, n: int) -> DecrementalGraph:

@@ -277,6 +277,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert main(["run", "--algo", "es_tree", "--path", "4", "--grid", "2", "2"]) == 3
     # a negative number of updates
     assert main(["run", "--algo", "fully_dynamic", "--gnm", "10", "20", "--updates", "-5"]) == 3
+    # a depth bound of 0, which the tree rejects, not one that means "all of n"
+    assert main(["run", "--algo", "es_tree", "--gnm", "10", "20", "--Q", "0",
+                 "--out", str(tmp_path / "q0")]) == 3
     # audit failure path
     real_query = ApspIndexDet.query
 
