@@ -6,16 +6,19 @@ Three pieces:
   opened and relocated, with per-node center lists (centers whose cover-range
   ball contains the node) and counters for the number of opens and the total
   moving distance.
-* :class:`DetCenterCover`: decides where to open and move centers. Each
-  center j carries a collected set T^j and a radius r^j = q/2 - |T^j| (kept in
-  half-units so odd q stays exact). After a deletion, at most one center sits
-  in a component smaller than its radius; that center absorbs the component
-  into T^j and moves across the deleted edge, then a greedy pass opens
-  centers at uncovered nodes in ascending id order.
+* :class:`DetCenterCover`: a ``MovingCenters`` that decides where to open
+  and move its centers, so one object per layer holds the trees, the cover
+  lists and the ledger. Each center j carries a collected set T^j and a
+  radius r^j = q/2 - |T^j| (kept in half-units so odd q stays exact). After
+  a deletion, at most one center sits in a component smaller than its
+  radius; that center absorbs the component into T^j and moves across the
+  deleted edge, then a greedy pass opens centers at uncovered nodes in
+  ascending id order.
 * :class:`ApspIndexDet`: an exact patch (an exact tree at every node) up to
   2^{p+2} for the largest scale p whose cover radius floor(eps_int * 2^p)
   is 0, and one cover per larger scale, giving the (1 + 2*eps_int)
-  guarantee past the patch. The public eps is halved internally so queries
+  guarantee past the patch; its query hands the covers, its ``layers``, to
+  ``search_layers``. The public eps is halved internally so queries
   satisfy dist <= answer <= (1+eps)*dist.
 
 Construction is block-major (``graph_core.RootDistances``): one bit-parallel
@@ -89,7 +92,7 @@ class MovingCenters:
         self.g = g
         self.cover_radius = cover_radius
         self.bound = Q
-        self.location: list[int] = []
+        self._location: list[int] = []
         self._trees: list[EsTree] = []
         self._levels: list[list] = []  # updated in place, replaced by a move
         self._cover: list[dict[int, bool]] = [dict() for _ in range(g.n)]
@@ -101,8 +104,13 @@ class MovingCenters:
         self._retired_ops = 0
 
     def _check_center(self, j: int) -> None:
-        if not 0 <= j < len(self.location):
+        if not 0 <= j < len(self._location):
             raise UnknownCenter(f"center {j} does not exist")
+
+    def location(self, j: int) -> int:
+        """The node center j sits at."""
+        self._check_center(j)
+        return self._location[j]
 
     def open(self, x: int) -> int:
         """Open a new center at x; returns its id."""
@@ -121,8 +129,8 @@ class MovingCenters:
     def _register(self, x: int, ball) -> int:
         """A new center at x whose ball is ``ball``: its id, in the cover
         lists of the ball; its tree is set by ``open`` or ``_set_trees``."""
-        j = len(self.location)
-        self.location.append(x)
+        j = len(self._location)
+        self._location.append(x)
         cover = self._cover
         for y in ball:
             cover[y][j] = True
@@ -134,7 +142,7 @@ class MovingCenters:
         """Set the trees of the centers registered since the last call, in
         one vectorised pass over their rows in the current block of ``rows``."""
         g, Q = self.g, self.bound
-        roots = self.location[len(self._trees):]
+        roots = self._location[len(self._trees):]
         for x, start in zip(roots, rows.starts(roots, Q)):
             tree = EsTree(g, x, Q, start)
             self._trees.append(tree)
@@ -158,7 +166,7 @@ class MovingCenters:
         for y in popped:
             self._cover[y].pop(j, None)
         self.moving_distance += distance
-        self.location[j] = x
+        self._location[j] = x
         old = self._trees[j]
         self._retired_increases += old.level_increases
         self._retired_ops += old.ops
@@ -204,7 +212,7 @@ class MovingCenters:
         return next(iter(cov)) if cov else None
 
     def centers(self) -> range:
-        return range(len(self.location))
+        return range(len(self._location))
 
     @property
     def level_increases(self) -> int:
@@ -217,26 +225,25 @@ class MovingCenters:
         return self._retired_ops + sum(t.ops for t in self._trees)
 
 
-class DetCenterCover:
+class DetCenterCover(MovingCenters):
     """Deterministic center cover: every node in a component of size >= q has
     a center within the cover radius q after every deletion.
 
-    Centers open more than q apart, so balls of integer radius at most
-    q // 2 around them are disjoint, and every ball lies inside its center's
-    cover lists, which the candidate lookup needs. The construction's greedy
-    pass runs block by block over a ``RootDistances``: without ``rows`` the
-    cover sweeps its own; with it, the owner sweeps ``rows.blocks()`` and
-    calls ``_build_block`` on each block.
+    A ``MovingCenters`` with cover radius q and depth bound Q that also keeps
+    the ledger and decides where its centers open and move. Centers open more
+    than q apart, so balls of integer radius at most q // 2 around them are
+    disjoint, and every ball lies inside its center's cover lists, which the
+    candidate lookup needs. The construction's greedy pass runs block by
+    block over a ``RootDistances``: without ``rows`` the cover sweeps its
+    own; with it, the owner sweeps ``rows.blocks()`` and calls
+    ``_build_block`` on each block.
     """
 
     def __init__(self, g: DecrementalGraph, q: int, Q: int,
                  rows: RootDistances | None = None):
         if not 1 <= q <= Q:
             raise InvalidRange(f"need 1 <= q <= Q, got q={q}, Q={Q}")
-        self.g = g
-        self.q = q
-        self.Q = Q
-        self.mc = MovingCenters(g, q, Q)
+        super().__init__(g, q, Q)
         self.collected: list[set[int]] = []   # T^j
         self.radius2: list[int] = []          # 2 * r^j, exact in half-units
         self._skip_small: list[bool] = [False] * g.n
@@ -245,13 +252,18 @@ class DetCenterCover:
             for block in rows.blocks():
                 self._build_block(block, rows)
 
+    @property
+    def mc(self) -> DetCenterCover:
+        """``self``, where perfbench's tracer reads a layer's moving centers."""
+        return self
+
     def _build_block(self, block: range, rows: RootDistances) -> None:
         """The construction's greedy pass over the nodes of ``block``, the
         current block of ``rows``; every earlier block must have had its
         pass. Each open registers its ball from its row at once, and the
         block's opens get their trees in one ``_set_trees`` call."""
         self._greedy_open(block, rows)
-        self.mc._set_trees(rows)
+        self._set_trees(rows)
 
     # -- Alg. 3 --------------------------------------------------------------
 
@@ -261,10 +273,9 @@ class DetCenterCover:
         Visits ``nodes`` in ascending id order. With ``rows`` (a build), the
         nodes lie in its current block and each open only registers.
         """
-        mc = self.mc
-        cover = mc._cover
+        cover = self._cover
         g = self.g
-        q = self.q
+        q = self.cover_radius
         skip = self._skip_small
         for x in sorted(nodes):
             if skip[x] or cover[x]:
@@ -275,7 +286,7 @@ class DetCenterCover:
                 for y in comp:
                     skip[y] = True
                 continue
-            j = mc.open(x) if rows is None else mc._register(x, rows.within(x, q))
+            j = self.open(x) if rows is None else self._register(x, rows.within(x, q))
             if j != len(self.collected):
                 raise InvariantViolation(
                     f"opened center id {j}, expected {len(self.collected)}")
@@ -288,13 +299,12 @@ class DetCenterCover:
         ``cut`` is the side the deletion split off (``split_side``), or None;
         the trees drop it in one step.
         """
-        mc = self.mc
-        mc.begin_deletion()
-        trees = mc._trees
-        # the moving-centers trees still reflect the pre-deletion graph, so
-        # level[u] in j's tree is dist_{G_i}(cen_j, u): find the (at most one)
-        # center whose radius-r^j ball contained u; u's cover list holds it
-        candidates = [j for j in mc._cover[u]
+        self.begin_deletion()
+        trees = self._trees
+        # the trees still reflect the pre-deletion graph, so level[u] in j's
+        # tree is dist_{G_i}(cen_j, u): find the (at most one) center whose
+        # radius-r^j ball contained u; u's cover list holds it
+        candidates = [j for j in self._cover[u]
                       if 2 * trees[j].level[u] <= self.radius2[j]]
         if len(candidates) > 1:
             raise InvariantViolation(
@@ -303,7 +313,7 @@ class DetCenterCover:
         if candidates:
             j = candidates[0]
             # 2 * |comp| < radius2  <=>  |comp| < ceil(radius2 / 2)
-            comp = self.g.small_component(mc.location[j], (self.radius2[j] + 1) // 2)
+            comp = self.g.small_component(self._location[j], (self.radius2[j] + 1) // 2)
             if comp is not None:
                 y = v if u in comp else u
                 move_dist = trees[j].level[y]  # still the pre-deletion distance
@@ -311,32 +321,9 @@ class DetCenterCover:
                 self.radius2[j] -= 2 * len(comp)
                 for z in comp:
                     self._skip_small[z] = True
-                freed.update(mc.move(j, y, move_dist))
-        freed |= mc.after_delete(u, v, cut)
+                freed.update(self.move(j, y, move_dist))
+        freed |= self.after_delete(u, v, cut)
         self._greedy_open(freed)
-
-    # -- queries ---------------------------------------------------------------
-
-    def find_center(self, x: int):
-        return self.mc.find_center(x)
-
-    def distance(self, j: int, x: int):
-        return self.mc.distance(j, x)
-
-    def location(self, j: int) -> int:
-        self.mc._check_center(j)
-        return self.mc.location[j]
-
-    def centers(self) -> range:
-        return self.mc.centers()
-
-    @property
-    def opens(self) -> int:
-        return self.mc.opens
-
-    @property
-    def moving_distance(self):
-        return self.mc.moving_distance
 
 
 class ApspIndexDet:
@@ -374,7 +361,6 @@ class ApspIndexDet:
                            for x, start in zip(block, rows.starts(block, self.patch_range))]
             for layer in self.layers:
                 layer._build_block(block, rows)
-        self._covers = [layer.mc for layer in self.layers]
 
     def delete(self, u: int, v: int) -> None:
         self.g.delete_edge(u, v)
@@ -386,12 +372,12 @@ class ApspIndexDet:
     @property
     def level_increases(self) -> int:
         """Level increases of every tree the index built, retired ones included."""
-        return sum(t.level_increases for t in self.patch + self._covers)
+        return sum(t.level_increases for t in self.patch + self.layers)
 
     @property
     def ops(self) -> int:
         """Work (``ops``) of every tree the index built, retired ones included."""
-        return sum(t.ops for t in self.patch + self._covers)
+        return sum(t.ops for t in self.patch + self.layers)
 
     def query(self, x: int, y: int):
         """Estimate with dist <= result <= (1+eps)*dist; INF if disconnected.
@@ -403,4 +389,4 @@ class ApspIndexDet:
         d = self.patch[x].level[y]
         if d <= self.patch_range:
             return d
-        return search_layers(self._covers, x, y)
+        return search_layers(self.layers, x, y)

@@ -58,9 +58,10 @@ def _sample_centers(n: int, q: float, rng: random.Random,
 
 def search_layers(layers, x: int, y: int):
     """The estimate of the minimal usable layer for valid x and y; INF
-    without layers. Serves both APSP indexes: a layer (``RandomCenterCover``
-    or ``MovingCenters``) has cover lists ``_cover``, center j's levels
-    ``_levels[j]`` and the depth bound ``bound`` of its reads. A layer is
+    without layers. Both APSP indexes pass their ``layers``, and a layer of
+    either index (a ``RandomCenterCover`` or a ``DetCenterCover``) has cover
+    lists ``_cover``, center j's levels ``_levels[j]`` and the depth bound
+    ``bound`` of its reads. A layer is
     usable when x has no center or y is within the bound of x's first
     center, and estimates x's level plus y's there. x's level is within the
     cover threshold, below the bound, so it needs no cut.

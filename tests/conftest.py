@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from decaps.deterministic_apsp import MovingCenters
+from decaps.deterministic_apsp import DetCenterCover, MovingCenters
 from decaps.emulator import LocallyPerseveringEmulator
 from decaps.graph_core import INF, DecrementalGraph
 from decaps.monotone_es_tree import MonotoneEsTree
@@ -58,9 +58,9 @@ def delete_edge(structure, u: int, v: int) -> None:
     """Delete (u, v) under a standalone cover the way the owning index does.
 
     A ``RandomCenterCover`` (from ``standalone_cover``): the emulator's
-    batch, every tree's repair, then ``on_batch``. A ``MovingCenters`` or
-    ``DetCenterCover``: the graph deletion, ``split_side``, then
-    ``after_delete`` (in a new open/move window) or ``on_deleted``.
+    batch, every tree's repair, then ``on_batch``. A ``DetCenterCover``, or
+    a plain ``MovingCenters``: the graph deletion, ``split_side``, then
+    ``on_deleted``, or ``after_delete`` in a new open/move window.
     """
     if isinstance(structure, RandomCenterCover):
         em = structure.emulator
@@ -71,11 +71,11 @@ def delete_edge(structure, u: int, v: int) -> None:
     g = structure.g
     g.delete_edge(u, v)
     cut = g.split_side(u, v)
-    if isinstance(structure, MovingCenters):
+    if isinstance(structure, DetCenterCover):
+        structure.on_deleted(u, v, cut)
+    else:
         structure.begin_deletion()
         structure.after_delete(u, v, cut)
-    else:
-        structure.on_deleted(u, v, cut)
 
 
 def tree_state(t):
@@ -84,7 +84,7 @@ def tree_state(t):
 
 
 def _mc_state(mc):
-    return (mc.location, [tree_state(t) for t in mc._trees],
+    return (mc._location, [tree_state(t) for t in mc._trees],
             [list(level) for level in mc._levels], mc._cover, mc.opens, mc.moving_distance,
             mc.level_increases, mc.ops)
 
@@ -92,7 +92,7 @@ def _mc_state(mc):
 def det_state(idx):
     """Everything a deletion may change in an ``ApspIndexDet``: its graph,
     its exact patch and every cover layer."""
-    layers = [(_mc_state(layer.mc), layer.collected, layer.radius2, layer._skip_small)
+    layers = [(_mc_state(layer), layer.collected, layer.radius2, layer._skip_small)
               for layer in idx.layers]
     return idx.g.edges(), idx.g.version, [tree_state(t) for t in idx.patch], layers
 

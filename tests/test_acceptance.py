@@ -18,7 +18,9 @@ from decaps.fully_dynamic import FullyDynamicApsp
 from decaps.deterministic_apsp import ApspIndexDet
 from decaps.graph_core import INF, INSERT, DecrementalGraph, edge_key
 from decaps.harness import (
+    ExperimentConfig,
     audit_det_cover,
+    build_graph,
     generate_mixed_updates,
     generate_trace,
     gnm_graph,
@@ -395,3 +397,32 @@ def test_criterion_10_work_accounting():
            f"exact tree on G(200,800), Q in (4, 16), ops = neighbour checks: "
            f"measured C = {[round(c, 2) for c in constants]} "
            f"(gate: C <= 16), {elapsed:.1f}s")
+
+
+# -- criterion 11: total work of the deterministic index ---------------------
+
+
+def test_criterion_11_det_total_work():
+    # the paper bounds the deterministic index's total update time by
+    # O~(m n / eps); ops counts every neighbour check of every tree it built
+    t0 = time.time()
+    eps = 0.5
+    runs = []
+    for n in (50, 100, 200):
+        g = gnm_graph(n, 4 * n, seed=1)
+        runs.append((f"G({n},{4 * n})", g, generate_trace(g, "random", seed=1)))
+    for side in (8, 12, 16):
+        g = build_graph(ExperimentConfig("det_apsp", generator=f"grid:{side}:{side}"))
+        runs.append((f"{side}x{side} peel", g, generate_trace(g, "adversarial-path-peel")))
+    ratios = {}
+    for name, g, trace in runs:
+        n, m = g.n, g.m
+        idx = ApspIndexDet(g, eps)
+        for u, v in trace:
+            idx.delete(u, v)
+        ratios[name] = idx.ops / (m * n * math.log2(n) / eps)
+    elapsed = time.time() - t0
+    report(11, max(ratios.values()) <= 1,
+           "ApspIndexDet(eps=0.5) full traces, ops / (m n log2(n) / eps): "
+           + ", ".join(f"{name} {r:.3f}" for name, r in ratios.items())
+           + f" (gate: C <= 1), {elapsed:.1f}s")

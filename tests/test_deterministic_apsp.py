@@ -71,7 +71,7 @@ def test_mc_move_across_components():
     assert mc.find_center(2) == j
     delete_edge(mc, 0, 1)
     # different component: the moving distance becomes infinite
-    mc.move(j, 4, bfs_levels(g, mc.location[j])[4])
+    mc.move(j, 4, bfs_levels(g, mc.location(j))[4])
     assert mc.moving_distance == INF
     assert mc.find_center(2) is None
     assert mc.find_center(0) is None
@@ -166,7 +166,7 @@ def test_cc_queries_against_oracle():
                 assert truth[x, cov.location(j)] <= q
                 d = cov.distance(j, x)
                 assert d == truth[cov.location(j), x] or (
-                    d is INF and truth[cov.location(j), x] > cov.Q)
+                    d is INF and truth[cov.location(j), x] > cov.bound)
 
 
 def test_cover_radius_zero_opens_everywhere():
@@ -201,7 +201,7 @@ def test_cover_ledger_invariants(data):
         seen = set()
         for j in cov.centers():
             # radius formula in half-units
-            assert cov.radius2[j] == cov.q - 2 * len(cov.collected[j])
+            assert cov.radius2[j] == q - 2 * len(cov.collected[j])
             # B^j: the nodes within r^j of center j
             ball = {y for y, d in enumerate(bfs_levels(g, cov.location(j)))
                     if 2 * d <= cov.radius2[j]}
@@ -209,7 +209,7 @@ def test_cover_ledger_invariants(data):
             both = ball | cov.collected[j]
             assert not both & seen, "pairwise disjointness"
             seen |= both
-            assert 2 * len(both) >= cov.q, "largeness"
+            assert 2 * len(both) >= q, "largeness"
             if j in prev_bt:
                 assert both <= prev_bt[j], "shrinking"
             prev_bt[j] = both
@@ -228,14 +228,13 @@ def test_incremental_greedy_matches_full_scan(data):
     g, order = random_graph_and_trace(rng, n, data.draw(st.integers(n, 3 * n)))
     q = data.draw(st.integers(1, 4))
     cov = DetCenterCover(g, q, 4 * q)
-    mc = cov.mc
     for u, v in order:
         # the trees still hold the pre-deletion levels, as in on_deleted
         def in_ball(j):
-            d = mc.distance(j, u)
+            d = cov.distance(j, u)
             return d is not INF and 2 * d <= cov.radius2[j]
-        scanned = [j for j in mc.centers() if in_ball(j)]
-        listed = sorted(j for j in mc._cover[u] if in_ball(j))
+        scanned = [j for j in cov.centers() if in_ball(j)]
+        listed = sorted(j for j in cov._cover[u] if in_ball(j))
         assert listed == scanned
         delete_edge(cov, u, v)
         opens = cov.opens
@@ -273,7 +272,7 @@ def test_det_apsp_counters_pinned(graph, order, opens, moving, increases, ops):
     trees = {}  # every tree that ever lived, kept alive so ids stay unique
 
     def collect():
-        for tree in idx.patch + [t for layer in idx.layers for t in layer.mc._trees]:
+        for tree in idx.patch + [t for layer in idx.layers for t in layer._trees]:
             trees[id(tree)] = tree
     collect()
     for u, v in trace:
@@ -373,21 +372,20 @@ def test_search_layers_matches_reference_search():
     g = build_graph(ExperimentConfig("det_apsp", generator="grid:10:10"))
     trace = generate_trace(g, "adversarial-path-peel")
     idx = ApspIndexDet(g, 0.5)
-    covers = [layer.mc for layer in idx.layers]
     layered = 0
     for deletion in [None, *trace]:
         if deletion is not None:
             idx.delete(*deletion)
-        for mc in covers:
-            assert all(level is tree.level for level, tree in zip(mc._levels, mc._trees))
+        for layer in idx.layers:
+            assert all(level is tree.level for level, tree in zip(layer._levels, layer._trees))
         for x in range(0, 100, 7):
             for y in range(100):
                 ref = reference_search(idx.layers, x, y)
-                assert search_layers(covers, x, y) == ref
+                assert search_layers(idx.layers, x, y) == ref
                 patch = idx.patch[x].level_query(y)
                 assert idx.query(x, y) == (ref if patch is INF else patch)
                 layered += patch is INF and ref is not INF
-    assert sum(mc.moving_distance for mc in covers) > 0 and layered > 0
+    assert sum(layer.moving_distance for layer in idx.layers) > 0 and layered > 0
 
 
 # sha256 of every answer of ApspIndexDet.query, all n^2 pairs after every

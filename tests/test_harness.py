@@ -83,6 +83,9 @@ def test_config_validation():
     with pytest.raises(ConfigInvalid):
         run_experiment(ExperimentConfig(algorithm="det_apsp", gnm=(100, 200),
                                         audit="full"))
+    for generator in ("path:0", "grid:3:0", "ring:4"):
+        with pytest.raises(ConfigInvalid):
+            run_experiment(ExperimentConfig(algorithm="fully_dynamic", generator=generator))
 
 
 def test_run_experiment_csv_bit_exact(tmp_path):
@@ -199,13 +202,13 @@ def _ball_in_collected(layer):
 
 
 def _uncovered(layer):
-    layer.mc._cover[layer.location(0)].clear()
+    layer._cover[layer.location(0)].clear()
 
 
 def _far_center(layer):
-    rho = layer.mc.cover_radius
+    rho = layer.cover_radius
     x = next(x for x in range(layer.g.n) if layer.distance(1, x) > rho)
-    layer.mc._cover[x] = {1: True}
+    layer._cover[x] = {1: True}
 
 
 # fault injection: each corrupts the ledger of the q = 4 layer in one way
@@ -223,7 +226,7 @@ def test_corrupted_ledger_trips_audit(corrupt, reason):
     truth = bfs_apsp(g)
     assert audit_det_cover(idx, truth) is None
     layer = idx.layers[2]
-    assert layer.q == 4 and len(layer.centers()) == 2
+    assert layer.cover_radius == 4 and len(layer.centers()) == 2
     corrupt(layer)
     detail = audit_det_cover(idx, truth)
     assert detail is not None
@@ -275,6 +278,16 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert main(["gen", "--path", "4", "--grid", "2", "2", "--out", str(tmp_path / "g.txt")]) == 3
     assert not (tmp_path / "g.txt").exists()
     assert main(["run", "--algo", "es_tree", "--path", "4", "--grid", "2", "2"]) == 3
+    # a size of 0 is still given: with the other generator it is two sources,
+    # alone it is a size below 1, in every subcommand
+    assert main(["run", "--algo", "es_tree", "--path", "0", "--grid", "3", "3",
+                 "--audit", "none"]) == 3
+    assert main(["audit", "--algo", "es_tree", "--grid", "3", "0"]) == 3
+    for sizes in (["--path", "0"], ["--path", "-2"], ["--grid", "0", "3"]):
+        assert main(["run", "--algo", "es_tree", *sizes]) == 3
+        assert main(["gen", *sizes, "--out", str(tmp_path / "g.txt")]) == 3
+    assert not (tmp_path / "g.txt").exists()
+    assert main(["gen", "--path", "1", "--out", str(tmp_path / "g.txt")]) == 0
     # a negative number of updates
     assert main(["run", "--algo", "fully_dynamic", "--gnm", "10", "20", "--updates", "-5"]) == 3
     # a depth bound of 0, which the tree rejects, not one that means "all of n"

@@ -38,8 +38,13 @@ def test_tracer_records_both_tree_engines():
         rand.delete(*rand.g.edges()[0])
     finally:
         tracer.uninstall()
-    assert {"es_tree.build", "es_tree.after_delete",
-            "deterministic_apsp.on_deleted"} <= det_spans
+    # a cover layer is its own moving centers: the wrappers of the entry
+    # points it inherits record, and the tracer's layer map (filled through
+    # the ``mc`` alias) names each layer's scale
+    assert {"es_tree.build", "es_tree.after_delete", "deterministic_apsp.on_deleted",
+            "deterministic_apsp.mc_after_delete"} <= det_spans
+    assert det.layers and [tracer._layer_of[layer] for layer in det.layers] == list(
+        range(len(det.layers)))
     assert not {"monotone_es_tree.build", "monotone_es_tree.apply_batch"} & det_spans
     assert {"monotone_es_tree.build", "monotone_es_tree.apply_batch",
             "randomized_apsp.delete"} <= recorded(tracer)
