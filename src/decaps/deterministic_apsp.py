@@ -2,10 +2,9 @@
 
 Three pieces:
 
-* :class:`MovingCenters`: per-center exact trees of depth Q whose roots can be
-  opened and relocated, with per-node center lists (centers whose cover-range
-  ball contains the node) and counters for the number of opens and the total
-  moving distance.
+* :class:`MovingCenters`: a ``center_cover.CenterCover`` over exact trees of
+  depth Q whose roots can be opened and relocated, with counters for the
+  number of opens and the total moving distance.
 * :class:`DetCenterCover`: a ``MovingCenters`` that decides where to open
   and move its centers, so one object per layer holds the trees, the cover
   lists and the ledger. Each center j carries a collected set T^j and a
@@ -57,27 +56,23 @@ from __future__ import annotations
 
 import math
 
+from .center_cover import CenterCover, search_layers
 from .errors import (
     InvalidEpsilon,
     InvalidRange,
     InvariantViolation,
     NodeOutOfRange,
     RateViolation,
-    UnknownCenter,
 )
 from .es_tree import EsTree, after_delete_all
 from .graph_core import DecrementalGraph, RootDistances
-from .randomized_apsp import search_layers
 
 
-class MovingCenters:
+class MovingCenters(CenterCover):
     """Exact distance trees of depth Q at movable center locations.
 
-    ``cover_radius`` feeds the per-node center lists: node x lists center j
-    while its level in j's tree is at most cover_radius. find_center returns
-    the head of that list in O(1); distance queries read tree levels in O(1).
-    ``_levels[j]`` is the level list of center j's current tree and ``bound``
-    (= Q) its depth bound, the reads ``search_layers`` makes.
+    The cover lists and reads are ``CenterCover``'s, with ``bound`` = Q, the
+    trees' own depth bound; a move replaces ``_levels[j]``.
 
     ``open`` and ``move`` search from the root. A build opens with
     ``_register`` instead, the ball read off a ``RootDistances`` block, and
@@ -89,13 +84,9 @@ class MovingCenters:
         if Q < 1 or cover_radius < 0 or cover_radius > Q:
             raise InvalidRange(
                 f"need 0 <= cover_radius <= Q and Q >= 1, got {cover_radius}, {Q}")
+        super().__init__(g.n, cover_radius, Q)
         self.g = g
-        self.cover_radius = cover_radius
-        self.bound = Q
-        self._location: list[int] = []
         self._trees: list[EsTree] = []
-        self._levels: list[list] = []  # updated in place, replaced by a move
-        self._cover: list[dict[int, bool]] = [dict() for _ in range(g.n)]
         self.opens = 0
         self.moving_distance = 0
         self._round_ops: set[int] = set()
@@ -103,37 +94,21 @@ class MovingCenters:
         self._retired_increases = 0
         self._retired_ops = 0
 
-    def _check_center(self, j: int) -> None:
-        if not 0 <= j < len(self._location):
-            raise UnknownCenter(f"center {j} does not exist")
-
-    def location(self, j: int) -> int:
-        """The node center j sits at."""
-        self._check_center(j)
-        return self._location[j]
-
     def open(self, x: int) -> int:
         """Open a new center at x; returns its id."""
-        if not 0 <= x < self.g.n:
-            raise NodeOutOfRange(f"node {x} not in [0, {self.g.n})")
+        self._check_node(x)
         tree = EsTree(self.g, x, self.bound)
-        j = self._register(x, self._ball(tree))
+        j = self._register(x, self._ball(tree.level))
         self._trees.append(tree)
         self._levels.append(tree.level)
         return j
-
-    def _ball(self, tree: EsTree) -> list[int]:
-        rho = self.cover_radius
-        return [y for y, ly in enumerate(tree.level) if ly <= rho]  # INF never is
 
     def _register(self, x: int, ball) -> int:
         """A new center at x whose ball is ``ball``: its id, in the cover
         lists of the ball; its tree is set by ``open`` or ``_set_trees``."""
         j = len(self._location)
         self._location.append(x)
-        cover = self._cover
-        for y in ball:
-            cover[y][j] = True
+        self._list(j, ball)
         self.opens += 1
         self._round_ops.add(j)
         return j
@@ -156,13 +131,12 @@ class MovingCenters:
         of the old ball, which were popped from their cover lists.
         """
         self._check_center(j)
-        if not 0 <= x < self.g.n:
-            raise NodeOutOfRange(f"node {x} not in [0, {self.g.n})")
+        self._check_node(x)
         if j in self._round_ops:
             raise RateViolation(
                 f"center {j} already opened or moved since the last deletion")
         self._round_ops.add(j)
-        popped = self._ball(self._trees[j])
+        popped = self._ball(self._levels[j])
         for y in popped:
             self._cover[y].pop(j, None)
         self.moving_distance += distance
@@ -171,10 +145,8 @@ class MovingCenters:
         self._retired_increases += old.level_increases
         self._retired_ops += old.ops
         tree = self._trees[j] = EsTree(self.g, x, self.bound)
-        cover = self._cover
-        for y in self._ball(tree):
-            cover[y][j] = True
         self._levels[j] = tree.level
+        self._list(j, self._ball(tree.level))
         return popped
 
     def begin_deletion(self) -> None:
@@ -188,31 +160,7 @@ class MovingCenters:
         None. Returns the nodes popped from cover lists: those a tree raised
         past the cover radius.
         """
-        cover = self._cover
-        rho = self.cover_radius
-        freed: set[int] = set()
-        for j, raised in after_delete_all(self._trees, u, v, cut):
-            level = self._levels[j]
-            for x in raised:
-                # a node already past the radius holds no entry of j
-                if level[x] > rho and cover[x].pop(j, False):
-                    freed.add(x)
-        return freed
-
-    def distance(self, j: int, x: int):
-        """dist(location(j), x) if at most Q, else INF; O(1)."""
-        self._check_center(j)
-        return self._trees[j].level_query(x)
-
-    def find_center(self, x: int):
-        """Some center whose ball of radius cover_radius holds x, else None."""
-        if not 0 <= x < self.g.n:
-            raise NodeOutOfRange(f"node {x} not in [0, {self.g.n})")
-        cov = self._cover[x]
-        return next(iter(cov)) if cov else None
-
-    def centers(self) -> range:
-        return range(len(self._location))
+        return self._uncover(after_delete_all(self._trees, u, v, cut))
 
     @property
     def level_increases(self) -> int:

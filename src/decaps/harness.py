@@ -107,7 +107,9 @@ def build_graph(cfg: ExperimentConfig) -> DecrementalGraph:
 
 
 def gnm_graph(n: int, m: int, seed=0) -> DecrementalGraph:
-    """Uniform random simple graph with n nodes and m edges."""
+    """Uniform random simple graph with n >= 1 nodes and m >= 0 edges."""
+    if n < 1 or m < 0:
+        raise ConfigInvalid(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     total = n * (n - 1) // 2
     if m > total:
         raise ConfigInvalid(f"m={m} exceeds {total} possible edges")
@@ -306,11 +308,10 @@ def audit_det_cover(index: ApspIndexDet, truth: np.ndarray) -> dict | None:
     for p, layer in enumerate(index.layers):
         q_p, _ = index.layer_params[p]
         seen: set[int] = set()
-        for j in layer.centers():
+        for j, c in enumerate(layer.centers):
             if layer.radius2[j] != q_p - 2 * len(layer.collected[j]):
                 return {"layer": p, "center": j, "reason": "radius formula"}
-            ball = set(np.flatnonzero(
-                2 * truth[layer.location(j)] <= layer.radius2[j]).tolist())
+            ball = set(np.flatnonzero(2 * truth[c] <= layer.radius2[j]).tolist())
             if ball & layer.collected[j]:
                 return {"layer": p, "center": j, "reason": "ball meets collected set"}
             both = ball | layer.collected[j]

@@ -1,16 +1,15 @@
 """Randomized approximate APSP built from monotone ES-trees on a shared
 locally persevering emulator.
 
-A random center cover has centers sampled with probability min(1, a*ln(n)/q)
-and reads one single-source estimator per center over the emulator: a monotone
-tree whose levels, cut off at the cover's range-Q depth bound, answer
-distance queries, and whose raised nodes maintain the per-node cover lists
-S_x. The APSP index layers ceil(log n) covers (layer p serves distances
-2^p..2^{p+1}) above one shared emulator and adds a small-distance patch with
-range ~(4+16)/eps_hat at every node. Queries binary-search the minimal usable
-layer and take the minimum with the patch estimate, giving
-dist <= answer <= (1+eps)*dist + 2 with high probability, and the (2+eps, 0)
-wrapper answers adjacent pairs exactly from the graph's adjacency check.
+A random center cover samples its centers with probability min(1, a*ln(n)/q)
+and reads a monotone tree over the emulator at each; its cover lists and
+reads are ``center_cover.CenterCover``'s. The APSP index layers ceil(log n)
+covers (layer p serves distances 2^p..2^{p+1}) above one shared emulator and
+adds a small-distance patch with range ~(4+16)/eps_hat at every node.
+Queries binary-search the minimal usable layer and take the minimum with the
+patch estimate, giving dist <= answer <= (1+eps)*dist + 2 with high
+probability, and the (2+eps, 0) wrapper answers adjacent pairs exactly from
+the graph's adjacency check.
 
 H exists once: the emulator owns its weighted adjacency and applies each
 deletion's event batch to it. The index keeps exactly one monotone tree per
@@ -28,14 +27,9 @@ from __future__ import annotations
 import math
 import random
 
+from .center_cover import CenterCover, search_layers
 from .emulator import LocallyPerseveringEmulator
-from .errors import (
-    InvalidEpsilon,
-    InvalidParameters,
-    InvalidRange,
-    NodeOutOfRange,
-    UnknownCenter,
-)
+from .errors import InvalidEpsilon, InvalidParameters, InvalidRange, NodeOutOfRange
 from .graph_core import INF, DecrementalGraph, UpdateEvent
 from .monotone_es_tree import MonotoneEsTree
 
@@ -56,47 +50,15 @@ def _sample_centers(n: int, q: float, rng: random.Random,
     return [x for x in range(n) if rng.random() < p]
 
 
-def search_layers(layers, x: int, y: int):
-    """The estimate of the minimal usable layer for valid x and y; INF
-    without layers. Both APSP indexes pass their ``layers``, and a layer of
-    either index (a ``RandomCenterCover`` or a ``DetCenterCover``) has cover
-    lists ``_cover``, center j's levels ``_levels[j]`` and the depth bound
-    ``bound`` of its reads. A layer is
-    usable when x has no center or y is within the bound of x's first
-    center, and estimates x's level plus y's there. x's level is within the
-    cover threshold, below the bound, so it needs no cut.
-    """
-    lo, hi = 0, len(layers) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        layer = layers[mid]
-        cov = layer._cover[x]
-        if not cov or layer._levels[next(iter(cov))][y] <= layer.bound:
-            hi = mid
-        else:
-            lo = mid + 1
-    if not layers:
-        return INF
-    layer = layers[lo]
-    cov = layer._cover[x]
-    if not cov:
-        return INF
-    level = layer._levels[next(iter(cov))]
-    ly = level[y]
-    return level[x] + ly if ly <= layer.bound else INF
-
-
-class RandomCenterCover:
+class RandomCenterCover(CenterCover):
     """Approximate center cover with fixed random center locations.
 
     Center j reads a monotone tree rooted at its location whose depth bound
-    is at least the cover's own, bound(Q) = floor((1 + 2/tau) * Q + 2).
-    ``trees`` maps each root to such a tree on ``emulator.h``: the APSP
-    index passes the trees it shares among its layers and its patch, and
-    repairs them itself. The cover reads a level l as l if l <= bound(Q)
-    else INF. Center j is in node x's cover list S_x while x's level in j's
-    tree is at most the cover threshold b(q) = bound(q); ``on_batch`` removes
-    it in the batch that raises x past b(q).
+    is at least the cover's own, ``bound`` = bound(Q) = floor((1 + 2/tau) *
+    Q + 2). ``trees`` maps each root to such a tree on ``emulator.h``: the
+    APSP index passes the trees it shares among its layers and its patch,
+    and repairs them itself. The cover radius is b(q) = bound(q); the cover
+    lists and reads are ``CenterCover``'s.
 
     A tree kept to a smaller depth bound b is not needed: its levels always
     equal a deeper tree's levels cut off at b, T(l) = l if l <= b else INF.
@@ -116,18 +78,12 @@ class RandomCenterCover:
                  centers, trees):
         if not 1 <= q <= Q:
             raise InvalidRange(f"need 1 <= q <= Q, got q={q}, Q={Q}")
-        self.g = emulator.g
-        self.q = q
-        self.Q = Q
-        self.emulator = emulator
-        n = self.g.n
-        self.centers = sorted(set(centers))
-
         tau = emulator.tau
-        self.bound = depth_bound_floor(Q, tau)
-        self.cover_threshold = depth_bound_floor(q, tau)
+        super().__init__(emulator.g.n, depth_bound_floor(q, tau), depth_bound_floor(Q, tau))
+        self.emulator = emulator
+        self._location = sorted(set(centers))
         self._trees: list[MonotoneEsTree] = []
-        for c in self.centers:
+        for c in self._location:
             try:
                 tree = trees[c]
             except LookupError:
@@ -138,53 +94,17 @@ class RandomCenterCover:
                     f"{tree.bound}; need root {c} and a bound of at least {self.bound}")
             self._trees.append(tree)
         self._levels = [tree.level for tree in self._trees]  # updated in place
-        self._center_id = {c: j for j, c in enumerate(self.centers)}
-        self._cover: list[dict[int, bool]] = [dict() for _ in range(n)]
-        threshold = self.cover_threshold
+        self._center_id = {c: j for j, c in enumerate(self._location)}
         for j, level in enumerate(self._levels):
-            for x, lx in enumerate(level):
-                if lx <= threshold:
-                    self._cover[x][j] = True
+            self._list(j, self._ball(level))
 
     def on_batch(self, raised) -> None:
         """Update the cover lists after a batch; ``raised`` maps a tree's root
         to the nodes whose level rose in it (roots that are not centers and
         trees that did not change may be missing or present)."""
         center_id = self._center_id
-        threshold = self.cover_threshold
-        cover = self._cover
-        for root, nodes in raised.items():
-            j = center_id.get(root)
-            if j is None:
-                continue
-            level = self._levels[j]
-            for x in nodes:
-                if level[x] > threshold:
-                    cover[x].pop(j, None)
-
-    def _check_center(self, j: int) -> None:
-        if not 0 <= j < len(self.centers):
-            raise UnknownCenter(f"center {j} does not exist")
-
-    def location(self, j: int) -> int:
-        self._check_center(j)
-        return self.centers[j]
-
-    def distance(self, j: int, x: int):
-        """Estimate of dist(center j, x); never underestimates, INF past Q."""
-        self._check_center(j)
-        lx = self._trees[j].level_query(x)
-        return lx if lx <= self.bound else INF
-
-    def find_center(self, x: int):
-        """Any center id whose estimate for x is within the cover threshold."""
-        if not 0 <= x < self.g.n:
-            raise NodeOutOfRange(f"node {x} not in [0, {self.g.n})")
-        cov = self._cover[x]
-        return next(iter(cov)) if cov else None
-
-    def cover_list(self, x: int) -> list[int]:
-        return list(self._cover[x])
+        self._uncover((center_id[root], nodes) for root, nodes in raised.items()
+                      if root in center_id)
 
 
 class ApspIndexRandom:

@@ -98,8 +98,10 @@ def det_state(idx):
 
 
 def reference_search(layers, x: int, y: int):
-    """The layered binary search through each layer's checked public reads,
-    ``find_center`` and ``distance``: the reference for ``search_layers``."""
+    """The layered binary search through ``CenterCover``'s checked public
+    reads, ``find_center`` and ``distance``, for a layer of either index:
+    the reference for ``center_cover.search_layers``, which reads the cover
+    lists and level lists directly."""
     lo, hi = 0, len(layers) - 1
     while lo < hi:
         mid = (lo + hi) // 2

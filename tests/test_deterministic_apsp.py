@@ -20,7 +20,7 @@ from decaps.errors import (
 from decaps.graph_core import INF, DecrementalGraph
 from decaps.harness import ExperimentConfig, build_graph, generate_trace, gnm_graph
 from decaps.oracle import bfs_apsp, bfs_levels
-from decaps.randomized_apsp import search_layers
+from decaps.center_cover import search_layers
 
 from conftest import delete_edge, det_state, random_graph_and_trace, reference_search
 
@@ -199,7 +199,7 @@ def test_cover_ledger_invariants(data):
     for u, v in order:
         delete_edge(cov, u, v)
         seen = set()
-        for j in cov.centers():
+        for j in range(len(cov.centers)):
             # radius formula in half-units
             assert cov.radius2[j] == q - 2 * len(cov.collected[j])
             # B^j: the nodes within r^j of center j
@@ -233,7 +233,7 @@ def test_incremental_greedy_matches_full_scan(data):
         def in_ball(j):
             d = cov.distance(j, u)
             return d is not INF and 2 * d <= cov.radius2[j]
-        scanned = [j for j in cov.centers() if in_ball(j)]
+        scanned = [j for j in range(len(cov.centers)) if in_ball(j)]
         listed = sorted(j for j in cov._cover[u] if in_ball(j))
         assert listed == scanned
         delete_edge(cov, u, v)

@@ -86,6 +86,9 @@ def test_config_validation():
     for generator in ("path:0", "grid:3:0", "ring:4"):
         with pytest.raises(ConfigInvalid):
             run_experiment(ExperimentConfig(algorithm="fully_dynamic", generator=generator))
+    for gnm in ((5, -3), (0, 0), (-2, 0)):
+        with pytest.raises(ConfigInvalid):
+            run_experiment(ExperimentConfig(algorithm="det_apsp", gnm=gnm, audit="none"))
 
 
 def test_run_experiment_csv_bit_exact(tmp_path):
@@ -226,7 +229,7 @@ def test_corrupted_ledger_trips_audit(corrupt, reason):
     truth = bfs_apsp(g)
     assert audit_det_cover(idx, truth) is None
     layer = idx.layers[2]
-    assert layer.cover_radius == 4 and len(layer.centers()) == 2
+    assert layer.cover_radius == 4 and len(layer.centers) == 2
     corrupt(layer)
     detail = audit_det_cover(idx, truth)
     assert detail is not None
@@ -286,6 +289,12 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     for sizes in (["--path", "0"], ["--path", "-2"], ["--grid", "0", "3"]):
         assert main(["run", "--algo", "es_tree", *sizes]) == 3
         assert main(["gen", *sizes, "--out", str(tmp_path / "g.txt")]) == 3
+    assert not (tmp_path / "g.txt").exists()
+    # --gnm with N below 1 or M below 0
+    for sizes in (["5", "-3"], ["0", "0"], ["-1", "0"]):
+        assert main(["run", "--algo", "det_apsp", "--gnm", *sizes, "--audit", "none"]) == 3
+        assert main(["audit", "--algo", "fully_dynamic", "--gnm", *sizes]) == 3
+        assert main(["gen", "--gnm", *sizes, "--out", str(tmp_path / "g.txt")]) == 3
     assert not (tmp_path / "g.txt").exists()
     assert main(["gen", "--path", "1", "--out", str(tmp_path / "g.txt")]) == 0
     # a negative number of updates

@@ -21,12 +21,8 @@ from decaps.graph_core import INF, DecrementalGraph
 from decaps.monotone_es_tree import MonotoneEsTree
 from decaps.harness import generate_trace, gnm_graph
 from decaps.oracle import bfs_apsp
-from decaps.randomized_apsp import (
-    ApspIndexRandom,
-    RandomCenterCover,
-    depth_bound_floor,
-    search_layers,
-)
+from decaps.center_cover import search_layers
+from decaps.randomized_apsp import ApspIndexRandom, RandomCenterCover, depth_bound_floor
 
 from conftest import (
     delete_edge,
@@ -87,7 +83,7 @@ def test_cover_distance_contract(fig_graph):
     with pytest.raises(UnknownCenter):
         cov.distance(7, 0)
     # covered nodes: the returned center is within (1+eps)q + 2
-    thresh = cov.cover_threshold
+    thresh = cov.cover_radius
     for x in range(6):
         j = cov.find_center(x)
         assert j is not None
