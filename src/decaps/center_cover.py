@@ -11,7 +11,7 @@ format: ``_location[j]``, the level list ``_levels[j]`` of j's tree, which
 the tree updates in place, and the lists ``_cover[x]``. A subclass builds
 the trees and reports, once per update, the nodes each tree raised to
 ``_uncover``. ``RandomCenterCover`` fixes its centers at build time;
-``MovingCenters`` opens and moves them.
+``DetCenterCover`` opens and moves them.
 
 Either index answers a query past its patch with ``search_layers`` over its
 ``layers``, after Roditty and Zwick (2012).

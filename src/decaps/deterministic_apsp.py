@@ -1,18 +1,16 @@
 """Deterministic (1+eps, 0)-approximate decremental APSP.
 
-Three pieces:
+Two pieces:
 
-* :class:`MovingCenters`: a ``center_cover.CenterCover`` over exact trees of
-  depth Q whose roots can be opened and relocated, with counters for the
-  number of opens and the total moving distance.
-* :class:`DetCenterCover`: a ``MovingCenters`` that decides where to open
-  and move its centers, so one object per layer holds the trees, the cover
-  lists and the ledger. Each center j carries a collected set T^j and a
-  radius r^j = q/2 - |T^j| (kept in half-units so odd q stays exact). After
-  a deletion, at most one center sits in a component smaller than its
-  radius; that center absorbs the component into T^j and moves across the
-  deleted edge, then a greedy pass opens centers at uncovered nodes in
-  ascending id order.
+* :class:`DetCenterCover`: a ``center_cover.CenterCover`` over exact trees
+  of depth Q whose roots it opens and moves, with counters for the number
+  of opens and the total moving distance, so one object per layer holds the
+  trees, the cover lists and the ledger. Each center j carries a collected
+  set T^j and a radius r^j = q/2 - |T^j| (kept in half-units so odd q stays
+  exact). After a deletion, at most one center sits in a component smaller
+  than its radius; that center absorbs the component into T^j and moves
+  across the deleted edge, then a greedy pass opens centers at uncovered
+  nodes in ascending id order.
 * :class:`ApspIndexDet`: an exact patch (an exact tree at every node) up to
   2^{p+2} for the largest scale p whose cover radius floor(eps_int * 2^p)
   is 0, and one cover per larger scale, giving the (1 + 2*eps_int)
@@ -68,23 +66,29 @@ from .es_tree import EsTree, after_delete_all
 from .graph_core import DecrementalGraph, RootDistances
 
 
-class MovingCenters(CenterCover):
-    """Exact distance trees of depth Q at movable center locations.
+class DetCenterCover(CenterCover):
+    """Deterministic center cover: every node in a component of size >= q has
+    a center within the cover radius q after every deletion.
 
     The cover lists and reads are ``CenterCover``'s, with ``bound`` = Q, the
-    trees' own depth bound; a move replaces ``_levels[j]``.
+    depth of the exact trees; a move replaces ``_levels[j]``. Centers open
+    more than q apart, so balls of integer radius at most q // 2 around them
+    are disjoint, and every ball lies inside its center's cover lists, which
+    the candidate lookup needs.
 
-    ``open`` and ``move`` search from the root. A build opens with
-    ``_register`` instead, the ball read off a ``RootDistances`` block, and
-    sets the trees of every center registered since in one ``_set_trees``
-    call from the same block.
+    ``open`` and ``move`` search from the root. The construction's greedy
+    pass opens with ``_register`` instead, the ball read off a
+    ``RootDistances`` block, and sets the block's trees in one
+    ``_set_trees`` call. Without ``rows`` the cover sweeps its own blocks;
+    with it, the owner sweeps ``rows.blocks()`` and calls ``_build_block``
+    on each.
     """
 
-    def __init__(self, g: DecrementalGraph, cover_radius: int, Q: int):
-        if Q < 1 or cover_radius < 0 or cover_radius > Q:
-            raise InvalidRange(
-                f"need 0 <= cover_radius <= Q and Q >= 1, got {cover_radius}, {Q}")
-        super().__init__(g.n, cover_radius, Q)
+    def __init__(self, g: DecrementalGraph, q: int, Q: int,
+                 rows: RootDistances | None = None):
+        if not 1 <= q <= Q:
+            raise InvalidRange(f"need 1 <= q <= Q, got q={q}, Q={Q}")
+        super().__init__(g.n, q, Q)
         self.g = g
         self._trees: list[EsTree] = []
         self.opens = 0
@@ -93,6 +97,18 @@ class MovingCenters(CenterCover):
         # work of the trees that move retired
         self._retired_increases = 0
         self._retired_ops = 0
+        self.collected: list[set[int]] = []   # T^j
+        self.radius2: list[int] = []          # 2 * r^j, exact in half-units
+        self._skip_small: list[bool] = [False] * g.n
+        if rows is None:
+            rows = RootDistances(g)
+            for block in rows.blocks():
+                self._build_block(block, rows)
+
+    @property
+    def mc(self) -> DetCenterCover:
+        """``self``, where perfbench's tracer reads a layer's moving centers."""
+        return self
 
     def open(self, x: int) -> int:
         """Open a new center at x; returns its id."""
@@ -105,9 +121,12 @@ class MovingCenters(CenterCover):
 
     def _register(self, x: int, ball) -> int:
         """A new center at x whose ball is ``ball``: its id, in the cover
-        lists of the ball; its tree is set by ``open`` or ``_set_trees``."""
+        lists of the ball, with an empty T^j and r^j = q/2; its tree is set
+        by ``open`` or ``_set_trees``."""
         j = len(self._location)
         self._location.append(x)
+        self.collected.append(set())
+        self.radius2.append(self.cover_radius)
         self._list(j, ball)
         self.opens += 1
         self._round_ops.add(j)
@@ -149,10 +168,6 @@ class MovingCenters(CenterCover):
         self._list(j, self._ball(tree.level))
         return popped
 
-    def begin_deletion(self) -> None:
-        """Open a new open/move accounting window (one per deletion)."""
-        self._round_ops = set()
-
     def after_delete(self, u: int, v: int, cut=None) -> set[int]:
         """Repair the trees after the shared graph lost (u, v).
 
@@ -171,39 +186,6 @@ class MovingCenters(CenterCover):
     def ops(self) -> int:
         """Work (``ops``) of every tree built here, retired ones included."""
         return self._retired_ops + sum(t.ops for t in self._trees)
-
-
-class DetCenterCover(MovingCenters):
-    """Deterministic center cover: every node in a component of size >= q has
-    a center within the cover radius q after every deletion.
-
-    A ``MovingCenters`` with cover radius q and depth bound Q that also keeps
-    the ledger and decides where its centers open and move. Centers open more
-    than q apart, so balls of integer radius at most q // 2 around them are
-    disjoint, and every ball lies inside its center's cover lists, which the
-    candidate lookup needs. The construction's greedy pass runs block by
-    block over a ``RootDistances``: without ``rows`` the cover sweeps its
-    own; with it, the owner sweeps ``rows.blocks()`` and calls
-    ``_build_block`` on each block.
-    """
-
-    def __init__(self, g: DecrementalGraph, q: int, Q: int,
-                 rows: RootDistances | None = None):
-        if not 1 <= q <= Q:
-            raise InvalidRange(f"need 1 <= q <= Q, got q={q}, Q={Q}")
-        super().__init__(g, q, Q)
-        self.collected: list[set[int]] = []   # T^j
-        self.radius2: list[int] = []          # 2 * r^j, exact in half-units
-        self._skip_small: list[bool] = [False] * g.n
-        if rows is None:
-            rows = RootDistances(g)
-            for block in rows.blocks():
-                self._build_block(block, rows)
-
-    @property
-    def mc(self) -> DetCenterCover:
-        """``self``, where perfbench's tracer reads a layer's moving centers."""
-        return self
 
     def _build_block(self, block: range, rows: RootDistances) -> None:
         """The construction's greedy pass over the nodes of ``block``, the
@@ -234,20 +216,18 @@ class DetCenterCover(MovingCenters):
                 for y in comp:
                     skip[y] = True
                 continue
-            j = self.open(x) if rows is None else self._register(x, rows.within(x, q))
-            if j != len(self.collected):
-                raise InvariantViolation(
-                    f"opened center id {j}, expected {len(self.collected)}")
-            self.collected.append(set())
-            self.radius2.append(q)  # r^j = q/2
+            if rows is None:
+                self.open(x)
+            else:
+                self._register(x, rows.within(x, q))
 
     def on_deleted(self, u: int, v: int, cut=None) -> None:
         """Coverage maintenance once the shared graph already lost (u, v).
 
-        ``cut`` is the side the deletion split off (``split_side``), or None;
-        the trees drop it in one step.
+        Opens a new open/move window. ``cut`` is the side the deletion split
+        off (``split_side``), or None; the trees drop it in one step.
         """
-        self.begin_deletion()
+        self._round_ops = set()
         trees = self._trees
         # the trees still reflect the pre-deletion graph, so level[u] in j's
         # tree is dist_{G_i}(cen_j, u): find the (at most one) center whose
@@ -272,6 +252,11 @@ class DetCenterCover(MovingCenters):
                 freed.update(self.move(j, y, move_dist))
         freed |= self.after_delete(u, v, cut)
         self._greedy_open(freed)
+
+
+# the name perfbench's tracer imports; it goes with the ``mc`` alias when the
+# tracer next changes (ROADMAP item 4)
+MovingCenters = DetCenterCover
 
 
 class ApspIndexDet:

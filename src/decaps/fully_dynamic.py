@@ -73,8 +73,9 @@ class FullyDynamicApsp:
             self.index = self._base = None
         self._base = DecrementalGraph.from_edge_list(self.n, self._true_edges())
         self.index = ApspIndexDet(self._base, self.eps)
-        self.insertion_centers: dict[int, bool] = {}
-        self._center_dist: dict[int, list] = {}
+        # insertion center -> its distances in the true graph, None until
+        # the first search
+        self.insertion_centers: dict[int, list | None] = {}
         self.updates_in_phase = 0
 
     def _after_update(self, edges, inserted: bool) -> None:
@@ -83,11 +84,10 @@ class FullyDynamicApsp:
         if self.updates_in_phase >= self.t:
             self._start_phase()
             return
-        center_dist = self._center_dist
-        for x in self.insertion_centers:
-            dist = center_dist.get(x)
+        centers = self.insertion_centers
+        for x, dist in centers.items():
             if dist is None or not self._keeps(dist, edges, inserted):
-                center_dist[x] = self._bfs(x)
+                centers[x] = self._bfs(x)
 
     def _keeps(self, dist: list, edges, inserted: bool) -> bool:
         """Whether ``dist``, a center's distances before the update, are
@@ -155,7 +155,7 @@ class FullyDynamicApsp:
         for a, b in edges:
             self._true_adj[a].add(b)
             self._true_adj[b].add(a)
-        self.insertion_centers[v] = True
+        self.insertion_centers.setdefault(v, None)
         self._after_update(edges, True)
 
     def delete_set(self, edges) -> None:
@@ -183,8 +183,7 @@ class FullyDynamicApsp:
         if u == w:
             return 0
         best = self.index.query(u, w)
-        for x in self.insertion_centers:
-            dist = self._center_dist[x]
+        for dist in self.insertion_centers.values():
             cand = dist[u] + dist[w]
             if cand < best:
                 best = cand

@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise ConfigInvalid(f"eps must be in (0, 1], got {self.eps}")
         if self.updates < 0:
             raise ConfigInvalid(f"updates must be at least 0, got {self.updates}")
+        if self.trace and self.algorithm == "fully_dynamic":
+            raise ConfigInvalid("fully_dynamic runs mixed updates, not a deletion trace")
 
 
 def build_graph(cfg: ExperimentConfig) -> DecrementalGraph:
@@ -156,15 +158,12 @@ def generate_trace(g: DecrementalGraph, order: str = "random", seed=0,
             if nxt:
                 far = nxt[-1]
             frontier = nxt
+        # cur has an edge, so far != cur and the walk ends at a child of cur
         node = far
-        while parent[node] is not None and parent[parent[node]] is not None:
+        while parent[node] != cur:
             node = parent[node]
-        u, v = (parent[node], node) if parent[node] is not None else (cur, far)
-        if parent[node] is None:  # isolated component of one node
-            cur = next(x for x in range(work.n) if work.degree(x) > 0)
-            continue
-        work.delete_edge(u, v)
-        out.append((u, v))
+        work.delete_edge(cur, node)
+        out.append((cur, node))
     return DeletionTrace(out)
 
 

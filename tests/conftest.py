@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from decaps.deterministic_apsp import DetCenterCover, MovingCenters
 from decaps.emulator import LocallyPerseveringEmulator
 from decaps.graph_core import INF, DecrementalGraph
 from decaps.monotone_es_tree import MonotoneEsTree
@@ -58,9 +57,8 @@ def delete_edge(structure, u: int, v: int) -> None:
     """Delete (u, v) under a standalone cover the way the owning index does.
 
     A ``RandomCenterCover`` (from ``standalone_cover``): the emulator's
-    batch, every tree's repair, then ``on_batch``. A ``DetCenterCover``, or
-    a plain ``MovingCenters``: the graph deletion, ``split_side``, then
-    ``on_deleted``, or ``after_delete`` in a new open/move window.
+    batch, every tree's repair, then ``on_batch``. A ``DetCenterCover``: the
+    graph deletion, ``split_side``, then ``on_deleted``.
     """
     if isinstance(structure, RandomCenterCover):
         em = structure.emulator
@@ -70,12 +68,7 @@ def delete_edge(structure, u: int, v: int) -> None:
         return
     g = structure.g
     g.delete_edge(u, v)
-    cut = g.split_side(u, v)
-    if isinstance(structure, DetCenterCover):
-        structure.on_deleted(u, v, cut)
-    else:
-        structure.begin_deletion()
-        structure.after_delete(u, v, cut)
+    structure.on_deleted(u, v, g.split_side(u, v))
 
 
 def tree_state(t):

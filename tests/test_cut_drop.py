@@ -13,7 +13,7 @@ from functools import partial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decaps.deterministic_apsp import ApspIndexDet, DetCenterCover, MovingCenters
+from decaps.deterministic_apsp import ApspIndexDet, DetCenterCover
 from decaps.emulator import LocallyPerseveringEmulator
 from decaps.es_tree import EsTree
 from decaps.graph_core import INF, DecrementalGraph
@@ -147,12 +147,13 @@ def test_every_entry_point_hands_the_cut_to_its_trees(monkeypatch):
     def path():
         return DecrementalGraph.from_edge_list(20, [(i, i + 1) for i in range(19)])
 
-    mc = MovingCenters(path(), 2, 8)
-    for x in range(0, 20, 3):
-        mc.open(x)
+    # q above the path's 20 nodes: the build opens nothing, and a tree
+    # opened after it is set by ``open``, not from a block of rows
+    opened = DetCenterCover(path(), 21, 21)
+    opened.open(10)
     # a standalone cover deletes through the helper that does what its
     # owning index does
-    covers = (DetCenterCover(path(), 2, 8), mc,
+    covers = (DetCenterCover(path(), 2, 8), opened,
               standalone_cover(path(), 2, 8, 1.0, centers=[0, 1, 7]))
     for delete in (ApspIndexDet(path(), 0.5).delete,
                    ApspIndexRandom(path(), 1.0, seed=0, hubs=[0, 5]).delete,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decaps.deterministic_apsp import ApspIndexDet, DetCenterCover, MovingCenters
+from decaps.deterministic_apsp import ApspIndexDet, DetCenterCover
 from decaps.errors import (
     EdgeAbsent,
     InvalidEpsilon,
@@ -34,19 +34,22 @@ def fig3_path(q):
 
 
 def test_mc_open_distance_zero(fig_graph):
-    mc = MovingCenters(fig_graph, 2, 4)
+    # q above every component size: the build opens nothing
+    mc = DetCenterCover(fig_graph, 7, 7)
+    assert mc.opens == 0
     j = mc.open(3)
     assert mc.distance(j, 3) == 0
     assert mc.find_center(3) == j
+    assert mc.collected[j] == set() and mc.radius2[j] == 7
 
 
 def test_mc_validation(fig_graph):
     with pytest.raises(InvalidRange):
-        MovingCenters(fig_graph, 5, 4)
-    mc = MovingCenters(fig_graph, 2, 4)
+        DetCenterCover(fig_graph, 5, 4)
+    mc = DetCenterCover(fig_graph, 7, 7)
     with pytest.raises(UnknownCenter):
         mc.distance(0, 1)
-    j = mc.open(0)
+    mc.open(0)
     with pytest.raises(NodeOutOfRange):
         mc.open(99)
     with pytest.raises(NodeOutOfRange):
@@ -54,11 +57,13 @@ def test_mc_validation(fig_graph):
 
 
 def test_mc_rate_violation(fig_graph):
-    mc = MovingCenters(fig_graph, 2, 4)
+    mc = DetCenterCover(fig_graph, 7, 7)
     j = mc.open(0)
     with pytest.raises(RateViolation):
         mc.move(j, 5, bfs_levels(fig_graph, 0)[5])
+    # 0 keeps its component of 6 nodes, so the deletion moves nothing
     delete_edge(mc, 0, 1)
+    assert mc.location(j) == 0 and mc.moving_distance == 0
     mc.move(j, 5, bfs_levels(fig_graph, 0)[5])  # fine after a deletion
     with pytest.raises(RateViolation):
         mc.move(j, 2, bfs_levels(fig_graph, 5)[2])
@@ -66,14 +71,17 @@ def test_mc_rate_violation(fig_graph):
 
 def test_mc_move_across_components():
     g = DecrementalGraph.from_edge_list(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    mc = MovingCenters(g, 2, 3)
+    mc = DetCenterCover(g, 4, 4)
+    assert mc.opens == 0
     j = mc.open(0)
     assert mc.find_center(2) == j
-    delete_edge(mc, 0, 1)
+    # {0, 1} is not smaller than r^j = 2, so the deletion moves nothing
+    delete_edge(mc, 1, 2)
+    assert mc.location(j) == 0 and mc.find_center(2) is None
     # different component: the moving distance becomes infinite
     mc.move(j, 4, bfs_levels(g, mc.location(j))[4])
     assert mc.moving_distance == INF
-    assert mc.find_center(2) is None
+    assert mc.find_center(1) is None
     assert mc.find_center(0) is None
     for x in (3, 4, 5):
         assert mc.find_center(x) == j

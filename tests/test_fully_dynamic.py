@@ -101,7 +101,7 @@ def test_update_validation():
 
 def fd_state(fd):
     """Everything an update may change in a ``FullyDynamicApsp``."""
-    return (fd._true_edges(), fd._base.edges(), fd.insertion_centers, fd._center_dist,
+    return (fd._true_edges(), fd._base.edges(), fd.insertion_centers,
             fd.updates_in_phase, fd.level_increases, fd.ops, det_state(fd.index))
 
 
@@ -259,6 +259,5 @@ def test_center_distances_stay_exact(data):
         edges = {(min(a, b), max(a, b)) for a, b in update[-1]}
         present = present | edges if inserted else present - edges
         truth = DecrementalGraph.from_edge_list(n, sorted(present))
-        assert sorted(fd._center_dist) == sorted(fd.insertion_centers)
-        for x, dist in fd._center_dist.items():
+        for x, dist in fd.insertion_centers.items():
             assert dist == bfs_levels(truth, x)

@@ -46,6 +46,17 @@ def test_generate_trace_path_peel():
     for u, v in trace:
         g.delete_edge(u, v)
     assert g.m == 0
+    # each pair is the root-side edge of a shortest path from the current
+    # root: the first pairs of the 6x6 grid peel
+    grid = build_graph(ExperimentConfig(algorithm="det_apsp", generator="grid:6:6"))
+    assert list(generate_trace(grid, "adversarial-path-peel"))[:8] == [
+        (0, 1), (0, 6), (1, 2), (1, 7), (2, 3), (2, 8), (3, 9), (3, 4)]
+    # isolated nodes, the root among them, are passed over
+    sparse = DecrementalGraph.from_edge_list(9, [(1, 2), (2, 3), (3, 4), (2, 5), (6, 7)])
+    assert list(generate_trace(sparse, "adversarial-path-peel")) == [
+        (1, 2), (2, 3), (2, 5), (3, 4), (6, 7)]
+    assert list(generate_trace(sparse, "adversarial-path-peel", root=3)) == [
+        (3, 2), (3, 4), (1, 2), (2, 5), (6, 7)]
 
 
 def test_path_peel_maximizes_level_churn():
@@ -89,6 +100,10 @@ def test_config_validation():
     for gnm in ((5, -3), (0, 0), (-2, 0)):
         with pytest.raises(ConfigInvalid):
             run_experiment(ExperimentConfig(algorithm="det_apsp", gnm=gnm, audit="none"))
+    # fully_dynamic runs mixed updates and would leave a trace file unread
+    with pytest.raises(ConfigInvalid):
+        run_experiment(ExperimentConfig(algorithm="fully_dynamic", gnm=(5, 4),
+                                        trace="/nonexistent", audit="none"))
 
 
 def test_run_experiment_csv_bit_exact(tmp_path):
@@ -297,6 +312,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
         assert main(["gen", "--gnm", *sizes, "--out", str(tmp_path / "g.txt")]) == 3
     assert not (tmp_path / "g.txt").exists()
     assert main(["gen", "--path", "1", "--out", str(tmp_path / "g.txt")]) == 0
+    # a trace file given to fully_dynamic
+    assert main(["run", "--algo", "fully_dynamic", "--gnm", "5", "4", "--trace",
+                 str(tmp_path / "none.txt"), "--audit", "none"]) == 3
     # a negative number of updates
     assert main(["run", "--algo", "fully_dynamic", "--gnm", "10", "20", "--updates", "-5"]) == 3
     # a depth bound of 0, which the tree rejects, not one that means "all of n"

@@ -16,11 +16,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracer import Tracer, index_structure  # noqa: E402
 
 from decaps import ApspIndexDet, ApspIndexRandom  # noqa: E402
-from decaps.harness import gnm_graph  # noqa: E402
+from decaps.harness import (  # noqa: E402
+    ExperimentConfig,
+    build_graph,
+    generate_trace,
+    gnm_graph,
+)
 
 
-def recorded(tracer):
-    return {tracer.names[k] for k in tracer.cols["kind"]}
+def recorded(tracer, cause=None):
+    """The span names recorded, only those of update ``cause`` if given."""
+    cols = tracer.cols
+    return {tracer.names[k] for k, c in zip(cols["kind"], cols["cause"])
+            if cause is None or c == cause}
 
 
 def test_tracer_records_both_tree_engines():
@@ -36,16 +44,26 @@ def test_tracer_records_both_tree_engines():
         rand = ApspIndexRandom(gnm_graph(16, 32, seed=3), 0.5, seed=0)
         tracer.cause_id = 1
         rand.delete(*rand.g.edges()[0])
+        # the first deletions of the 6x6 grid peel open and move centers
+        grid = build_graph(ExperimentConfig(algorithm="det_apsp", generator="grid:6:6"))
+        peeled = ApspIndexDet(grid, 0.5)
+        tracer.cause_id = 2
+        for u, v in list(generate_trace(grid, "adversarial-path-peel"))[:4]:
+            peeled.delete(u, v)
     finally:
         tracer.uninstall()
-    # a cover layer is its own moving centers: the wrappers of the entry
-    # points it inherits record, and the tracer's layer map (filled through
-    # the ``mc`` alias) names each layer's scale
+    # the tracer wraps a layer's entry points through the ``MovingCenters``
+    # alias of its class, and its layer map (filled through the ``mc``
+    # alias) names each layer's scale
     assert {"es_tree.build", "es_tree.after_delete", "deterministic_apsp.on_deleted",
             "deterministic_apsp.mc_after_delete"} <= det_spans
     assert det.layers and [tracer._layer_of[layer] for layer in det.layers] == list(
         range(len(det.layers)))
     assert not {"monotone_es_tree.build", "monotone_es_tree.apply_batch"} & det_spans
+    assert {"deterministic_apsp.open", "deterministic_apsp.move",
+            "deterministic_apsp.mc_after_delete"} <= recorded(tracer, cause=2)
+    assert peeled.layers and [tracer._layer_of[layer] for layer in peeled.layers] == list(
+        range(len(peeled.layers)))
     assert {"monotone_es_tree.build", "monotone_es_tree.apply_batch",
             "randomized_apsp.delete"} <= recorded(tracer)
 
