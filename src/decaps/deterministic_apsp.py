@@ -263,7 +263,7 @@ class ApspIndexDet:
     """An exact patch and ceil(log n) deterministic covers answering
     (1+eps)-approximate queries. ``patch[x]`` is the exact tree rooted at x,
     kept to depth ``patch_range``; ``layers[k]`` is the k-th cover, with
-    (q, Q) in ``layer_params[k]``."""
+    (q, Q) in its ``cover_radius`` and ``bound``."""
 
     def __init__(self, g: DecrementalGraph, eps: float):
         if not 0 < eps <= 1:
@@ -272,7 +272,6 @@ class ApspIndexDet:
         self.eps = eps
         self.eps_internal = eps / 2.0
         self.layers: list[DetCenterCover] = []
-        self.layer_params: list[tuple[int, int]] = []
         # scale 0 has radius 0 (eps_internal <= 1/2); n <= 1 has no scale
         self.patch_range = 4
         n = g.n
@@ -286,7 +285,6 @@ class ApspIndexDet:
                 # opens or moves one again: its trees are the patch's, cut off
                 self.patch_range = Q_p
                 continue
-            self.layer_params.append((q_p, Q_p))
             self.layers.append(DetCenterCover(g, q_p, Q_p, rows))
         self.patch: list[EsTree] = []
         for block in rows.blocks():  # block-major, see the module docstring

@@ -70,9 +70,9 @@ class FullyDynamicApsp:
             self._retired_increases += self.index.level_increases
             self._retired_ops += self.index.ops
             # free the old phase before building the next
-            self.index = self._base = None
-        self._base = DecrementalGraph.from_edge_list(self.n, self._true_edges())
-        self.index = ApspIndexDet(self._base, self.eps)
+            self.index = None
+        self.index = ApspIndexDet(
+            DecrementalGraph.from_edge_list(self.n, self._true_edges()), self.eps)
         # insertion center -> its distances in the true graph, None until
         # the first search
         self.insertion_centers: dict[int, list | None] = {}
@@ -170,7 +170,7 @@ class FullyDynamicApsp:
             self._true_adj[a].discard(b)
             self._true_adj[b].discard(a)
             # edges born in this phase never reached the decremental index
-            if self._base.has_edge(a, b):
+            if self.index.g.has_edge(a, b):
                 self.index.delete(a, b)
         self._after_update(edges, False)
 

@@ -80,6 +80,11 @@ class ExperimentConfig:
             raise ConfigInvalid(f"updates must be at least 0, got {self.updates}")
         if self.trace and self.algorithm == "fully_dynamic":
             raise ConfigInvalid("fully_dynamic runs mixed updates, not a deletion trace")
+        # options only one algorithm reads
+        if self.Q is not None and self.algorithm != "es_tree":
+            raise ConfigInvalid(f"Q applies to es_tree only, not {self.algorithm}")
+        if self.updates and self.algorithm != "fully_dynamic":
+            raise ConfigInvalid(f"updates apply to fully_dynamic only, not {self.algorithm}")
 
 
 def build_graph(cfg: ExperimentConfig) -> DecrementalGraph:
@@ -285,10 +290,9 @@ def run_det_apsp(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrac
                      "emulator_events": 0, "opens": opens, "moving_distance": moving})
     ledger = {}
     for p, layer in enumerate(index.layers):
-        q_p, _ = index.layer_params[p]
         ledger[f"layer{p}"] = {
-            "q": q_p, "opens": layer.opens,
-            "opens_bound_ok": layer.opens <= 2 * n / q_p,
+            "q": layer.cover_radius, "opens": layer.opens,
+            "opens_bound_ok": layer.opens <= 2 * n / layer.cover_radius,
             "moving_distance": layer.moving_distance,
             "moving_bound_ok": layer.moving_distance <= n,
         }
@@ -305,7 +309,7 @@ def audit_det_cover(index: ApspIndexDet, truth: np.ndarray) -> dict | None:
     n = index.g.n
     sizes = np.isfinite(truth).sum(axis=1)
     for p, layer in enumerate(index.layers):
-        q_p, _ = index.layer_params[p]
+        q_p = layer.cover_radius
         seen: set[int] = set()
         for j, c in enumerate(layer.centers):
             if layer.radius2[j] != q_p - 2 * len(layer.collected[j]):
@@ -367,9 +371,9 @@ def run_rand_apsp(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTra
     if keep_h:
         ok, cex = check_locally_persevering(
             n, initial_edges, list(trace), h_snapshots, 1, 2, index.emulator.tau)
-        summary["locally_persevering"] = ok
         if not ok:
-            summary["locally_persevering_counterexample"] = cex
+            raise _fail(cfg, cex["time"], {"check": "locally persevering", **cex})
+        summary["locally_persevering"] = True
     return rows, summary
 
 
@@ -528,7 +532,7 @@ def main(argv=None) -> int:
                        choices=["random", "adversarial-path-peel"])
         p.add_argument("--eps", type=float, default=0.5)
         p.add_argument("--phase-t", dest="phase_t", type=int, default=1)
-        p.add_argument("--Q", type=int)
+        p.add_argument("--Q", type=int, help="es_tree: depth bound (default n)")
         p.add_argument("--root", type=int, default=0)
         p.add_argument("--updates", type=int, default=0,
                        help="fully_dynamic: number of mixed updates")

@@ -118,20 +118,10 @@ class NumpyBfsOracle:
 
 @dataclass
 class StretchReport:
-    """Outcome of checking estimates against ground truth.
+    """Outcome of checking estimates against ground truth: how many pairs
+    failed, and the records of the first 64."""
 
-    pass criterion per pair: dist <= estimate, and estimate <= alpha*dist + beta
-    whenever dist <= distance_range. Estimates of infinity pass exactly when
-    the range condition does not apply.
-    """
-
-    alpha: float
-    beta: float
-    distance_range: float
-    checked: int = 0
     failure_count: int = 0
-    max_multiplicative_excess: float = 0.0
-    max_additive_excess: float = 0.0
     failures: list = field(default_factory=list)
 
     @property
@@ -141,38 +131,30 @@ class StretchReport:
 
 def check_stretch(estimates: np.ndarray, truth: np.ndarray, alpha: float,
                   beta: float, distance_range=INF, context=None) -> StretchReport:
-    """Apply the range-conditional (alpha, beta) sandwich to two matrices."""
+    """Apply the range-conditional (alpha, beta) sandwich to two matrices.
+
+    A pair passes when dist <= estimate, and estimate <= alpha*dist + beta
+    whenever dist <= distance_range. Estimates of infinity pass exactly when
+    the range condition does not apply.
+    """
     est = np.asarray(estimates, dtype=float)
     tru = np.asarray(truth, dtype=float)
     if est.shape != tru.shape:
         raise ShapeMismatch(f"estimates {est.shape} vs truth {tru.shape}")
-    report = StretchReport(alpha=alpha, beta=beta, distance_range=distance_range)
-    report.checked = est.size
     under = est < tru
     in_range = tru <= distance_range
-    finite = np.isfinite(tru)
     with np.errstate(invalid="ignore"):
         over = in_range & (est > alpha * tru + beta)
     bad = under | over
-    if bad.any():
-        report.failure_count = int(bad.sum())
-        idx = np.argwhere(bad)
-        for u, v in idx[:64]:
-            report.failures.append({
-                "pair": (int(u), int(v)),
-                "dist": float(tru[u, v]),
-                "estimate": float(est[u, v]),
-                "bound": float(alpha * tru[u, v] + beta) if np.isfinite(tru[u, v]) else INF,
-                "context": context,
-            })
-    ok_range = in_range & finite & np.isfinite(est)
-    if ok_range.any():
-        t = tru[ok_range]
-        e = est[ok_range]
-        pos = t > 0
-        if pos.any():
-            report.max_multiplicative_excess = float(np.max(e[pos] / t[pos]))
-        report.max_additive_excess = float(np.max(e - t))
+    report = StretchReport(failure_count=int(bad.sum()))
+    for u, v in np.argwhere(bad)[:64]:
+        report.failures.append({
+            "pair": (int(u), int(v)),
+            "dist": float(tru[u, v]),
+            "estimate": float(est[u, v]),
+            "bound": float(alpha * tru[u, v] + beta) if np.isfinite(tru[u, v]) else INF,
+            "context": context,
+        })
     return report
 
 

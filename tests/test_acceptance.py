@@ -425,8 +425,8 @@ def test_criterion_11_det_total_work():
             idx.delete(u, v)
         ratios[name] = idx.ops / (m * n * math.log2(n) / eps)
         limit = n * n * (idx.patch_range + 1) + sum(
-            (layer.opens + layer.moving_distance) * n * (Q + 1)
-            for layer, (_, Q) in zip(idx.layers, idx.layer_params))
+            (layer.opens + layer.moving_distance) * n * (layer.bound + 1)
+            for layer in idx.layers)
         raises[name] = idx.level_increases / limit
     elapsed = time.time() - t0
     report(11, max(ratios.values()) <= 1 and max(raises.values()) <= 1,

@@ -327,12 +327,13 @@ def test_rejected_deletions_change_nothing():
 def test_det_apsp_layer_parameters():
     g = DecrementalGraph.from_edge_list(40, [(i, i + 1) for i in range(39)])
     idx = ApspIndexDet(g, 0.5)
-    for q_p, Q_p in idx.layer_params:
-        assert 1 <= q_p <= Q_p
+    for layer in idx.layers:
+        assert 1 <= layer.cover_radius <= layer.bound
     # scales up to 2^floor(log2 n): 0 and 1 have radius 0 and make the
     # patch, exact up to 2^(1+2); 2 to 5 are covers of radius 1, 2, 4, 8
     assert idx.patch_range == 8
-    assert idx.layer_params == [(1, 16), (2, 32), (4, 64), (8, 128)]
+    assert [(layer.cover_radius, layer.bound) for layer in idx.layers] == [
+        (1, 16), (2, 32), (4, 64), (8, 128)]
     assert len(idx.layers) == 4
 
 

@@ -63,10 +63,10 @@ def test_insert_star_patches_through_center():
 def test_deleting_phase_born_edge_skips_decremental_index():
     g = DecrementalGraph.from_edge_list(5, [(0, 1), (1, 2)])
     fd = FullyDynamicApsp(g, 0.5, 3)
-    base_edges = fd._base.edges()
+    base_edges = fd.index.g.edges()
     fd.insert_star(3, [(3, 0), (3, 4)])
     fd.delete_set([(3, 0)])
-    assert fd._base.edges() == base_edges  # decremental view untouched
+    assert fd.index.g.edges() == base_edges  # decremental view untouched
     assert fd.query(0, 3) == INF or fd.query(0, 3) >= 2  # only via 3? gone now
     assert fd.query(3, 4) == 1
 
@@ -82,7 +82,7 @@ def test_phase_boundary_clears_insertion_centers():
     assert fd.updates_in_phase == 0
     assert not fd.insertion_centers
     # the new phase's decremental view contains the inserted edge
-    assert fd._base.has_edge(0, 5)
+    assert fd.index.g.has_edge(0, 5)
     assert fd.query(0, 5) == 1
 
 
@@ -101,7 +101,7 @@ def test_update_validation():
 
 def fd_state(fd):
     """Everything an update may change in a ``FullyDynamicApsp``."""
-    return (fd._true_edges(), fd._base.edges(), fd.insertion_centers,
+    return (fd._true_edges(), fd.index.g.edges(), fd.insertion_centers,
             fd.updates_in_phase, fd.level_increases, fd.ops, det_state(fd.index))
 
 

@@ -104,10 +104,19 @@ def test_config_validation():
     with pytest.raises(ConfigInvalid):
         run_experiment(ExperimentConfig(algorithm="fully_dynamic", gnm=(5, 4),
                                         trace="/nonexistent", audit="none"))
+    # Q is read by es_tree only, updates by fully_dynamic only
+    for algorithm in ("det_apsp", "rand_apsp", "fully_dynamic"):
+        with pytest.raises(ConfigInvalid):
+            run_experiment(ExperimentConfig(algorithm=algorithm, gnm=(5, 4), Q=3,
+                                            audit="none"))
+    for algorithm in ("es_tree", "det_apsp", "rand_apsp"):
+        with pytest.raises(ConfigInvalid):
+            run_experiment(ExperimentConfig(algorithm=algorithm, gnm=(5, 4), updates=7,
+                                            audit="none"))
 
 
 def test_run_experiment_csv_bit_exact(tmp_path):
-    for algorithm in ("det_apsp", "rand_apsp", "fully_dynamic"):
+    for algorithm in ("es_tree", "det_apsp", "rand_apsp", "fully_dynamic"):
         out1 = tmp_path / algorithm / "a"
         out2 = tmp_path / algorithm / "b"
         for out in (out1, out2):
@@ -139,7 +148,7 @@ def test_run_experiment_rand_apsp_full_audit_small():
     cfg = ExperimentConfig(algorithm="rand_apsp", gnm=(10, 18), eps=1.0,
                            seed=11, audit="full")
     summary = run_experiment(cfg)
-    assert "locally_persevering" in summary
+    assert summary["locally_persevering"] is True
 
 
 def test_run_experiment_fully_dynamic():
@@ -268,6 +277,21 @@ def test_cli_ledger_failure_exits_2(tmp_path, monkeypatch):
     assert bundle["detail"] == {"layer": 0, "center": 0, "reason": "radius formula"}
 
 
+def test_cli_def8_failure_exits_2(tmp_path, monkeypatch):
+    cex = {"pair": (2, 7), "time": 3, "reason": "no persevering path", "t2": 5}
+    monkeypatch.setattr("decaps.harness.check_locally_persevering",
+                        lambda *args: (False, cex))
+    out = tmp_path / "bad"
+    rc = main(["audit", "--algo", "rand_apsp", "--gnm", "10", "18", "--seed", "11",
+               "--eps", "1.0", "--out", str(out)])
+    assert rc == 2
+    bundle = json.loads((out / "replay_bundle.json").read_text())
+    assert bundle["version"] == 3
+    assert bundle["detail"] == {"check": "locally persevering", "pair": [2, 7],
+                                "time": 3, "reason": "no persevering path", "t2": 5}
+    assert not (out / "summary.json").exists()
+
+
 def test_cli_gen_and_run(tmp_path):
     gpath = tmp_path / "g.txt"
     tpath = tmp_path / "t.txt"
@@ -320,6 +344,18 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     # a depth bound of 0, which the tree rejects, not one that means "all of n"
     assert main(["run", "--algo", "es_tree", "--gnm", "10", "20", "--Q", "0",
                  "--out", str(tmp_path / "q0")]) == 3
+    # an option the algorithm never reads: Q outside es_tree, updates
+    # outside fully_dynamic
+    assert main(["run", "--algo", "det_apsp", "--gnm", "5", "4", "--updates", "7",
+                 "--Q", "3", "--audit", "none"]) == 3
+    assert main(["run", "--algo", "rand_apsp", "--gnm", "5", "4", "--Q", "3",
+                 "--audit", "none"]) == 3
+    assert main(["run", "--algo", "es_tree", "--gnm", "5", "4", "--updates", "7",
+                 "--audit", "none"]) == 3
+    assert main(["run", "--algo", "fully_dynamic", "--gnm", "5", "4", "--updates", "7",
+                 "--audit", "none"]) == 0
+    assert main(["run", "--algo", "es_tree", "--gnm", "5", "4", "--Q", "3",
+                 "--audit", "none"]) == 0
     # audit failure path
     real_query = ApspIndexDet.query
 

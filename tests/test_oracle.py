@@ -63,18 +63,21 @@ def test_check_stretch_pass_and_fail():
     under = truth.copy()
     under[0, 1] = 1.0
     bad = check_stretch(under, truth, alpha=2, beta=5)
-    assert not bad.passed
+    assert not bad.passed and bad.failure_count == 1
     assert bad.failures[0]["pair"] == (0, 1)
 
     over = truth.copy()
     over[0, 1] = 9.0
-    bad = check_stretch(over, truth, alpha=1.5, beta=0)
-    assert not bad.passed
+    bad = check_stretch(over, truth, alpha=1.5, beta=0, context={"version": 3})
+    assert not bad.passed and bad.failure_count == 1
+    assert bad.failures == [{"pair": (0, 1), "dist": 2.0, "estimate": 9.0,
+                             "bound": 3.0, "context": {"version": 3}}]
 
     # infinity passes exactly when the truth is out of range
     est = np.array([[0.0, np.inf], [np.inf, 0.0]])
     assert check_stretch(est, truth, alpha=1, beta=0, distance_range=1).passed
-    assert not check_stretch(est, truth, alpha=1, beta=0, distance_range=3).passed
+    bad = check_stretch(est, truth, alpha=1, beta=0, distance_range=3)
+    assert not bad.passed and bad.failure_count == 2
 
 
 def test_check_stretch_shape_mismatch():
