@@ -53,6 +53,7 @@ A deletion costs work in proportion to what it changes, not to n:
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .center_cover import CenterCover, search_layers
 from .errors import (
@@ -62,7 +63,7 @@ from .errors import (
     NodeOutOfRange,
     RateViolation,
 )
-from .es_tree import EsTree, after_delete_all
+from .es_tree import EsTree, after_delete_all, tree_stats
 from .graph_core import DecrementalGraph, RootDistances
 
 
@@ -94,9 +95,7 @@ class DetCenterCover(CenterCover):
         self.opens = 0
         self.moving_distance = 0
         self._round_ops: set[int] = set()
-        # work of the trees that move retired
-        self._retired_increases = 0
-        self._retired_ops = 0
+        self._retired = Counter()  # stats of the trees that moves retired
         self.collected: list[set[int]] = []   # T^j
         self.radius2: list[int] = []          # 2 * r^j, exact in half-units
         self._skip_small: list[bool] = [False] * g.n
@@ -160,9 +159,7 @@ class DetCenterCover(CenterCover):
             self._cover[y].pop(j, None)
         self.moving_distance += distance
         self._location[j] = x
-        old = self._trees[j]
-        self._retired_increases += old.level_increases
-        self._retired_ops += old.ops
+        self._retired.update(self._trees[j].stats())
         tree = self._trees[j] = EsTree(self.g, x, self.bound)
         self._levels[j] = tree.level
         self._list(j, self._ball(tree.level))
@@ -177,15 +174,13 @@ class DetCenterCover(CenterCover):
         """
         return self._uncover(after_delete_all(self._trees, u, v, cut))
 
-    @property
-    def level_increases(self) -> int:
-        """Level increases of every tree built here, retired ones included."""
-        return self._retired_increases + sum(t.level_increases for t in self._trees)
-
-    @property
-    def ops(self) -> int:
-        """Work (``ops``) of every tree built here, retired ones included."""
-        return self._retired_ops + sum(t.ops for t in self._trees)
+    def stats(self) -> Counter:
+        """The work counters of every tree built here, retired ones
+        included, with the ``opens`` and the ``moving_distance``."""
+        stats = tree_stats(self._trees)
+        stats.update(self._retired, opens=self.opens,
+                     moving_distance=self.moving_distance)
+        return stats
 
     def _build_block(self, block: range, rows: RootDistances) -> None:
         """The construction's greedy pass over the nodes of ``block``, the
@@ -300,15 +295,12 @@ class ApspIndexDet:
         for layer in self.layers:
             layer.on_deleted(u, v, cut)
 
-    @property
-    def level_increases(self) -> int:
-        """Level increases of every tree the index built, retired ones included."""
-        return sum(t.level_increases for t in self.patch + self.layers)
-
-    @property
-    def ops(self) -> int:
-        """Work (``ops``) of every tree the index built, retired ones included."""
-        return sum(t.ops for t in self.patch + self.layers)
+    def stats(self) -> Counter:
+        """The patch trees' work counters plus every layer's ``stats``."""
+        stats = tree_stats(self.patch)
+        for layer in self.layers:
+            stats.update(layer.stats())
+        return stats
 
     def query(self, x: int, y: int):
         """Estimate with dist <= result <= (1+eps)*dist; INF if disconnected.

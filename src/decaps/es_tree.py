@@ -11,16 +11,19 @@ graph once and repairs its trees with ``after_delete_all``, which calls
 ``after_delete`` only on the trees whose levels the deletion changes.
 Levels, the one-step drop of a cut-off side and the work counters
 (``level_increases``, and ``ops``, which counts neighbour checks) are the
-monotone tree's; ``monotone_es_tree`` shows why they are exact.
+monotone tree's; ``monotone_es_tree`` shows why they are exact. Other
+modules read them through ``stats`` and ``tree_stats``.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import InvalidParameters
 from .graph_core import DecrementalGraph, TreeStart
 from .monotone_es_tree import MonotoneEsTree
 
-__all__ = ["EsTree", "after_delete_all"]
+__all__ = ["EsTree", "after_delete_all", "tree_stats"]
 
 
 class EsTree(MonotoneEsTree):
@@ -95,3 +98,9 @@ def after_delete_all(trees: list[EsTree], u: int, v: int,
         if raised:
             out.append((i, raised))
     return out
+
+
+def tree_stats(trees) -> Counter:
+    """The sum of ``stats`` over ``trees``, without a dict per tree."""
+    return Counter(level_increases=sum(t.level_increases for t in trees),
+                   ops=sum(t.ops for t in trees))

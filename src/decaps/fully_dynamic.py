@@ -24,7 +24,7 @@ deleted edge whose ends sat on adjacent levels may have lost its last one.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 from .deterministic_apsp import ApspIndexDet
 from .errors import (
@@ -49,9 +49,7 @@ class FullyDynamicApsp:
         self.eps = eps
         self.t = t
         self._true_adj: list[set[int]] = [set(s) for s in g._adj]
-        # work of the indexes that earlier phases built
-        self._retired_increases = 0
-        self._retired_ops = 0
+        self._retired = Counter()  # stats of the indexes earlier phases built
         self.index = None
         self._start_phase()
 
@@ -67,8 +65,7 @@ class FullyDynamicApsp:
 
     def _start_phase(self) -> None:
         if self.index is not None:
-            self._retired_increases += self.index.level_increases
-            self._retired_ops += self.index.ops
+            self._retired.update(self.index.stats())
             # free the old phase before building the next
             self.index = None
         self.index = ApspIndexDet(
@@ -123,15 +120,12 @@ class FullyDynamicApsp:
                     queue.append(z)
         return dist
 
-    @property
-    def level_increases(self) -> int:
-        """Level increases of every index built here, earlier phases' included."""
-        return self._retired_increases + self.index.level_increases
-
-    @property
-    def ops(self) -> int:
-        """Work (``ops``) of every index built here, earlier phases' included."""
-        return self._retired_ops + self.index.ops
+    def stats(self) -> Counter:
+        """The current index's ``stats`` plus those of earlier phases'
+        indexes; the searches from insertion centers are not counted."""
+        stats = self.index.stats()
+        stats.update(self._retired)
+        return stats
 
     def _check_node(self, x: int) -> None:
         if not 0 <= x < self.n:

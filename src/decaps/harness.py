@@ -40,8 +40,11 @@ from .oracle import NumpyBfsOracle, check_locally_persevering, check_stretch
 from .randomized_apsp import ApspIndexRandom
 
 CSV_SCHEMA = "#schema=1"
-CSV_HEADER = ("version,algorithm,audit_pass,level_increases,heap_ops,"
-              "emulator_events,opens,moving_distance")
+# each counter column and the ``stats()`` key it reads (a missing key reads 0)
+CSV_COUNTERS = {"level_increases": "level_increases", "heap_ops": "ops",
+                "emulator_events": "emulator_events", "opens": "opens",
+                "moving_distance": "moving_distance"}
+CSV_HEADER = "version,algorithm,audit_pass," + ",".join(CSV_COUNTERS)
 
 AUDIT_LEVELS = ("none", "stretch", "full")
 FULL_AUDIT_NODE_CAP = 64
@@ -212,16 +215,21 @@ def _audit_cap(cfg: ExperimentConfig, n: int) -> None:
             f"audit=full requires n <= {FULL_AUDIT_NODE_CAP}, got {n}")
 
 
-def _fail(cfg: ExperimentConfig, version: int, detail: dict) -> AuditFailure:
+def _fail(cfg: ExperimentConfig, version: int, detail: dict,
+          structure=None) -> AuditFailure:
+    """The audit failure at ``version``, with ``structure.stats()`` if given."""
     bundle = {"config": asdict(cfg), "version": version, "detail": detail}
+    if structure is not None:
+        bundle["stats"] = structure.stats()
     return AuditFailure(f"audit failed at version {version}: {detail}", bundle)
 
 
-def _audit_answers(cfg: ExperimentConfig, version: int, query, truth, checks) -> None:
-    """Query each pair x < y once and check the answers against ``truth``
-    with ``check_stretch``, once per (alpha, beta, distance_range) in
-    ``checks``. Raises the audit failure of the first failing pair; its
-    detail is the pair's ``check_stretch`` failure record."""
+def _audit_answers(cfg: ExperimentConfig, version: int, structure, query, truth,
+                   checks) -> None:
+    """Query each pair x < y once with ``structure``'s ``query`` and check
+    the answers against ``truth`` with ``check_stretch``, once per (alpha,
+    beta, distance_range) in ``checks``. Raises the audit failure of the
+    first failing pair; its detail is the pair's failure record."""
     n = len(truth)
     estimates = np.array(truth)  # the pairs not queried pass as exact
     for x in range(n):
@@ -231,7 +239,7 @@ def _audit_answers(cfg: ExperimentConfig, version: int, query, truth, checks) ->
         context = {"alpha": alpha, "beta": beta, "distance_range": distance_range}
         report = check_stretch(estimates, truth, alpha, beta, distance_range, context)
         if not report.passed:
-            raise _fail(cfg, version, report.failures[0])
+            raise _fail(cfg, version, report.failures[0], structure)
 
 
 def run_es_tree(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrace):
@@ -251,17 +259,14 @@ def run_es_tree(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrace
             if not np.array_equal(got, want):
                 bad = int(np.nonzero(got != want)[0][0])
                 raise _fail(cfg, i, {"node": bad, "level": float(got[bad]),
-                                     "distance": float(want[bad])})
-        rows.append({"version": i,
-                     "level_increases": tree.level_increases,
-                     "heap_ops": tree.ops,
-                     "emulator_events": 0, "opens": 0, "moving_distance": 0})
-    m = g.m0
-    work_constant = tree.ops / max(1, m * Q)
+                                     "distance": float(want[bad])}, tree)
+        rows.append(tree.stats())
+    stats = tree.stats()
+    work_constant = stats["ops"] / max(1, g.m0 * Q)
     summary = {"work_constant": work_constant,
                "work_bound_ok": work_constant <= 16,
-               "level_increases": tree.level_increases,
-               "heap_ops": tree.ops}
+               "level_increases": stats["level_increases"],
+               "heap_ops": stats["ops"]}
     return rows, summary
 
 
@@ -276,18 +281,13 @@ def run_det_apsp(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrac
             oracle.note_delete(u, v)
             truth = oracle.apsp()
             # the patch answers exactly within its range
-            _audit_answers(cfg, i, index.query, truth,
+            _audit_answers(cfg, i, index, index.query, truth,
                            [(1 + cfg.eps, SLACK, INF), (1, 0, index.patch_range)])
         if cfg.audit == "full":
             detail = audit_det_cover(index, truth)
             if detail:
-                raise _fail(cfg, i, detail)
-        opens = sum(layer.opens for layer in index.layers)
-        moving = sum(layer.moving_distance for layer in index.layers)
-        # work of every tree the index built, those that moves retired too
-        rows.append({"version": i,
-                     "level_increases": index.level_increases, "heap_ops": index.ops,
-                     "emulator_events": 0, "opens": opens, "moving_distance": moving})
+                raise _fail(cfg, i, detail, index)
+        rows.append(index.stats())
     ledger = {}
     for p, layer in enumerate(index.layers):
         ledger[f"layer{p}"] = {
@@ -355,17 +355,13 @@ def run_rand_apsp(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTra
             for p, layer in enumerate(index.layers):
                 sizes = [len(layer.cover_list(x)) for x in range(n)]
                 if any(a > b for a, b in zip(sizes, cover_sizes[p])):
-                    raise _fail(cfg, i, {"layer": p, "reason": "cover list grew"})
+                    raise _fail(cfg, i, {"layer": p, "reason": "cover list grew"}, index)
                 cover_sizes[p] = sizes
         if oracle is not None:
             oracle.note_delete(u, v)
-            _audit_answers(cfg, i, index.query_1eps2, oracle.apsp(),
+            _audit_answers(cfg, i, index, index.query_1eps2, oracle.apsp(),
                            [(1 + cfg.eps, 2 + SLACK, INF)])
-        rows.append({"version": i,
-                     "level_increases": sum(t.level_increases for t in index.trees),
-                     "heap_ops": sum(t.ops for t in index.trees),
-                     "emulator_events": index.emulator.updates_total,
-                     "opens": 0, "moving_distance": 0})
+        rows.append(index.stats())
     summary = {"emulator_edges_ever": index.emulator.edges_ever,
                "emulator_updates_total": index.emulator.updates_total}
     if keep_h:
@@ -395,12 +391,9 @@ def run_fully_dynamic(cfg: ExperimentConfig, g: DecrementalGraph, trace: Deletio
             true_edges -= set(chosen)
         if cfg.audit != "none":
             check = DecrementalGraph.from_edge_list(n, sorted(true_edges))
-            _audit_answers(cfg, i, fd.query, NumpyBfsOracle(check).apsp(),
+            _audit_answers(cfg, i, fd, fd.query, NumpyBfsOracle(check).apsp(),
                            [(1 + cfg.eps, SLACK, INF)])
-        # work of every index the wrapper built, earlier phases' too
-        rows.append({"version": i,
-                     "level_increases": fd.level_increases, "heap_ops": fd.ops,
-                     "emulator_events": 0, "opens": 0, "moving_distance": 0})
+        rows.append(fd.stats())
     return rows, {"updates": len(updates), "phase_t": cfg.phase_t}
 
 
@@ -443,11 +436,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "config": asdict(cfg),
         "rows": len(rows),
         "audit_pass": True,  # a failing run raised above
-        "maxima": {
-            key: max((r[key] for r in rows), default=0)
-            for key in ("level_increases", "heap_ops", "emulator_events",
-                        "opens", "moving_distance")
-        },
+        "maxima": {column: max((r[key] for r in rows), default=0)
+                   for column, key in CSV_COUNTERS.items()},
     }
     summary.update(extra)
     if cfg.out:
@@ -457,10 +447,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             fh.write(CSV_SCHEMA + "\n")
             fh.write(CSV_HEADER + "\n")
             # every counter is an int, and audit_pass is 1: a failing run raised above
-            for r in rows:
-                fh.write(f"{r['version']},{cfg.algorithm},1,{r['level_increases']},"
-                         f"{r['heap_ops']},{r['emulator_events']},{r['opens']},"
-                         f"{r['moving_distance']}\n")
+            for i, r in enumerate(rows, start=1):
+                counts = ",".join(str(r[key]) for key in CSV_COUNTERS.values())
+                fh.write(f"{i},{cfg.algorithm},1,{counts}\n")
         with open(os.path.join(cfg.out, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True, default=str)
     return summary

@@ -84,7 +84,7 @@ node's adjacency, O(deg).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 from .errors import InvalidParameters, NodeOutOfRange
 from .graph_core import INF, WeightedAdjacency, cut_off
@@ -170,6 +170,10 @@ class MonotoneEsTree:
 
     def levels(self) -> list:
         return list(self.level)
+
+    def stats(self) -> Counter:
+        """The work counters, ``level_increases`` and ``ops``."""
+        return Counter(level_increases=self.level_increases, ops=self.ops)
 
     def parent(self, x: int):
         """A neighbour v of x with level(v) + w(x, v) <= level(x), or None

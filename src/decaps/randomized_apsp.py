@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 from .center_cover import CenterCover, search_layers
 from .emulator import LocallyPerseveringEmulator
 from .errors import InvalidEpsilon, InvalidParameters, InvalidRange, NodeOutOfRange
+from .es_tree import tree_stats
 from .graph_core import INF, DecrementalGraph, UpdateEvent
 from .monotone_es_tree import MonotoneEsTree
 
@@ -163,6 +165,13 @@ class ApspIndexRandom:
         for layer in self.layers:
             layer.on_batch(raised)
         return batch
+
+    def stats(self) -> Counter:
+        """The trees' work counters and the emulator's ``emulator_events``
+        (its ``updates_total``); the emulator's hub trees are not counted."""
+        stats = tree_stats(self.trees)
+        stats["emulator_events"] = self.emulator.updates_total
+        return stats
 
     def query_1eps2(self, x: int, y: int):
         """Estimate with dist <= result <= (1+eps)*dist + 2 (whp)."""

@@ -79,7 +79,7 @@ def tree_state(t):
 def _mc_state(mc):
     return (mc._location, [tree_state(t) for t in mc._trees],
             [list(level) for level in mc._levels], mc._cover, mc.opens, mc.moving_distance,
-            mc.level_increases, mc.ops)
+            mc.stats())
 
 
 def det_state(idx):

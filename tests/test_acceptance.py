@@ -423,11 +423,12 @@ def test_criterion_11_det_total_work():
         idx = ApspIndexDet(g, eps)
         for u, v in trace:
             idx.delete(u, v)
-        ratios[name] = idx.ops / (m * n * math.log2(n) / eps)
+        stats = idx.stats()
+        ratios[name] = stats["ops"] / (m * n * math.log2(n) / eps)
         limit = n * n * (idx.patch_range + 1) + sum(
             (layer.opens + layer.moving_distance) * n * (layer.bound + 1)
             for layer in idx.layers)
-        raises[name] = idx.level_increases / limit
+        raises[name] = stats["level_increases"] / limit
     elapsed = time.time() - t0
     report(11, max(ratios.values()) <= 1 and max(raises.values()) <= 1,
            "ApspIndexDet(eps=0.5) full traces, ops / (m n log2(n) / eps): "

@@ -291,8 +291,10 @@ def test_det_apsp_counters_pinned(graph, order, opens, moving, increases, ops):
     assert sum(t.level_increases for t in trees.values()) == increases
     assert sum(t.ops for t in trees.values()) == ops
     # the index's own tallies count the trees that moves retired
-    assert idx.level_increases == increases
-    assert idx.ops == ops
+    stats = idx.stats()
+    assert stats["level_increases"] == increases
+    assert stats["ops"] == ops
+    assert (stats["opens"], stats["moving_distance"]) == (sum(opens), sum(moving))
 
 
 def test_det_apsp_validation(fig_graph):

@@ -1,6 +1,7 @@
 import math
 import random
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ def test_update_validation():
 def fd_state(fd):
     """Everything an update may change in a ``FullyDynamicApsp``."""
     return (fd._true_edges(), fd.index.g.edges(), fd.insertion_centers,
-            fd.updates_in_phase, fd.level_increases, fd.ops, det_state(fd.index))
+            fd.updates_in_phase, fd.stats(), det_state(fd.index))
 
 
 def test_rejected_updates_change_nothing():
@@ -176,8 +177,13 @@ def test_work_counters_sum_the_phases():
         if fd.index is not phases[-1]:
             phases.append(fd.index)
     assert len(phases) == 7
-    assert fd.level_increases == sum(index.level_increases for index in phases) > 0
-    assert fd.ops == sum(index.ops for index in phases) > 0
+    total = Counter()
+    for index in phases:
+        total.update(index.stats())
+    stats = fd.stats()
+    for key in ("level_increases", "ops", "opens", "moving_distance"):
+        assert stats[key] == total[key]
+    assert min(stats["level_increases"], stats["ops"], stats["opens"]) > 0
 
 
 def test_phase_change_frees_the_old_index_before_the_rebuild(monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from decaps.errors import AuditFailure, ConfigInvalid
 from decaps.fully_dynamic import FullyDynamicApsp
 from decaps.graph_core import INF, DecrementalGraph, read_edge_list, read_trace
 from decaps.harness import (
+    CSV_COUNTERS,
     ExperimentConfig,
     audit_det_cover,
     build_graph,
@@ -115,8 +117,18 @@ def test_config_validation():
                                             audit="none"))
 
 
+# sha256 of each algorithm's results.csv below: any change to a counter or
+# to the file's format shows here, not only a change between two runs
+CSV_SHA256 = {
+    "es_tree": "8ffda61a07a0ff304800e179d7391019844c511c1d23a6eee70b20e54616e1d6",
+    "det_apsp": "cdaa129324540fe60fd6595268299d586d79c4c55ab4915aad7435adf48f1e0d",
+    "rand_apsp": "2af76dbdbf68e23d143661916019ad40cdba3bbebd8ae741694a4de74a23a77d",
+    "fully_dynamic": "f18706306ac95b4cd1dc6210040f09dc1e48f74549dfa8fcf60450a1051240b6",
+}
+
+
 def test_run_experiment_csv_bit_exact(tmp_path):
-    for algorithm in ("es_tree", "det_apsp", "rand_apsp", "fully_dynamic"):
+    for algorithm, digest in CSV_SHA256.items():
         out1 = tmp_path / algorithm / "a"
         out2 = tmp_path / algorithm / "b"
         for out in (out1, out2):
@@ -125,7 +137,9 @@ def test_run_experiment_csv_bit_exact(tmp_path):
                                    seed=9, audit="full", out=str(out), phase_t=3)
             summary = run_experiment(cfg)
             assert summary["audit_pass"]
-        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+        data = (out1 / "results.csv").read_bytes()
+        assert data == (out2 / "results.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
         header = (out1 / "results.csv").read_text().splitlines()
         assert header[0] == "#schema=1"
         # the rows carry the trees' cumulative work, level increases and
@@ -216,6 +230,15 @@ def test_broken_estimator_trips_audit(tmp_path, monkeypatch, algorithm, cls, nam
         # only the second check, exact within the patch range, catches it
         assert d < est <= 1.5 * d and detail["context"]["distance_range"] >= d
         assert (detail["context"]["alpha"], detail["context"]["beta"]) == (1, 0)
+    # the bundle carries the structure's stats() at the failing version: the
+    # counters a run without the audit writes in that row of results.csv
+    assert json.loads(bundle_path.read_text())["stats"] == bundle["stats"]
+    cfg.audit, cfg.out = "none", str(tmp_path / "good")
+    run_experiment(cfg)
+    lines = (tmp_path / "good" / "results.csv").read_text().splitlines()
+    row = list(csv.DictReader(lines[1:]))[bundle["version"] - 1]
+    assert {column: int(row[column]) for column in CSV_COUNTERS} == {
+        column: bundle["stats"][key] for column, key in CSV_COUNTERS.items()}
 
 
 def _radius_off(layer):
@@ -275,6 +298,11 @@ def test_cli_ledger_failure_exits_2(tmp_path, monkeypatch):
     bundle = json.loads((out / "replay_bundle.json").read_text())
     assert bundle["version"] == 1
     assert bundle["detail"] == {"layer": 0, "center": 0, "reason": "radius formula"}
+    # the counters of the index after the first deletion
+    g = gnm_graph(12, 24, 1)
+    index = ApspIndexDet(g, 0.5)
+    real_delete(index, *generate_trace(g, "random", seed=1).pairs[0])
+    assert bundle["stats"] == index.stats()
 
 
 def test_cli_def8_failure_exits_2(tmp_path, monkeypatch):

@@ -173,6 +173,18 @@ def test_rand_apsp_counters_pinned():
             for layer in idx.layers] == [3958] * 6
 
 
+def test_rand_apsp_stats_sum_the_trees_and_the_emulator():
+    g = gnm_graph(30, 80, 2)
+    idx = ApspIndexRandom(g, 0.5, seed=2)
+    for u, v in generate_trace(g, "random", seed=2).pairs[:25]:
+        idx.delete(u, v)
+        assert idx.stats() == {
+            "level_increases": sum(t.level_increases for t in idx.trees),
+            "ops": sum(t.ops for t in idx.trees),
+            "emulator_events": idx.emulator.updates_total}
+    assert min(idx.stats().values()) > 0
+
+
 def test_one_tree_per_root_with_largest_range():
     # at n = 300 and eps = 1 the two top layers' ranges (266, 529) straddle
     # the patch range 360; a small sampling constant leaves them few centers
