@@ -36,16 +36,25 @@ def main():
     print(f"opens={cov.opens} (<= 2n/q = {2 * n // q}), "
           f"moving distance={cov.moving_distance} (<= n = {n})")
 
-    # the index: an exact patch for small distances, one cover per larger scale
+    # the index: an exact patch for small distances, and one cover per larger
+    # scale, built once some distance passes the patch's range
     g2 = DecrementalGraph.from_edge_list(9, [(i, i + 1) for i in range(8)])
     idx = ApspIndexDet(g2, eps=0.5)
     truth = bfs_apsp(g2)
-    print("\nlayered (1+eps,0) index on a 9-node path, eps=0.5:")
+    print(f"\nlayered (1+eps,0) index on a 9-node path, eps=0.5: patch range "
+          f"{idx.patch_range}, {len(idx.layers)} covers")
     for x, y in [(0, 8), (0, 4), (3, 5)]:
         print(f"  dist({x},{y}) = {truth[x, y]:.0f}, "
               f"query -> {idx.query(x, y)}")
     idx.delete(4, 5)
     print(f"  after deleting (4,5): query(0, 8) -> {idx.query(0, 8)}")
+
+    ring = ApspIndexDet(DecrementalGraph.from_edge_list(
+        16, [(i, (i + 1) % 16) for i in range(16)]), eps=0.5)
+    print(f"16-node cycle: {len(ring.layers)} covers")
+    ring.delete(0, 15)
+    print(f"  after deleting (0,15): {len(ring.layers)} covers, "
+          f"dist(0,15) = 15, query -> {ring.query(0, 15)}")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,22 @@ Two pieces:
   ``search_layers``. The public eps is halved internally so queries
   satisfy dist <= answer <= (1+eps)*dist.
 
+The covers are built only once they can answer: while every finite
+distance is within the patch's range, the patch is exact and ``layers``
+stays empty. A cover built from scratch on G_t keeps its properties from t
+on (``FullyDynamicApsp`` relies on this at every phase start), so all of
+them are built at once, on the graph as it stands, when a finite distance
+first passes the range:
+
+* At construction, when a block of rows holds such a distance: from the
+  first block, the covers join the patch's sweep; from a later one, a
+  fresh sweep builds them after the patch.
+* In the deletion that first pushes one past it. Distances only grow, so
+  its patch tree had the far node in range and drops it to INF. A cut that
+  ``split_side`` found changes no distance on the root's side, so only a
+  deletion without one fires; a split the capped search missed drops
+  nodes the same way and builds the covers early, which is safe.
+
 Construction is block-major (``graph_core.RootDistances``): one bit-parallel
 BFS from a block of 64 roots at a time, in ascending blocks. Over each block
 the patch's trees are set from their rows in one vectorised call, and every
@@ -64,7 +80,7 @@ from .errors import (
     RateViolation,
 )
 from .es_tree import EsTree, after_delete_all, tree_stats
-from .graph_core import DecrementalGraph, RootDistances
+from .graph_core import INF, DecrementalGraph, RootDistances
 
 
 class DetCenterCover(CenterCover):
@@ -255,10 +271,11 @@ MovingCenters = DetCenterCover
 
 
 class ApspIndexDet:
-    """An exact patch and ceil(log n) deterministic covers answering
+    """An exact patch and up to ceil(log n) deterministic covers answering
     (1+eps)-approximate queries. ``patch[x]`` is the exact tree rooted at x,
     kept to depth ``patch_range``; ``layers[k]`` is the k-th cover, with
-    (q, Q) in its ``cover_radius`` and ``bound``."""
+    (q, Q) in its ``cover_radius`` and ``bound``; ``layers`` is empty until
+    a finite distance passes ``patch_range`` (see the module docstring)."""
 
     def __init__(self, g: DecrementalGraph, eps: float):
         if not 0 < eps <= 1:
@@ -267,10 +284,10 @@ class ApspIndexDet:
         self.eps = eps
         self.eps_internal = eps / 2.0
         self.layers: list[DetCenterCover] = []
+        self._scales: list[tuple[int, int]] = []  # (q, Q) of each cover
         # scale 0 has radius 0 (eps_internal <= 1/2); n <= 1 has no scale
         self.patch_range = 4
         n = g.n
-        rows = RootDistances(g)
         max_p = max(0, (n - 1).bit_length() - 1) if n > 1 else -1
         for p in range(max_p + 1):
             q_p = math.floor(self.eps_internal * (1 << p))
@@ -279,21 +296,46 @@ class ApspIndexDet:
                 # a radius-0 cover opens a center at every node and never
                 # opens or moves one again: its trees are the patch's, cut off
                 self.patch_range = Q_p
-                continue
-            self.layers.append(DetCenterCover(g, q_p, Q_p, rows))
+            else:
+                self._scales.append((q_p, Q_p))
+        rows = RootDistances(g)
         self.patch: list[EsTree] = []
+        far = False  # a finite distance past patch_range seen so far
         for block in rows.blocks():  # block-major, see the module docstring
             self.patch += [EsTree(g, x, self.patch_range, start)
                            for x, start in zip(block, rows.starts(block, self.patch_range))]
+            if not far:
+                dist = rows.dist
+                far = bool(((dist > self.patch_range) & (dist < rows.unreached)).any())
+                if far and block.start == 0:
+                    self.layers = [DetCenterCover(g, q, Q, rows) for q, Q in self._scales]
+            for layer in self.layers:
+                layer._build_block(block, rows)
+        if far and not self.layers:
+            self._build_layers()
+
+    def _build_layers(self) -> None:
+        """Build every cover on the graph as it stands, in one sweep of its
+        ``RootDistances`` blocks."""
+        g = self.g
+        rows = RootDistances(g)
+        self.layers = [DetCenterCover(g, q, Q, rows) for q, Q in self._scales]
+        for block in rows.blocks():
             for layer in self.layers:
                 layer._build_block(block, rows)
 
     def delete(self, u: int, v: int) -> None:
         self.g.delete_edge(u, v)
         cut = self.g.split_side(u, v)
-        after_delete_all(self.patch, u, v, cut)
-        for layer in self.layers:
-            layer.on_deleted(u, v, cut)
+        raised = after_delete_all(self.patch, u, v, cut)
+        if self.layers:
+            for layer in self.layers:
+                layer.on_deleted(u, v, cut)
+        elif cut is None and self._scales and any(
+                self.patch[i].level[x] is INF for i, nodes in raised for x in nodes):
+            # a node a patch tree dropped is past the range now, or cut off
+            # by a split the capped search missed (see the module docstring)
+            self._build_layers()
 
     def stats(self) -> Counter:
         """The patch trees' work counters plus every layer's ``stats``."""

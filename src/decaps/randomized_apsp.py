@@ -167,10 +167,13 @@ class ApspIndexRandom:
         return batch
 
     def stats(self) -> Counter:
-        """The trees' work counters and the emulator's ``emulator_events``
-        (its ``updates_total``); the emulator's hub trees are not counted."""
+        """The trees' work counters, the emulator's ``emulator_events`` (its
+        ``updates_total``) and its hub trees' work counters as
+        ``hub_level_increases`` and ``hub_ops``."""
         stats = tree_stats(self.trees)
-        stats["emulator_events"] = self.emulator.updates_total
+        hub = tree_stats(self.emulator._trees)
+        stats.update(emulator_events=self.emulator.updates_total,
+                     hub_level_increases=hub["level_increases"], hub_ops=hub["ops"])
         return stats
 
     def query_1eps2(self, x: int, y: int):

@@ -17,9 +17,15 @@ from decaps.errors import (
     SelfLoop,
     UnknownCenter,
 )
-from decaps.graph_core import INF, DecrementalGraph
-from decaps.harness import ExperimentConfig, build_graph, generate_trace, gnm_graph
-from decaps.oracle import bfs_apsp, bfs_levels
+from decaps.graph_core import INF, DecrementalGraph, RootDistances
+from decaps.harness import (
+    ExperimentConfig,
+    audit_det_cover,
+    build_graph,
+    generate_trace,
+    gnm_graph,
+)
+from decaps.oracle import bfs_apsp, bfs_levels, check_stretch
 from decaps.center_cover import search_layers
 
 from conftest import delete_edge, det_state, random_graph_and_trace, reference_search
@@ -258,12 +264,15 @@ def test_incremental_greedy_matches_full_scan(data):
 # replace, one per neighbour of a raised node, read 26,200 and 356,017.
 # The exact patch replaced the two radius-0 layers: it does the work of the
 # upper one, and the totals (once 308,960 and 23,267, 576,957 and 316,512)
-# fell by exactly the lower one's.
+# fell by exactly the lower one's. The grid's covers are built with the
+# index; the gnm graph's distances stay within the patch's range until its
+# 117th deletion, which builds them (built with the index, they read 23
+# opens and 23 moving distance in layer 2, 546,385 and 260,335).
 PINNED_COUNTERS = [
     ("grid", "adversarial-path-peel",
      [100, 39, 12, 5, 2], [0, 0, 12, 15, 14], 302876, 21153),
     ("gnm", "random",
-     [120, 52, 23, 7, 2], [0, 0, 23, 19, 10], 546385, 260335),
+     [120, 52, 22, 7, 2], [0, 0, 22, 19, 10], 539944, 236643),
 ]
 
 
@@ -295,6 +304,79 @@ def test_det_apsp_counters_pinned(graph, order, opens, moving, increases, ops):
     assert stats["level_increases"] == increases
     assert stats["ops"] == ops
     assert (stats["opens"], stats["moving_distance"]) == (sum(opens), sum(moving))
+
+
+def cycle(n):
+    return DecrementalGraph.from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def test_a_deletion_past_the_patch_range_builds_the_layers():
+    # the 16-cycle's distances reach 8, the patch's range at eps 0.5, so the
+    # build makes no cover; deleting (0, 15) makes dist(0, 15) = 15, and the
+    # same deletion builds the covers that answer it
+    idx = ApspIndexDet(cycle(16), 0.5)
+    assert idx.patch_range == 8 and idx.layers == []
+    assert idx.query(0, 8) == 8
+    idx.delete(0, 15)
+    assert idx.layers
+    assert idx.patch[0].level[15] is INF
+    assert 15 <= idx.query(0, 15) <= 1.5 * 15
+
+
+def test_small_diameter_builds_no_layers():
+    # G(400, 1600)'s distances stay within the patch's range
+    idx = ApspIndexDet(gnm_graph(400, 1600, seed=1), 0.5)
+    assert idx.layers == []
+    assert idx.stats()["opens"] == 0
+
+
+def test_a_later_block_can_trigger_the_build():
+    # a clique on nodes 0-63, the first block of roots, and two arms of six
+    # nodes off 0 and 1: every first-block root is within 7 of every node,
+    # but the arm tips 69 and 75 are 13 apart
+    edges = [(x, y) for x in range(64) for y in range(x + 1, 64)]
+    edges += [(0, 64), (1, 70)] + [(x, x + 1) for x in (*range(64, 69), *range(70, 75))]
+    g = DecrementalGraph.from_edge_list(76, edges)
+    rows = RootDistances(g)
+    first = next(rows.blocks())
+    assert first == range(64) and rows.dist[rows.dist < rows.unreached].max() == 7
+    idx = ApspIndexDet(g, 0.5)
+    assert idx.patch_range == 8 and idx.layers
+    for deletion in [None, (0, 64), (2, 3)]:
+        if deletion is not None:
+            idx.delete(*deletion)
+        truth = bfs_apsp(g)
+        est = [[idx.query(x, y) for y in range(g.n)] for x in range(g.n)]
+        assert check_stretch(est, truth, 1.5, 0).failure_count == 0
+        assert check_stretch(est, truth, 1, 0, idx.patch_range).failure_count == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_layers_built_mid_trace_keep_their_ledger(seed):
+    # G(30, 60) starts inside the patch's range at eps 0.5: the covers are
+    # built by the deletion that first pushes a distance past it, no later,
+    # and from then on keep their cover lists, ledger and guarantee (seed 2's
+    # trace never leaves the range)
+    g = gnm_graph(30, 60, seed)
+    idx = ApspIndexDet(g, 0.5)
+    assert idx.layers == []
+    built = []
+    for u, v in generate_trace(g, "random", seed):
+        idx.delete(u, v)
+        truth = bfs_apsp(g)
+        if not idx.layers:
+            assert truth[np.isfinite(truth)].max() <= idx.patch_range
+            continue
+        built.append(idx.g.version)
+        assert audit_det_cover(idx, truth) is None
+        for layer in idx.layers:
+            for x in range(g.n):
+                assert set(layer.cover_list(x)) == {
+                    j for j in range(len(layer.centers))
+                    if layer.distance(j, x) <= layer.cover_radius}
+        est = [[idx.query(x, y) for y in range(g.n)] for x in range(g.n)]
+        assert check_stretch(est, truth, 1.5, 0).failure_count == 0
+    assert built and built[0] < g.m0
 
 
 def test_det_apsp_validation(fig_graph):

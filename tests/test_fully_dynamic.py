@@ -19,7 +19,7 @@ from decaps.errors import (
 from decaps import fully_dynamic
 from decaps.fully_dynamic import FullyDynamicApsp
 from decaps.graph_core import INF, DecrementalGraph
-from decaps.harness import generate_mixed_updates, gnm_graph
+from decaps.harness import ExperimentConfig, build_graph, generate_mixed_updates, gnm_graph
 from decaps.oracle import bfs_apsp, bfs_levels
 
 from conftest import det_state, random_graph_and_trace
@@ -169,7 +169,8 @@ def apply_update(fd, update) -> None:
 
 
 def test_work_counters_sum_the_phases():
-    g = gnm_graph(36, 90, 3)
+    # the 6x6 grid's distances pass the patch's range at the build
+    g = build_graph(ExperimentConfig("fully_dynamic", generator="grid:6:6"))
     fd = FullyDynamicApsp(g, 0.5, t=3)
     phases = [fd.index]
     for update in generate_mixed_updates(g, 20, seed=3):

@@ -121,9 +121,9 @@ def test_config_validation():
 # to the file's format shows here, not only a change between two runs
 CSV_SHA256 = {
     "es_tree": "8ffda61a07a0ff304800e179d7391019844c511c1d23a6eee70b20e54616e1d6",
-    "det_apsp": "cdaa129324540fe60fd6595268299d586d79c4c55ab4915aad7435adf48f1e0d",
+    "det_apsp": "275378554c617f72cfad8935bcf111805fc1025070c3718f00d83acf3db6cb66",
     "rand_apsp": "2af76dbdbf68e23d143661916019ad40cdba3bbebd8ae741694a4de74a23a77d",
-    "fully_dynamic": "f18706306ac95b4cd1dc6210040f09dc1e48f74549dfa8fcf60450a1051240b6",
+    "fully_dynamic": "bca858fd765fb5f7c01096dc4a206cc1bdbb864b319949c17d684a2e8176e8cb",
 }
 
 
@@ -292,14 +292,15 @@ def test_cli_ledger_failure_exits_2(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ApspIndexDet, "delete", corrupting)
     out = tmp_path / "bad"
-    rc = main(["run", "--algo", "det_apsp", "--gnm", "12", "24", "--seed", "1",
+    # the 12-node path's distances pass the patch's range at the build
+    rc = main(["run", "--algo", "det_apsp", "--path", "12", "--seed", "1",
                "--eps", "0.5", "--audit", "full", "--out", str(out)])
     assert rc == 2
     bundle = json.loads((out / "replay_bundle.json").read_text())
     assert bundle["version"] == 1
     assert bundle["detail"] == {"layer": 0, "center": 0, "reason": "radius formula"}
     # the counters of the index after the first deletion
-    g = gnm_graph(12, 24, 1)
+    g = build_graph(ExperimentConfig("det_apsp", generator="path:12"))
     index = ApspIndexDet(g, 0.5)
     real_delete(index, *generate_trace(g, "random", seed=1).pairs[0])
     assert bundle["stats"] == index.stats()

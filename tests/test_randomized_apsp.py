@@ -178,11 +178,27 @@ def test_rand_apsp_stats_sum_the_trees_and_the_emulator():
     idx = ApspIndexRandom(g, 0.5, seed=2)
     for u, v in generate_trace(g, "random", seed=2).pairs[:25]:
         idx.delete(u, v)
+        hubs = idx.emulator._trees
         assert idx.stats() == {
             "level_increases": sum(t.level_increases for t in idx.trees),
             "ops": sum(t.ops for t in idx.trees),
-            "emulator_events": idx.emulator.updates_total}
+            "emulator_events": idx.emulator.updates_total,
+            "hub_level_increases": sum(t.level_increases for t in hubs),
+            "hub_ops": sum(t.ops for t in hubs)}
     assert min(idx.stats().values()) > 0
+
+
+def test_rand_apsp_stats_count_the_hub_trees():
+    # rand-gnm's graph and deletion prefix, where every node is a hub
+    g = gnm_graph(64, 256, 0)
+    idx = ApspIndexRandom(g, 0.5, seed=0)
+    for u, v in generate_trace(g, "random", seed=0).pairs[:40]:
+        idx.delete(u, v)
+    hubs = idx.emulator._trees
+    assert len(hubs) == g.n
+    stats = idx.stats()
+    assert stats["hub_level_increases"] == sum(t.level_increases for t in hubs) > 0
+    assert stats["hub_ops"] == sum(t.ops for t in hubs) > 0
 
 
 def test_one_tree_per_root_with_largest_range():

@@ -35,7 +35,9 @@ def test_tracer_records_both_tree_engines():
     tracer = Tracer()
     tracer.install()
     try:
-        det = ApspIndexDet(gnm_graph(16, 32, seed=3), 0.5)
+        # the 16-node path's distances pass the patch's range at the build,
+        # so its covers are built there too
+        det = ApspIndexDet(build_graph(ExperimentConfig("det_apsp", generator="path:16")), 0.5)
         tracer.cause_id = 0
         det.delete(*det.g.edges()[0])
         # an exact tree is a monotone tree, but its build and repair are
