@@ -6,7 +6,7 @@ center's component so the center collects it and relocates across the cut.
 Layer-level opens stay below 2n/q and the total moving distance below n.
 """
 
-from decaps import ApspIndexDet, DecrementalGraph, DetCenterCover, bfs_apsp
+from decaps import ApspIndexDet, DecrementalGraph, bfs_apsp, build_covers
 
 
 def delete(cov, u, v):
@@ -21,7 +21,7 @@ def main():
     n = q + 2
     edges = [(i, i + 1) for i in range(n - 1)] + [(q // 2 - 1, q + 1)]
     g = DecrementalGraph.from_edge_list(n, sorted(edges))
-    cov = DetCenterCover(g, q=q, Q=4 * q)
+    cov = build_covers(g, [(q, 4 * q)])[0]
     print(f"path of {n} nodes with a shortcut; q={q}")
     print(f"initial: {cov.opens} center at node {cov.location(0)}")
 

@@ -27,7 +27,7 @@ from .es_tree import EsTree
 from .emulator import LocallyPerseveringEmulator
 from .monotone_es_tree import MonotoneEsTree
 from .randomized_apsp import ApspIndexRandom, RandomCenterCover
-from .deterministic_apsp import ApspIndexDet, DetCenterCover, MovingCenters
+from .deterministic_apsp import ApspIndexDet, DetCenterCover, MovingCenters, build_covers
 from .fully_dynamic import FullyDynamicApsp
 from .oracle import (
     NumpyBfsOracle,
@@ -65,6 +65,7 @@ __all__ = [
     "UpdateEvent",
     "bfs_apsp",
     "bfs_levels",
+    "build_covers",
     "check_locally_persevering",
     "check_stretch",
     "dijkstra_apsp",

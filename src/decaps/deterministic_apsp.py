@@ -25,9 +25,9 @@ on (``FullyDynamicApsp`` relies on this at every phase start), so all of
 them are built at once, on the graph as it stands, when a finite distance
 first passes the range:
 
-* At construction, when a block of rows holds such a distance: from the
-  first block, the covers join the patch's sweep; from a later one, a
-  fresh sweep builds them after the patch.
+* At construction, in the first block of rows that holds such a
+  distance: ``build_covers`` builds the covers over the blocks before it,
+  and they join the patch's sweep from that block on.
 * In the deletion that first pushes one past it. Distances only grow, so
   its patch tree had the far node in range and drops it to INF. A cut that
   ``split_side`` found changes no distance on the root's side, so only a
@@ -96,13 +96,10 @@ class DetCenterCover(CenterCover):
     ``open`` and ``move`` search from the root. The construction's greedy
     pass opens with ``_register`` instead, the ball read off a
     ``RootDistances`` block, and sets the block's trees in one
-    ``_set_trees`` call. Without ``rows`` the cover sweeps its own blocks;
-    with it, the owner sweeps ``rows.blocks()`` and calls ``_build_block``
-    on each.
+    ``_set_trees`` call. A cover is built only by ``build_covers``.
     """
 
-    def __init__(self, g: DecrementalGraph, q: int, Q: int,
-                 rows: RootDistances | None = None):
+    def __init__(self, g: DecrementalGraph, q: int, Q: int):
         if not 1 <= q <= Q:
             raise InvalidRange(f"need 1 <= q <= Q, got q={q}, Q={Q}")
         super().__init__(g.n, q, Q)
@@ -115,10 +112,6 @@ class DetCenterCover(CenterCover):
         self.collected: list[set[int]] = []   # T^j
         self.radius2: list[int] = []          # 2 * r^j, exact in half-units
         self._skip_small: list[bool] = [False] * g.n
-        if rows is None:
-            rows = RootDistances(g)
-            for block in rows.blocks():
-                self._build_block(block, rows)
 
     @property
     def mc(self) -> DetCenterCover:
@@ -265,6 +258,19 @@ class DetCenterCover(CenterCover):
         self._greedy_open(freed)
 
 
+def build_covers(g: DecrementalGraph, scales, upto: int | None = None) -> list[DetCenterCover]:
+    """One cover per (q, Q) in ``scales``, built on ``g`` as it stands: each
+    cover's greedy pass over the ``RootDistances`` blocks of the roots below
+    ``upto`` (every node by default). With ``upto`` < n, the caller hands
+    the covers every later block through ``_build_block``."""
+    rows = RootDistances(g, None if upto is None else range(upto))
+    covers = [DetCenterCover(g, q, Q) for q, Q in scales]
+    for block in rows.blocks():
+        for cover in covers:
+            cover._build_block(block, rows)
+    return covers
+
+
 # the name perfbench's tracer imports; it goes with the ``mc`` alias when the
 # tracer next changes (ROADMAP item 4)
 MovingCenters = DetCenterCover
@@ -300,27 +306,12 @@ class ApspIndexDet:
                 self._scales.append((q_p, Q_p))
         rows = RootDistances(g)
         self.patch: list[EsTree] = []
-        far = False  # a finite distance past patch_range seen so far
         for block in rows.blocks():  # block-major, see the module docstring
             self.patch += [EsTree(g, x, self.patch_range, start)
                            for x, start in zip(block, rows.starts(block, self.patch_range))]
-            if not far:
-                dist = rows.dist
-                far = bool(((dist > self.patch_range) & (dist < rows.unreached)).any())
-                if far and block.start == 0:
-                    self.layers = [DetCenterCover(g, q, Q, rows) for q, Q in self._scales]
-            for layer in self.layers:
-                layer._build_block(block, rows)
-        if far and not self.layers:
-            self._build_layers()
-
-    def _build_layers(self) -> None:
-        """Build every cover on the graph as it stands, in one sweep of its
-        ``RootDistances`` blocks."""
-        g = self.g
-        rows = RootDistances(g)
-        self.layers = [DetCenterCover(g, q, Q, rows) for q, Q in self._scales]
-        for block in rows.blocks():
+            dist = rows.dist
+            if not self.layers and ((dist > self.patch_range) & (dist < rows.unreached)).any():
+                self.layers = build_covers(g, self._scales, block.start)
             for layer in self.layers:
                 layer._build_block(block, rows)
 
@@ -335,7 +326,7 @@ class ApspIndexDet:
                 self.patch[i].level[x] is INF for i, nodes in raised for x in nodes):
             # a node a patch tree dropped is past the range now, or cut off
             # by a split the capped search missed (see the module docstring)
-            self._build_layers()
+            self.layers = build_covers(self.g, self._scales)
 
     def stats(self) -> Counter:
         """The patch trees' work counters plus every layer's ``stats``."""

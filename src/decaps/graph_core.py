@@ -275,6 +275,8 @@ class RootDistances:
             roots = range(n)
         elif any(not 0 <= x < n for x in roots):
             raise NodeOutOfRange(f"a root of {roots} is not in [0, {n})")
+        elif any(x >= y for x, y in zip(roots, roots[1:])):
+            raise InvalidParameters(f"the roots {roots} are not strictly ascending")
         self._all_roots = roots
         deg = np.fromiter(map(len, adj), np.intp, count=n)
         self.graph = g

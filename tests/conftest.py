@@ -54,7 +54,7 @@ def standalone_cover(g, q: int, Q: int, eps: float, hubs=None, seed=None,
 
 
 def delete_edge(structure, u: int, v: int) -> None:
-    """Delete (u, v) under a standalone cover the way the owning index does.
+    """Delete (u, v) under a cover that no index owns, the way an index does.
 
     A ``RandomCenterCover`` (from ``standalone_cover``): the emulator's
     batch, every tree's repair, then ``on_batch``. A ``DetCenterCover``: the
@@ -76,18 +76,20 @@ def tree_state(t):
     return t.root, t.levels(), list(t._count), t.level_increases, t.ops
 
 
-def _mc_state(mc):
-    return (mc._location, [tree_state(t) for t in mc._trees],
-            [list(level) for level in mc._levels], mc._cover, mc.opens, mc.moving_distance,
-            mc.stats())
+def cover_state(layer):
+    """Everything a deletion may change in a ``DetCenterCover``: its
+    centers, trees, cover lists, counters and ledger."""
+    return (layer._location, [tree_state(t) for t in layer._trees],
+            [list(level) for level in layer._levels], layer._cover, layer.opens,
+            layer.moving_distance, layer.stats(), layer.collected, layer.radius2,
+            layer._skip_small)
 
 
 def det_state(idx):
     """Everything a deletion may change in an ``ApspIndexDet``: its graph,
     its exact patch and every cover layer."""
-    layers = [(_mc_state(layer), layer.collected, layer.radius2, layer._skip_small)
-              for layer in idx.layers]
-    return idx.g.edges(), idx.g.version, [tree_state(t) for t in idx.patch], layers
+    return (idx.g.edges(), idx.g.version, [tree_state(t) for t in idx.patch],
+            [cover_state(layer) for layer in idx.layers])
 
 
 def reference_search(layers, x: int, y: int):

@@ -13,7 +13,7 @@ from functools import partial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decaps.deterministic_apsp import ApspIndexDet, DetCenterCover
+from decaps.deterministic_apsp import ApspIndexDet, build_covers
 from decaps.emulator import LocallyPerseveringEmulator
 from decaps.es_tree import EsTree
 from decaps.graph_core import INF, DecrementalGraph
@@ -149,11 +149,11 @@ def test_every_entry_point_hands_the_cut_to_its_trees(monkeypatch):
 
     # q above the path's 20 nodes: the build opens nothing, and a tree
     # opened after it is set by ``open``, not from a block of rows
-    opened = DetCenterCover(path(), 21, 21)
+    opened = build_covers(path(), [(21, 21)])[0]
     opened.open(10)
-    # a standalone cover deletes through the helper that does what its
-    # owning index does
-    covers = (DetCenterCover(path(), 2, 8), opened,
+    # a cover that no index owns deletes through the helper that does what
+    # an index does
+    covers = (build_covers(path(), [(2, 8)])[0], opened,
               standalone_cover(path(), 2, 8, 1.0, centers=[0, 1, 7]))
     for delete in (ApspIndexDet(path(), 0.5).delete,
                    ApspIndexRandom(path(), 1.0, seed=0, hubs=[0, 5]).delete,

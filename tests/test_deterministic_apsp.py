@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decaps.deterministic_apsp import ApspIndexDet, DetCenterCover
+from decaps.deterministic_apsp import ApspIndexDet, build_covers
 from decaps.errors import (
     EdgeAbsent,
     InvalidEpsilon,
@@ -28,7 +28,13 @@ from decaps.harness import (
 from decaps.oracle import bfs_apsp, bfs_levels, check_stretch
 from decaps.center_cover import search_layers
 
-from conftest import delete_edge, det_state, random_graph_and_trace, reference_search
+from conftest import (
+    cover_state,
+    delete_edge,
+    det_state,
+    random_graph_and_trace,
+    reference_search,
+)
 
 
 def fig3_path(q):
@@ -41,7 +47,7 @@ def fig3_path(q):
 
 def test_mc_open_distance_zero(fig_graph):
     # q above every component size: the build opens nothing
-    mc = DetCenterCover(fig_graph, 7, 7)
+    mc = build_covers(fig_graph, [(7, 7)])[0]
     assert mc.opens == 0
     j = mc.open(3)
     assert mc.distance(j, 3) == 0
@@ -51,8 +57,8 @@ def test_mc_open_distance_zero(fig_graph):
 
 def test_mc_validation(fig_graph):
     with pytest.raises(InvalidRange):
-        DetCenterCover(fig_graph, 5, 4)
-    mc = DetCenterCover(fig_graph, 7, 7)
+        build_covers(fig_graph, [(5, 4)])
+    mc = build_covers(fig_graph, [(7, 7)])[0]
     with pytest.raises(UnknownCenter):
         mc.distance(0, 1)
     mc.open(0)
@@ -63,7 +69,7 @@ def test_mc_validation(fig_graph):
 
 
 def test_mc_rate_violation(fig_graph):
-    mc = DetCenterCover(fig_graph, 7, 7)
+    mc = build_covers(fig_graph, [(7, 7)])[0]
     j = mc.open(0)
     with pytest.raises(RateViolation):
         mc.move(j, 5, bfs_levels(fig_graph, 0)[5])
@@ -77,7 +83,7 @@ def test_mc_rate_violation(fig_graph):
 
 def test_mc_move_across_components():
     g = DecrementalGraph.from_edge_list(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    mc = DetCenterCover(g, 4, 4)
+    mc = build_covers(g, [(4, 4)])[0]
     assert mc.opens == 0
     j = mc.open(0)
     assert mc.find_center(2) == j
@@ -96,7 +102,7 @@ def test_mc_move_across_components():
 
 def test_cc_init_path_single_center():
     g = fig3_path(4)
-    cov = DetCenterCover(g, 4, 16)
+    cov = build_covers(g, [(4, 16)])[0]
     assert cov.opens == 1
     assert cov.location(0) == 0  # first uncovered node in scan order
     for x in range(g.n):
@@ -105,7 +111,7 @@ def test_cc_init_path_single_center():
 
 def test_cc_init_small_components_no_centers():
     g = DecrementalGraph.from_edge_list(6, [(0, 1), (2, 3), (4, 5)])
-    cov = DetCenterCover(g, 3, 6)
+    cov = build_covers(g, [(3, 6)])[0]
     assert cov.opens == 0
     assert all(cov.find_center(x) is None for x in range(6))
 
@@ -114,7 +120,7 @@ def test_cc_init_complete_graph_one_center():
     n = 7
     g = DecrementalGraph.from_edge_list(n, [(u, v) for u in range(n)
                                             for v in range(u + 1, n)])
-    cov = DetCenterCover(g, 2, 8)
+    cov = build_covers(g, [(2, 8)])[0]
     assert cov.opens == 1
     truth = bfs_apsp(g)
     for x in range(n):
@@ -124,15 +130,15 @@ def test_cc_init_complete_graph_one_center():
 
 def test_cc_validation(fig_graph):
     with pytest.raises(InvalidRange):
-        DetCenterCover(fig_graph, 0, 4)
+        build_covers(fig_graph, [(0, 4)])
     with pytest.raises(InvalidRange):
-        DetCenterCover(fig_graph, 5, 4)
+        build_covers(fig_graph, [(5, 4)])
 
 
 def test_cc_fig3_open_then_move():
     q = 8
     g = fig3_path(q)  # v0..v9 with shortcut (3, 9)
-    cov = DetCenterCover(g, q, 4 * q)
+    cov = build_covers(g, [(q, 4 * q)])[0]
     assert cov.opens == 1 and cov.location(0) == 0
 
     # severing the shortcut uncovers v9: a second center opens there
@@ -154,7 +160,7 @@ def test_cc_fig3_open_then_move():
 
 def test_cc_delete_far_from_balls_is_quiet():
     g = fig3_path(8)
-    cov = DetCenterCover(g, 4, 16)
+    cov = build_covers(g, [(4, 16)])[0]
     opens_before = cov.opens
     moves_before = cov.moving_distance
     collected_before = [set(s) for s in cov.collected]
@@ -168,7 +174,7 @@ def test_cc_queries_against_oracle():
     rng = random.Random(12)
     g, order = random_graph_and_trace(rng, 18, 40)
     q = 3
-    cov = DetCenterCover(g, q, 12)
+    cov = build_covers(g, [(q, 12)])[0]
     for u, v in order:
         delete_edge(cov, u, v)
         truth = bfs_apsp(g)
@@ -208,7 +214,7 @@ def test_cover_ledger_invariants(data):
     n = data.draw(st.integers(4, 20))
     g, order = random_graph_and_trace(rng, n, 3 * n)
     q = data.draw(st.sampled_from([2, 3, 4]))
-    cov = DetCenterCover(g, q, 4 * q)
+    cov = build_covers(g, [(q, 4 * q)])[0]
     prev_bt = {}
     for u, v in order:
         delete_edge(cov, u, v)
@@ -241,7 +247,7 @@ def test_incremental_greedy_matches_full_scan(data):
     n = data.draw(st.integers(2, 20))
     g, order = random_graph_and_trace(rng, n, data.draw(st.integers(n, 3 * n)))
     q = data.draw(st.integers(1, 4))
-    cov = DetCenterCover(g, q, 4 * q)
+    cov = build_covers(g, [(q, 4 * q)])[0]
     for u, v in order:
         # the trees still hold the pre-deletion levels, as in on_deleted
         def in_ball(j):
@@ -277,7 +283,7 @@ PINNED_COUNTERS = [
 
 
 @pytest.mark.parametrize("graph, order, opens, moving, increases, ops",
-                         PINNED_COUNTERS)
+                         PINNED_COUNTERS, ids=[row[0] for row in PINNED_COUNTERS])
 def test_det_apsp_counters_pinned(graph, order, opens, moving, increases, ops):
     if graph == "grid":
         g = build_graph(ExperimentConfig("det_apsp", generator="grid:10:10"))
@@ -330,13 +336,17 @@ def test_small_diameter_builds_no_layers():
     assert idx.stats()["opens"] == 0
 
 
-def test_a_later_block_can_trigger_the_build():
-    # a clique on nodes 0-63, the first block of roots, and two arms of six
-    # nodes off 0 and 1: every first-block root is within 7 of every node,
-    # but the arm tips 69 and 75 are 13 apart
+def clique_with_arms():
+    """A clique on nodes 0-63, the first block of roots, and two arms of six
+    nodes off 0 and 1: every first-block root is within 7 of every node,
+    but the arm tips 69 and 75 are 13 apart."""
     edges = [(x, y) for x in range(64) for y in range(x + 1, 64)]
     edges += [(0, 64), (1, 70)] + [(x, x + 1) for x in (*range(64, 69), *range(70, 75))]
-    g = DecrementalGraph.from_edge_list(76, edges)
+    return DecrementalGraph.from_edge_list(76, edges)
+
+
+def test_a_later_block_can_trigger_the_build():
+    g = clique_with_arms()
     rows = RootDistances(g)
     first = next(rows.blocks())
     assert first == range(64) and rows.dist[rows.dist < rows.unreached].max() == 7
@@ -349,6 +359,26 @@ def test_a_later_block_can_trigger_the_build():
         est = [[idx.query(x, y) for y in range(g.n)] for x in range(g.n)]
         assert check_stretch(est, truth, 1.5, 0).failure_count == 0
         assert check_stretch(est, truth, 1, 0, idx.patch_range).failure_count == 0
+
+
+@pytest.mark.parametrize("trigger", ["first-block", "later-block", "deletion"])
+def test_every_trigger_builds_what_build_covers_builds(trigger):
+    # the 10x10 grid passes the patch's range in its first block of roots,
+    # the clique with arms only in its second, and the 16-cycle only once
+    # (0, 15) is deleted; each index's covers are the ones build_covers
+    # builds from scratch on its graph as it stands
+    if trigger == "first-block":
+        idx = ApspIndexDet(build_graph(ExperimentConfig("det_apsp", generator="grid:10:10")), 0.5)
+    elif trigger == "later-block":
+        idx = ApspIndexDet(clique_with_arms(), 0.5)
+    else:
+        idx = ApspIndexDet(cycle(16), 0.5)
+        assert idx.layers == []
+        idx.delete(0, 15)
+    assert idx.layers
+    scales = [(layer.cover_radius, layer.bound) for layer in idx.layers]
+    fresh = build_covers(idx.g.copy(), scales)
+    assert [cover_state(layer) for layer in idx.layers] == [cover_state(c) for c in fresh]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3])

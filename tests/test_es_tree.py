@@ -325,6 +325,9 @@ def test_root_distances_across_words(data):
 def test_tree_rejects_rows_of_another_graph_or_version(fig_graph):
     with pytest.raises(NodeOutOfRange):
         RootDistances(fig_graph, [0, 6])
+    for roots in ([2, 0, 2], [1, 1], [3, 1]):  # a repeated root would overwrite its own bit
+        with pytest.raises(InvalidParameters):
+            RootDistances(fig_graph, roots)
     rows = RootDistances(fig_graph)
     with mock.patch.object(graph_core, "_BLOCK", 3):
         blocks = rows.blocks()

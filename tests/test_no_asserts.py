@@ -3,6 +3,7 @@
 Invariants must raise typed errors, not ``assert``: assert statements vanish
 under ``python -O``. A tree's support counts are the tree engine's own, and
 so are its work counters: every other module reads them through ``stats()``.
+A deterministic cover is built in one place, ``build_covers``.
 """
 
 import ast
@@ -41,3 +42,31 @@ def test_only_the_tree_engine_reads_work_counters():
     # every structure, a tree too, reports its work through stats(), which
     # es_tree.tree_stats sums over a list of trees
     assert _readers("level_increases", "ops") == {"es_tree", "monotone_es_tree"}
+
+
+def _call_sites(*names) -> list[str]:
+    """Every call in the library of any of ``names``, as the module and the
+    innermost function around it (the module alone at its top level)."""
+    sites = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in names:
+                    sites.append(f"{module}.{function}" if function else module)
+            visit(child, module, function)
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    return sites
+
+
+def test_only_build_covers_builds_a_deterministic_cover():
+    # the index builds its covers at construction and inside a deletion,
+    # both through build_covers: a cover built from scratch on the graph as
+    # it stands has one build path
+    assert _call_sites("DetCenterCover", "MovingCenters") == ["deterministic_apsp.build_covers"]
