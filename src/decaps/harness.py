@@ -39,12 +39,11 @@ from .graph_core import (
 from .oracle import NumpyBfsOracle, check_locally_persevering, check_stretch
 from .randomized_apsp import ApspIndexRandom
 
-CSV_SCHEMA = "#schema=1"
-# each counter column and the ``stats()`` key it reads (a missing key reads 0)
-CSV_COUNTERS = {"level_increases": "level_increases", "heap_ops": "ops",
-                "emulator_events": "emulator_events", "opens": "opens",
-                "moving_distance": "moving_distance"}
-CSV_HEADER = "version,algorithm,audit_pass," + ",".join(CSV_COUNTERS)
+CSV_SCHEMA = "#schema=2"
+# the ``stats()`` keys each row writes, in column order; a key missing from a
+# structure's ``stats()`` reads 0
+CSV_COUNTERS = ("level_increases", "ops", "emulator_events", "opens", "moving_distance")
+CSV_HEADER = "version,algorithm," + ",".join(CSV_COUNTERS)
 
 AUDIT_LEVELS = ("none", "stretch", "full")
 FULL_AUDIT_NODE_CAP = 64
@@ -261,13 +260,8 @@ def run_es_tree(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrace
                 raise _fail(cfg, i, {"node": bad, "level": float(got[bad]),
                                      "distance": float(want[bad])}, tree)
         rows.append(tree.stats())
-    stats = tree.stats()
-    work_constant = stats["ops"] / max(1, g.m0 * Q)
-    summary = {"work_constant": work_constant,
-               "work_bound_ok": work_constant <= 16,
-               "level_increases": stats["level_increases"],
-               "heap_ops": stats["ops"]}
-    return rows, summary
+    work_constant = tree.stats()["ops"] / max(1, g.m0 * Q)
+    return rows, {"work_constant": work_constant, "work_bound_ok": work_constant <= 16}
 
 
 def run_det_apsp(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTrace):
@@ -362,8 +356,7 @@ def run_rand_apsp(cfg: ExperimentConfig, g: DecrementalGraph, trace: DeletionTra
             _audit_answers(cfg, i, index, index.query_1eps2, oracle.apsp(),
                            [(1 + cfg.eps, 2 + SLACK, INF)])
         rows.append(index.stats())
-    summary = {"emulator_edges_ever": index.emulator.edges_ever,
-               "emulator_updates_total": index.emulator.updates_total}
+    summary = {"emulator_edges_ever": index.emulator.edges_ever}
     if keep_h:
         ok, cex = check_locally_persevering(
             n, initial_edges, list(trace), h_snapshots, 1, 2, index.emulator.tau)
@@ -394,7 +387,7 @@ def run_fully_dynamic(cfg: ExperimentConfig, g: DecrementalGraph, trace: Deletio
             _audit_answers(cfg, i, fd, fd.query, NumpyBfsOracle(check).apsp(),
                            [(1 + cfg.eps, SLACK, INF)])
         rows.append(fd.stats())
-    return rows, {"updates": len(updates), "phase_t": cfg.phase_t}
+    return rows, {}
 
 
 ALGORITHMS = {
@@ -435,9 +428,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     summary = {
         "config": asdict(cfg),
         "rows": len(rows),
-        "audit_pass": True,  # a failing run raised above
-        "maxima": {column: max((r[key] for r in rows), default=0)
-                   for column, key in CSV_COUNTERS.items()},
+        "maxima": {key: max((r[key] for r in rows), default=0) for key in CSV_COUNTERS},
     }
     summary.update(extra)
     if cfg.out:
@@ -446,10 +437,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         with open(csv_path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(CSV_SCHEMA + "\n")
             fh.write(CSV_HEADER + "\n")
-            # every counter is an int, and audit_pass is 1: a failing run raised above
+            # every counter is an int; a failing run raised above and wrote no row
             for i, r in enumerate(rows, start=1):
-                counts = ",".join(str(r[key]) for key in CSV_COUNTERS.values())
-                fh.write(f"{i},{cfg.algorithm},1,{counts}\n")
+                counts = ",".join(str(r[key]) for key in CSV_COUNTERS)
+                fh.write(f"{i},{cfg.algorithm},{counts}\n")
         with open(os.path.join(cfg.out, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True, default=str)
     return summary

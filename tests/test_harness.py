@@ -6,6 +6,7 @@ import pytest
 
 from decaps.deterministic_apsp import ApspIndexDet
 from decaps.errors import AuditFailure, ConfigInvalid
+from decaps.es_tree import EsTree
 from decaps.fully_dynamic import FullyDynamicApsp
 from decaps.graph_core import INF, DecrementalGraph, read_edge_list, read_trace
 from decaps.harness import (
@@ -120,10 +121,10 @@ def test_config_validation():
 # sha256 of each algorithm's results.csv below: any change to a counter or
 # to the file's format shows here, not only a change between two runs
 CSV_SHA256 = {
-    "es_tree": "8ffda61a07a0ff304800e179d7391019844c511c1d23a6eee70b20e54616e1d6",
-    "det_apsp": "275378554c617f72cfad8935bcf111805fc1025070c3718f00d83acf3db6cb66",
-    "rand_apsp": "2af76dbdbf68e23d143661916019ad40cdba3bbebd8ae741694a4de74a23a77d",
-    "fully_dynamic": "bca858fd765fb5f7c01096dc4a206cc1bdbb864b319949c17d684a2e8176e8cb",
+    "es_tree": "9deebcb7f308c690b737f92d095eb157ec26db2e49960a8d61e682cd697dc6df",
+    "det_apsp": "11c1c36ed53489fe8bc5f5ff4602e2af531d614653378b7abe8904c208b2ffdc",
+    "rand_apsp": "eeb1c7eeea0c90206de838559c148594b5d60b38b7b3db6d1310dd15fdea259a",
+    "fully_dynamic": "ce31f601ec3619570f4ea60d5fbce493d992ca2dbb633297a112a31bb1f1aef9",
 }
 
 
@@ -135,19 +136,42 @@ def test_run_experiment_csv_bit_exact(tmp_path):
             # phase_t only applies to fully_dynamic: rebuilds every 3 updates
             cfg = ExperimentConfig(algorithm=algorithm, gnm=(14, 30), eps=0.5,
                                    seed=9, audit="full", out=str(out), phase_t=3)
-            summary = run_experiment(cfg)
-            assert summary["audit_pass"]
+            run_experiment(cfg)
         data = (out1 / "results.csv").read_bytes()
         assert data == (out2 / "results.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
         header = (out1 / "results.csv").read_text().splitlines()
-        assert header[0] == "#schema=1"
+        assert header[0] == "#schema=2"
         # the rows carry the trees' cumulative work, level increases and
         # ops; fully_dynamic's counts the indexes of earlier phases too
         rows = list(csv.DictReader(header[1:]))
-        for column in ("level_increases", "heap_ops"):
+        for column in ("level_increases", "ops"):
             work = [int(r[column]) for r in rows]
             assert work == sorted(work) and work[-1] > 0
+
+
+# the keys of each algorithm's summary.json: each fact once, under one name
+SUMMARY_KEYS = {
+    "es_tree": {"config", "rows", "maxima", "work_constant", "work_bound_ok"},
+    "det_apsp": {"config", "rows", "maxima", "bound_ledger"},
+    # 14 nodes are past the 12-node Definition-8 cap: no locally_persevering
+    "rand_apsp": {"config", "rows", "maxima", "emulator_edges_ever"},
+    "fully_dynamic": {"config", "rows", "maxima"},
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(SUMMARY_KEYS))
+def test_reports_hold_each_fact_once(tmp_path, algorithm):
+    cfg = ExperimentConfig(algorithm=algorithm, gnm=(14, 30), eps=0.5, seed=9,
+                           audit="full", out=str(tmp_path), phase_t=3)
+    run_experiment(cfg)
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert lines[1] == "version,algorithm," + ",".join(CSV_COUNTERS)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert set(summary) == SUMMARY_KEYS[algorithm]
+    # the counters are cumulative, so the last row holds the maxima
+    last = list(csv.DictReader(lines[1:]))[-1]
+    assert {key: int(last[key]) for key in CSV_COUNTERS} == summary["maxima"]
 
 
 def test_run_experiment_es_tree_work_summary(tmp_path):
@@ -169,7 +193,7 @@ def test_run_experiment_fully_dynamic():
     cfg = ExperimentConfig(algorithm="fully_dynamic", gnm=(10, 20), eps=0.5,
                            phase_t=2, seed=3, updates=8, audit="stretch")
     summary = run_experiment(cfg)
-    assert summary["audit_pass"]
+    assert summary["rows"] == 8
 
 
 def _low(self, est):
@@ -237,8 +261,8 @@ def test_broken_estimator_trips_audit(tmp_path, monkeypatch, algorithm, cls, nam
     run_experiment(cfg)
     lines = (tmp_path / "good" / "results.csv").read_text().splitlines()
     row = list(csv.DictReader(lines[1:]))[bundle["version"] - 1]
-    assert {column: int(row[column]) for column in CSV_COUNTERS} == {
-        column: bundle["stats"][key] for column, key in CSV_COUNTERS.items()}
+    assert {key: int(row[key]) for key in CSV_COUNTERS} == {
+        key: bundle["stats"][key] for key in CSV_COUNTERS}
 
 
 def _radius_off(layer):
@@ -304,6 +328,35 @@ def test_cli_ledger_failure_exits_2(tmp_path, monkeypatch):
     index = ApspIndexDet(g, 0.5)
     real_delete(index, *generate_trace(g, "random", seed=1).pairs[0])
     assert bundle["stats"] == index.stats()
+
+
+def test_cli_es_tree_failure_exits_2(tmp_path, monkeypatch):
+    real_after_delete = EsTree.after_delete
+
+    def corrupting(self, u, v, cut=None):
+        raised = real_after_delete(self, u, v, cut)
+        # report the deepest finite node one level too far
+        deepest = max((x for x in range(self.n) if self.level[x] != INF),
+                      key=lambda x: self.level[x])
+        self.level[deepest] += 1
+        return raised
+
+    monkeypatch.setattr(EsTree, "after_delete", corrupting)
+    out = tmp_path / "bad"
+    rc = main(["run", "--algo", "es_tree", "--path", "8", "--seed", "1",
+               "--audit", "stretch", "--out", str(out)])
+    assert rc == 2
+    bundle = json.loads((out / "replay_bundle.json").read_text())
+    assert bundle["version"] == 1
+    # the first deletion is (3, 4), which leaves 0-1-2-3 as the root's side
+    assert bundle["detail"] == {"node": 3, "level": 4.0, "distance": 3.0}
+    # the counters of an uncorrupted tree after the first deletion
+    g = build_graph(ExperimentConfig("es_tree", generator="path:8"))
+    tree = EsTree(g, 0, g.n)
+    u, v = generate_trace(g, "random", seed=1).pairs[0]
+    g.delete_edge(u, v)
+    real_after_delete(tree, u, v)
+    assert bundle["stats"] == tree.stats()
 
 
 def test_cli_def8_failure_exits_2(tmp_path, monkeypatch):
