@@ -52,12 +52,12 @@ A deletion costs work in proportion to what it changes, not to n:
 * Component checks are bounded BFS (``DecrementalGraph.small_component``):
   only "is the component smaller than the limit" matters, so the search
   stops once the limit is reached.
-* After the construction's full scan, every node is covered or marked
-  small. Coverage is only lost when a node leaves a cover list, when the
-  moved center's old ball is popped or a tree raises a node past the cover
-  radius, so the greedy pass re-checks exactly those nodes, in ascending id
-  order. Opens only add coverage, so it opens the same centers as a full
-  scan would.
+* After the construction's full scan, every node is covered or in a
+  component of fewer than q nodes. Coverage is only lost when a node leaves
+  a cover list, when the moved center's old ball is popped or a tree raises
+  a node past the cover radius, so the greedy pass re-checks exactly those
+  nodes, in ascending id order. Opens only add coverage, so it opens the
+  same centers as a full scan would.
 * Trees are repaired through ``es_tree.after_delete_all``, which calls
   only the trees whose levels the deletion changes.
 * One split search per deletion (``DecrementalGraph.split_side``), shared by
@@ -95,8 +95,8 @@ class DetCenterCover(CenterCover):
 
     ``open`` and ``move`` search from the root. The construction's greedy
     pass opens with ``_register`` instead, the ball read off a
-    ``RootDistances`` block, and sets the block's trees in one
-    ``_set_trees`` call. A cover is built only by ``build_covers``.
+    ``RootDistances`` block, and ``_build_block`` sets the block's trees in
+    one call. A cover is built only by ``build_covers``.
     """
 
     def __init__(self, g: DecrementalGraph, q: int, Q: int):
@@ -111,7 +111,6 @@ class DetCenterCover(CenterCover):
         self._retired = Counter()  # stats of the trees that moves retired
         self.collected: list[set[int]] = []   # T^j
         self.radius2: list[int] = []          # 2 * r^j, exact in half-units
-        self._skip_small: list[bool] = [False] * g.n
 
     @property
     def mc(self) -> DetCenterCover:
@@ -130,7 +129,7 @@ class DetCenterCover(CenterCover):
     def _register(self, x: int, ball) -> int:
         """A new center at x whose ball is ``ball``: its id, in the cover
         lists of the ball, with an empty T^j and r^j = q/2; its tree is set
-        by ``open`` or ``_set_trees``."""
+        by ``open`` or ``_build_block``."""
         j = len(self._location)
         self._location.append(x)
         self.collected.append(set())
@@ -139,16 +138,6 @@ class DetCenterCover(CenterCover):
         self.opens += 1
         self._round_ops.add(j)
         return j
-
-    def _set_trees(self, rows: RootDistances) -> None:
-        """Set the trees of the centers registered since the last call, in
-        one vectorised pass over their rows in the current block of ``rows``."""
-        g, Q = self.g, self.bound
-        roots = self._location[len(self._trees):]
-        for x, start in zip(roots, rows.starts(roots, Q)):
-            tree = EsTree(g, x, Q, start)
-            self._trees.append(tree)
-            self._levels.append(tree.level)
 
     def move(self, j: int, x: int, distance) -> list[int]:
         """Relocate center j to x, rebuilding its tree from scratch.
@@ -195,9 +184,14 @@ class DetCenterCover(CenterCover):
         """The construction's greedy pass over the nodes of ``block``, the
         current block of ``rows``; every earlier block must have had its
         pass. Each open registers its ball from its row at once, and the
-        block's opens get their trees in one ``_set_trees`` call."""
+        block's opens get their trees in one vectorised pass over their rows."""
         self._greedy_open(block, rows)
-        self._set_trees(rows)
+        g, Q = self.g, self.bound
+        roots = self._location[len(self._trees):]
+        for x, start in zip(roots, rows.starts(roots, Q)):
+            tree = EsTree(g, x, Q, start)
+            self._trees.append(tree)
+            self._levels.append(tree.level)
 
     # -- Alg. 3 --------------------------------------------------------------
 
@@ -210,15 +204,8 @@ class DetCenterCover(CenterCover):
         cover = self._cover
         g = self.g
         q = self.cover_radius
-        skip = self._skip_small
         for x in sorted(nodes):
-            if skip[x] or cover[x]:
-                continue
-            comp = g.small_component(x, q)
-            if comp is not None:
-                # small components never grow back; skip every member for good
-                for y in comp:
-                    skip[y] = True
+            if cover[x] or g.small_component(x, q) is not None:
                 continue
             if rows is None:
                 self.open(x)
@@ -251,8 +238,6 @@ class DetCenterCover(CenterCover):
                 move_dist = trees[j].level[y]  # still the pre-deletion distance
                 self.collected[j] |= comp
                 self.radius2[j] -= 2 * len(comp)
-                for z in comp:
-                    self._skip_small[z] = True
                 freed.update(self.move(j, y, move_dist))
         freed |= self.after_delete(u, v, cut)
         self._greedy_open(freed)

@@ -171,11 +171,10 @@ class FullyDynamicApsp:
     # -- queries --------------------------------------------------------------
 
     def query(self, u: int, w: int):
-        """Estimate with dist <= result <= (1+eps)*dist on the true graph."""
-        self._check_node(u)
-        self._check_node(w)
-        if u == w:
-            return 0
+        """Estimate with dist <= result <= (1+eps)*dist on the true graph.
+
+        The index checks the pair and answers a self-pair 0, which no sum
+        through an insertion center undercuts."""
         best = self.index.query(u, w)
         for dist in self.insertion_centers.values():
             cand = dist[u] + dist[w]

@@ -241,7 +241,8 @@ class TreeStart(NamedTuple):
 
 class RootDistances:
     """Distances from ``roots``, ascending distinct nodes of a
-    ``DecrementalGraph`` (every node by default), at one version.
+    ``DecrementalGraph`` (every node by default), at one version: ``starts``
+    and ``within`` raise ``InvalidParameters`` once the graph has changed.
 
     ``blocks`` searches the roots in ascending blocks of ``_BLOCK``. While a
     block is current, ``dist[i, y]`` is the distance from its i-th root to y,
@@ -350,6 +351,8 @@ class RootDistances:
                 count[i:i + step, has_edges] = np.add.reduceat(hit, heads, axis=1)
 
     def _row(self, root: int) -> int:
+        if self.graph.version != self.version:
+            raise InvalidParameters(f"the rows are of version {self.version}, not the graph's")
         if root not in self.roots:
             raise InvalidParameters(f"root {root} is not in the current block {self.roots}")
         return self.roots.index(root)

@@ -181,19 +181,12 @@ class ApspIndexRandom:
         n = self.g.n
         if not (0 <= x < n and 0 <= y < n):
             raise NodeOutOfRange(f"pair ({x}, {y}) out of range")
-        if x == y:
-            return 0
         ly = self.trees[x].level[y]
         patch_est = ly if ly <= self.patch_bound else INF
         layered = search_layers(self.layers, x, y)
         return min(patch_est, layered)
 
     def query_2eps(self, x: int, y: int):
-        """Estimate with dist <= result <= (2+eps)*dist (whp)."""
-        if not (0 <= x < self.g.n and 0 <= y < self.g.n):
-            raise NodeOutOfRange(f"pair ({x}, {y}) out of range")
-        if x == y:
-            return 0
-        if self.g.has_edge(x, y):
-            return 1
-        return self.query_1eps2(x, y)
+        """Estimate with dist <= result <= (2+eps)*dist (whp). ``has_edge``
+        checks the pair; a self-pair is no edge, so ``query_1eps2`` answers 0."""
+        return 1 if self.g.has_edge(x, y) else self.query_1eps2(x, y)

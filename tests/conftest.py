@@ -81,8 +81,7 @@ def cover_state(layer):
     centers, trees, cover lists, counters and ledger."""
     return (layer._location, [tree_state(t) for t in layer._trees],
             [list(level) for level in layer._levels], layer._cover, layer.opens,
-            layer.moving_distance, layer.stats(), layer.collected, layer.radius2,
-            layer._skip_small)
+            layer.moving_distance, layer.stats(), layer.collected, layer.radius2)
 
 
 def det_state(idx):

@@ -346,6 +346,12 @@ def test_tree_rejects_rows_of_another_graph_or_version(fig_graph):
         next(blocks)
         with pytest.raises(InvalidParameters):
             rows.within(0, 1)  # the block has passed
-    fig_graph.delete_edge(0, 1)
+    rows = RootDistances(fig_graph)
+    next(rows.blocks())
+    fig_graph.delete_edge(0, 1)  # the graph moves on while the block is current
+    with pytest.raises(InvalidParameters):
+        rows.within(0, 1)
+    with pytest.raises(InvalidParameters):
+        rows.starts([0], 3)
     with pytest.raises(InvalidParameters):
         EsTree(fig_graph, 0, 3, start)

@@ -367,13 +367,10 @@ def test_patch_reads_through_its_own_bound(monkeypatch):
     assert past_patch > 0
 
 
-def test_query_identity_and_adjacent():
+def test_query_adjacent():
     rng = random.Random(4)
     g, _ = random_graph_and_trace(rng, 10, 20)
     idx = ApspIndexRandom(g, 0.5, seed=2)
-    for x in range(10):
-        assert idx.query_1eps2(x, x) == 0
-        assert idx.query_2eps(x, x) == 0
     for u, v in g.edges():
         assert idx.query_2eps(u, v) == 1
         assert idx.query_1eps2(u, v) <= (1 + 0.5) * 1 + 2
