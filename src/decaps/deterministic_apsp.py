@@ -34,15 +34,16 @@ first passes the range:
   deletion without one fires; a split the capped search missed drops
   nodes the same way and builds the covers early, which is safe.
 
-Construction is block-major (``graph_core.RootDistances``): one bit-parallel
-BFS from a block of 64 roots at a time, in ascending blocks. Over each block
-the patch's trees are set from their rows in one vectorised call, and every
-cover runs its greedy pass over the block's nodes, registering each open's
-ball from its row, then sets the trees of its opens in one call. Covers
-open in ascending node order and the decision at x reads only the cover
-lists of centers opened at smaller nodes, so this opens what one pass over
-all nodes would. Only one block of rows is held at a time; opens and moves
-after a deletion search from their root.
+Construction is block-major (``graph_core.RootDistances``): a bit-parallel
+BFS from many roots at once hands out their rows a block of 64 roots at a
+time, in ascending blocks. Over each block the patch's trees are set from
+their rows in one vectorised call, and every cover runs its greedy pass
+over the block's nodes, registering each open's ball from its row, then
+sets the trees of its opens in one call. Covers open in ascending node
+order and the decision at x reads only the cover lists of centers opened
+at smaller nodes, so this opens what one pass over all nodes would. Only
+one block of rows is held at a time; opens and moves after a deletion
+search from their root.
 
 A deletion costs work in proportion to what it changes, not to n:
 

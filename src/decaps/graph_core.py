@@ -7,11 +7,14 @@ engine reads either: ``DecrementalGraph`` stores weight 1 on every edge, and
 has_edge (needed by the (2+eps, 0) query wrapper) is a constant-time
 membership test. ``WeightedAdjacency`` is the weighted graph that update
 events act on: the emulator owns one, and every monotone tree reads it.
-``RootDistances`` runs a bit-parallel BFS from a block of roots at once,
-block by block, at one version of a ``DecrementalGraph``: the deterministic
-index and the emulator's hub trees set the exact trees they build at
-construction from each block's rows, many trees in one vectorised pass, and
-hold one block of rows at a time.
+``RootDistances`` runs one bit-parallel BFS from many roots at once, at one
+version of a ``DecrementalGraph``, and hands out the distances and support
+counts it reads off that search's bit-planes a block of roots at a time:
+the deterministic index and the emulator's hub trees set the exact trees
+they build at construction from each block's rows, many trees in one
+vectorised pass, and hold one block of rows at a time. A level's gather
+stays within ``_SLAB`` words (one per edge at least), and no temporary
+holds an integer per pair of nodes.
 """
 
 from __future__ import annotations
@@ -221,8 +224,10 @@ class DecrementalGraph:
         return DecrementalGraph.from_edge_list(self.n, self.edges())
 
 
-_SLAB = 1 << 15   # (root, edge) pairs one count step compares
-_BLOCK = 64       # roots one block searches: one word of root bits per node
+# the (edge, word) pairs one level of a search gathers, and the (edge, root)
+# pairs one slab of a block's counts sums
+_SLAB = 1 << 15
+_BLOCK = 64       # roots one block hands out
 _WORD = np.dtype("<u8")  # little-endian, so unpackbits reads bit i as root i
 
 
@@ -241,29 +246,38 @@ class TreeStart(NamedTuple):
 
 class RootDistances:
     """Distances from ``roots``, ascending distinct nodes of a
-    ``DecrementalGraph`` (every node by default), at one version: ``starts``
-    and ``within`` raise ``InvalidParameters`` once the graph has changed.
+    ``DecrementalGraph`` (every node by default), at one version: ``blocks``,
+    ``starts`` and ``within`` raise ``InvalidParameters`` once the graph has
+    changed.
 
-    ``blocks`` searches the roots in ascending blocks of ``_BLOCK``. While a
+    ``blocks`` hands out the roots in ascending blocks of ``_BLOCK``. While a
     block is current, ``dist[i, y]`` is the distance from its i-th root to y,
     or ``unreached`` if y is not in that root's component: int16 below 32,767
-    nodes, so a block of b roots takes 2 b n bytes. ``unreached`` is the
-    dtype's largest value, above every distance; ``starts`` and ``within``
-    cut at unreached - 1 at most, so no depth bound, n or more included,
-    gives an unreached node a finite level. ``count[i, y]`` is the number of
-    y's neighbours one level below y from the i-th root: the support count
-    of y in that root's exact tree at any depth bound y's level is within.
+    nodes. ``unreached`` is the dtype's largest value, above every distance;
+    ``starts`` and ``within`` cut at unreached - 1 at most, so no depth
+    bound, n or more included, gives an unreached node a finite level.
+    ``count[i, y]``, of the same dtype, is the number of y's neighbours one
+    level below y from the i-th root: the support count of y in that root's
+    exact tree at any depth bound y's level is within. A block of b roots
+    takes 4 b n bytes below 32,767 nodes.
 
-    The search is bit-parallel and level-synchronous: each node holds one
-    word of root bits per 64 roots of the block, bit i set once the i-th
-    root has reached it. One level ORs, for every node, the frontier words
-    of its neighbours in one ``reduceat`` over the neighbour arrays and
-    keeps the bits not seen before. The distances are kept in bit-planes:
-    plane j holds the new bits of every level whose number has bit j set,
-    and the block's ``dist`` is unpacked from them once. The counts compare
-    the two ends of every (root, edge) pair of the block, about ``_SLAB``
-    pairs at a time, and sum each node's edges. No array spans all n^2
-    pairs: the temporaries grow with the block, the edges and ``_SLAB``.
+    One bit-parallel, level-synchronous search runs from many blocks of
+    roots at once: each node holds W words of root bits, bit i set once the
+    search's i-th root has reached it. One level ORs, for every node, the
+    frontier words of its neighbours in one ``reduceat`` over the neighbour
+    arrays and keeps the bits not seen before. W is the most words that keep
+    this gather within ``_SLAB`` words (one word at least), rounded down to
+    whole blocks. The distances are kept in bit-planes: plane j holds the
+    new bits of every level whose number has bit j set. Each block unpacks
+    its ``dist`` from the search's planes and ``seen`` words, and reads its
+    counts off them too: for every edge (y, z), z's planes plus one, added
+    bit-sliced, equal y's exactly on the bits of the roots with d(z) + 1 =
+    d(y); a carry out of the top plane or an unreached end matches nothing.
+    Those bits are unpacked and summed per node, about ``_SLAB`` (edge,
+    root) pairs at a time. No temporary holds an integer per (root, node)
+    pair: a search keeps n W words per plane and for ``seen``, a level
+    gathers ``_SLAB`` words at most (one per edge if that is more), and a
+    block adds its rows and counts.
     """
 
     __slots__ = ("graph", "version", "roots", "dist", "count", "unreached", "_dtype",
@@ -298,30 +312,50 @@ class RootDistances:
         self.dist = self.count = None
 
     def blocks(self):
-        """Search the roots in ascending blocks; yields each block's roots (a
-        slice of ``roots``) while its distances are current, and frees the
-        last one."""
+        """Hand out the roots in ascending blocks; yields each block's roots
+        (a slice of ``roots``) while its distances are current, and frees
+        the last one."""
         roots = self._all_roots
-        for lo in range(0, len(roots), _BLOCK):
-            self.dist = self.count = None  # at most one block at a time
-            self._search(roots[lo:lo + _BLOCK])
-            yield self.roots
+        # one level gathers words per edge: at most _SLAB words, or one per edge
+        words = max(1, _SLAB // max(1, len(self._dst)))
+        per = max(1, 64 * words // _BLOCK) * _BLOCK  # whole blocks, one at least
+        slabs = self._slabs()
+        for lo in range(0, len(roots), per):
+            self.dist = self.count = seen = planes = None  # one search at a time
+            self._check_version()
+            search = roots[lo:lo + per]
+            seen, planes = self._search(search)
+            for at in range(0, len(search), _BLOCK):
+                self.dist = self.count = None  # at most one block at a time
+                self._check_version()
+                self._unpack(seen, planes, at, search[at:at + _BLOCK], slabs)
+                yield self.roots
         self.roots, self.dist, self.count = range(0), None, None
 
-    def _search(self, roots) -> None:
-        n, b = self.graph.n, len(roots)
+    def _slabs(self) -> list[tuple]:
+        """The count slabs: runs of the nodes with edges, each with about
+        ``_SLAB // _BLOCK`` edges (one node at least), as (nodes, their
+        segment heads within the slab, first edge, edge past the last)."""
+        heads, m = self._heads, len(self._dst)
+        cuts = np.searchsorted(heads, np.arange(0, m, max(1, _SLAB // _BLOCK))).tolist()
+        cuts.append(len(heads))
+        nodes, ends = np.flatnonzero(self._has_edges), np.append(heads, m)
+        return [(nodes[k0:k1], heads[k0:k1] - ends[k0], ends[k0], ends[k1])
+                for k0, k1 in zip(cuts, cuts[1:]) if k0 < k1]
+
+    def _search(self, roots) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The ``seen`` words and bit-planes of one search from ``roots``."""
         dst, heads, has_edges = self._dst, self._heads, self._has_edges
-        self.roots = roots
-        bit = np.arange(b, dtype=_WORD)
-        seen = np.zeros((n, -(-b // 64)), _WORD)
+        bit = np.arange(len(roots), dtype=_WORD)
+        seen = np.zeros((self.graph.n, -(-len(roots) // 64)), _WORD)
         seen[list(roots), bit >> 6] = np.left_shift(1, bit & 63, dtype=_WORD)
         front, planes, k = seen.copy(), [], 1
         while True:
             new = np.zeros_like(seen)
-            new[has_edges] = np.bitwise_or.reduceat(front[dst], heads, axis=0)
+            new[has_edges] = np.bitwise_or.reduceat(np.take(front, dst, axis=0), heads, axis=0)
             new &= ~seen
             if not new.any():
-                break
+                return seen, planes
             seen |= new
             if k.bit_length() > len(planes):
                 planes.append(np.zeros_like(seen))
@@ -330,29 +364,50 @@ class RootDistances:
                     plane |= new
             front, k = new, k + 1
 
-        def rows(words):  # the root bits of every node, one row per root
-            return np.unpackbits(words.view(np.uint8), axis=1, count=b, bitorder="little").T
+    def _unpack(self, seen, planes, at: int, roots, slabs) -> None:
+        """Set ``dist`` and ``count`` of the block ``roots``, the search's
+        roots from its ``at``-th on."""
+        n, b = self.graph.n, len(roots)
+        w0, w1 = at >> 6, ((at + b - 1) >> 6) + 1  # the words that hold the block
+        off = at - 64 * w0
+        seen, planes = seen[:, w0:w1], [plane[:, w0:w1] for plane in planes]
 
-        self.dist = dist = np.zeros((b, n), self._dtype)
+        def bits(words):  # every row's bits of the block's words, one column per root
+            return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+
+        self.roots = roots
+        dist = np.zeros((n, b), self._dtype)
         for j, plane in enumerate(planes):
-            dist |= rows(plane).astype(self._dtype) << j
-        dist[rows(seen) == 0] = self.unreached
-        # per pair, the neighbours one level lower; unreached - 1 is no
-        # distance, so an unreached node counts nothing
-        self.count = count = np.zeros(dist.shape, np.int32)
-        if heads.size:
-            step = max(1, _SLAB // len(self._src))  # rows per _SLAB (root, edge) pairs
-            for i in range(0, b, step):
-                part = dist[i:i + step]
-                lower = part[:, self._src]
-                lower -= 1
-                hit = lower == part[:, dst]
-                del lower
-                count[i:i + step, has_edges] = np.add.reduceat(hit, heads, axis=1)
+            dist |= np.left_shift(bits(plane)[:, off:off + b], j, dtype=self._dtype)
+        dist[bits(seen)[:, off:off + b] == 0] = self.unreached
+        # per edge (y, z), the roots with d(z) + 1 == d(y): add one to z's
+        # planes bit-sliced and compare with y's; an unreached end or a carry
+        # out of the top plane matches nothing
+        src, dst = self._src, self._dst
+        hit = np.take(seen, src, axis=0) & np.take(seen, dst, axis=0)
+        carry = ~np.zeros_like(hit)
+        for plane in planes:
+            z = np.take(plane, dst, axis=0)
+            differ = z ^ carry
+            differ ^= np.take(plane, src, axis=0)
+            hit &= ~differ
+            carry &= z
+        hit &= ~carry
+        # sum each node's edges in lanes of the distance dtype, four or two
+        # to a uint64: a lane sums at most n - 1 bits, so no carry leaves it
+        count = np.zeros((n, b), self._dtype)
+        for nodes, heads, e0, e1 in slabs:
+            lanes = bits(hit[e0:e1]).astype(self._dtype).view(np.uint64)
+            sums = np.add.reduceat(lanes, heads, axis=0).view(self._dtype)
+            count[nodes] = sums[:, off:off + b]
+        self.dist, self.count = dist.T, count.T
 
-    def _row(self, root: int) -> int:
+    def _check_version(self) -> None:
         if self.graph.version != self.version:
             raise InvalidParameters(f"the rows are of version {self.version}, not the graph's")
+
+    def _row(self, root: int) -> int:
+        self._check_version()
         if root not in self.roots:
             raise InvalidParameters(f"root {root} is not in the current block {self.roots}")
         return self.roots.index(root)

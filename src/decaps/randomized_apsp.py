@@ -181,12 +181,15 @@ class ApspIndexRandom:
         n = self.g.n
         if not (0 <= x < n and 0 <= y < n):
             raise NodeOutOfRange(f"pair ({x}, {y}) out of range")
-        ly = self.trees[x].level[y]
-        patch_est = ly if ly <= self.patch_bound else INF
-        layered = search_layers(self.layers, x, y)
-        return min(patch_est, layered)
+        return self._estimate(x, y)
 
     def query_2eps(self, x: int, y: int):
         """Estimate with dist <= result <= (2+eps)*dist (whp). ``has_edge``
-        checks the pair; a self-pair is no edge, so ``query_1eps2`` answers 0."""
-        return 1 if self.g.has_edge(x, y) else self.query_1eps2(x, y)
+        checks the pair; a self-pair is no edge, so ``_estimate`` answers 0."""
+        return 1 if self.g.has_edge(x, y) else self._estimate(x, y)
+
+    def _estimate(self, x: int, y: int):
+        """``query_1eps2``'s answer for a pair already checked."""
+        ly = self.trees[x].level[y]
+        patch_est = ly if ly <= self.patch_bound else INF
+        return min(patch_est, search_layers(self.layers, x, y))

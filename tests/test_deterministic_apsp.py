@@ -541,9 +541,10 @@ def test_det_apsp_answers_pinned():
 
 
 def test_build_temporaries_stay_small():
-    # the all-roots BFS behind the build keeps no temporary that spans all
-    # (root, node) pairs, only one block of 64 roots at a time: its int16
-    # rows, int32 counts and the trees set from them (0.3 MiB here)
+    # the all-roots search behind the build keeps no integer per (root,
+    # node) pair: its bit-planes hold a bit per pair, and only one block of
+    # 64 roots at a time has int16 rows and counts and the trees set from
+    # them (0.5 MiB here)
     g = gnm_graph(400, 1600, 1)
     tracemalloc.start()
     try:

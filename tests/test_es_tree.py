@@ -287,9 +287,12 @@ def test_tree_set_from_row_equals_searched_tree(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_root_distances_across_words(data):
-    # a block holds one word of root bits per 64 roots: blocks of one root,
+    # a search holds one word of root bits per 64 roots: blocks of one root,
     # of a word less one, of a word, one past it and of more than two words,
-    # on up to 140 nodes, so a block spans one to three words
+    # on up to 142 nodes, so a block spans one to three words; searches one
+    # or two words wide (at least one block each), or as wide as _SLAB
+    # allows, so the roots span one to three searches; a path of 129 nodes
+    # or more needs 8 bit-planes, a long carry chain in the counts' increment
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     n = data.draw(st.sampled_from([0, 1]) | st.integers(2, 140))
     shape = data.draw(st.sampled_from(["components", "path", "edgeless"]))
@@ -307,10 +310,15 @@ def test_root_distances_across_words(data):
     if data.draw(st.booleans()):
         roots = sorted(rng.sample(range(n), rng.randint(0, n)))
     size = data.draw(st.sampled_from([1, 63, 64, 65, 130]))
+    words = data.draw(st.sampled_from([1, 2, None]))
+    # a search's width is _SLAB // (2 m) words; the count slabs shrink with it
+    slab = graph_core._SLAB if words is None else words * max(1, 2 * len(edges))
     rows = RootDistances(g, roots)
-    searched = []
-    with mock.patch.object(graph_core, "_BLOCK", size):
+    searched, expected = [], list(range(n)) if roots is None else roots
+    with mock.patch.object(graph_core, "_BLOCK", size), \
+            mock.patch.object(graph_core, "_SLAB", slab):
         for block in rows.blocks():
+            assert len(block) == min(size, len(expected) - len(searched))
             searched += block
             for i, x in enumerate(block):
                 level = bfs_levels(g, x)
@@ -319,7 +327,7 @@ def test_root_distances_across_words(data):
                 assert rows.count[i].tolist() == [
                     0 if d is INF else sum(level[z] == d - 1 for z in g.neighbors(y))
                     for y, d in enumerate(level)]
-    assert searched == (list(range(n)) if roots is None else roots)
+    assert searched == expected
 
 
 def test_tree_rejects_rows_of_another_graph_or_version(fig_graph):
@@ -355,3 +363,16 @@ def test_tree_rejects_rows_of_another_graph_or_version(fig_graph):
         rows.starts([0], 3)
     with pytest.raises(InvalidParameters):
         EsTree(fig_graph, 0, 3, start)
+    # one search holds every root of the path 0-1-2-3; once the graph has
+    # moved on, the next block refuses before it unpacks or searches
+    path = DecrementalGraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    rows = RootDistances(path)
+    with mock.patch.object(graph_core, "_BLOCK", 1), \
+            mock.patch.object(RootDistances, "_search", autospec=True,
+                              side_effect=RootDistances._search) as search:
+        blocks = rows.blocks()
+        assert next(blocks) == range(1) and search.call_count == 1
+        path.delete_edge(1, 2)
+        with pytest.raises(InvalidParameters):
+            next(blocks)
+        assert search.call_count == 1
