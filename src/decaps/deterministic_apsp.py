@@ -34,12 +34,14 @@ first passes the range:
   deletion without one fires; a split the capped search missed drops
   nodes the same way and builds the covers early, which is safe.
 
-Construction is block-major (``graph_core.RootDistances``): a bit-parallel
-BFS from many roots at once hands out their rows a block of 64 roots at a
-time, in ascending blocks. Over each block the patch's trees are set from
-their rows in one vectorised call, and every cover runs its greedy pass
+Construction is block-major (``graph_core.RootDistances``): one wide
+bit-parallel BFS from as many roots as keep a level's gather within
+``_SLAB`` words (all of them on small graphs) hands out their rows a block
+of 64 roots at a time, in ascending blocks, with support counts read off
+its bit-planes. Over each block the patch's trees are set from their rows
+by one ``EsTree.from_rows`` call, and every cover runs its greedy pass
 over the block's nodes, registering each open's ball from its row, then
-sets the trees of its opens in one call. Covers open in ascending node
+sets the trees of its opens by one more. Covers open in ascending node
 order and the decision at x reads only the cover lists of centers opened
 at smaller nodes, so this opens what one pass over all nodes would. Only
 one block of rows is held at a time; opens and moves after a deletion
@@ -96,8 +98,8 @@ class DetCenterCover(CenterCover):
 
     ``open`` and ``move`` search from the root. The construction's greedy
     pass opens with ``_register`` instead, the ball read off a
-    ``RootDistances`` block, and ``_build_block`` sets the block's trees in
-    one call. A cover is built only by ``build_covers``.
+    ``RootDistances`` block, and ``_build_block`` sets the block's trees
+    through ``EsTree.from_rows``. A cover is built only by ``build_covers``.
     """
 
     def __init__(self, g: DecrementalGraph, q: int, Q: int):
@@ -187,12 +189,9 @@ class DetCenterCover(CenterCover):
         pass. Each open registers its ball from its row at once, and the
         block's opens get their trees in one vectorised pass over their rows."""
         self._greedy_open(block, rows)
-        g, Q = self.g, self.bound
-        roots = self._location[len(self._trees):]
-        for x, start in zip(roots, rows.starts(roots, Q)):
-            tree = EsTree(g, x, Q, start)
-            self._trees.append(tree)
-            self._levels.append(tree.level)
+        trees = EsTree.from_rows(rows, self._location[len(self._trees):], self.bound)
+        self._trees += trees
+        self._levels += [tree.level for tree in trees]
 
     # -- Alg. 3 --------------------------------------------------------------
 
@@ -293,10 +292,8 @@ class ApspIndexDet:
         rows = RootDistances(g)
         self.patch: list[EsTree] = []
         for block in rows.blocks():  # block-major, see the module docstring
-            self.patch += [EsTree(g, x, self.patch_range, start)
-                           for x, start in zip(block, rows.starts(block, self.patch_range))]
-            dist = rows.dist
-            if not self.layers and ((dist > self.patch_range) & (dist < rows.unreached)).any():
+            self.patch += EsTree.from_rows(rows, block, self.patch_range)
+            if not self.layers and rows.farthest() > self.patch_range:
                 self.layers = build_covers(g, self._scales, block.start)
             for layer in self.layers:
                 layer._build_block(block, rows)

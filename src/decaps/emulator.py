@@ -58,8 +58,8 @@ class LocallyPerseveringEmulator:
         self.hubs = sorted(set(hubs))
         self._hub_set = set(self.hubs)
         rows = RootDistances(g, self.hubs)
-        self._trees = [EsTree(g, c, self.weight_cap, start) for block in rows.blocks()
-                       for c, start in zip(block, rows.starts(block, self.weight_cap))]
+        self._trees = [tree for block in rows.blocks()
+                       for tree in EsTree.from_rows(rows, block, self.weight_cap)]
 
         unit = set()
         for u in range(g.n):

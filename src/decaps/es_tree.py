@@ -4,42 +4,46 @@ to a depth bound, over a shared ``DecrementalGraph``.
 On an unweighted graph without insertions the monotone ES-tree is the classic
 tree, so ``EsTree`` is a ``MonotoneEsTree`` on the graph's own adjacency,
 whose weights are all 1, kept to depth bound ``depth``. A tree starts from
-a BFS from its root, or from a ``TreeStart`` that ``graph_core.RootDistances``
-sets for a block of roots in one vectorised pass, as ``ApspIndexDet`` and the
-emulator's hub trees do at build time. The owner deletes an edge from the
-graph once and repairs its trees with ``after_delete_all``, which calls
-``after_delete`` only on the trees whose levels the deletion changes.
-Levels, the one-step drop of a cut-off side and the work counters
-(``level_increases``, and ``ops``, which counts neighbour checks) are the
-monotone tree's; ``monotone_es_tree`` shows why they are exact. Other
-modules read them through ``stats`` and ``tree_stats``.
+a BFS from its root, or from its root's row of a ``graph_core.RootDistances``
+block: ``EsTree.from_rows`` sets the trees of many roots of a block in one
+vectorised pass, as ``ApspIndexDet`` and the emulator's hub trees do at
+build time. The owner deletes an edge from the graph once and repairs its
+trees with ``after_delete_all``, which calls ``after_delete`` only on the
+trees whose levels the deletion changes. Levels, the one-step drop of a
+cut-off side and the work counters (``level_increases``, and ``ops``,
+which counts neighbour checks) are the monotone tree's;
+``monotone_es_tree`` shows why they are exact. Other modules read them
+through ``stats`` and ``tree_stats``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .errors import InvalidParameters
-from .graph_core import DecrementalGraph, TreeStart
+from .graph_core import DecrementalGraph, RootDistances
 from .monotone_es_tree import MonotoneEsTree
 
 __all__ = ["EsTree", "after_delete_all", "tree_stats"]
 
 
 class EsTree(MonotoneEsTree):
-    def __init__(self, graph: DecrementalGraph, root: int, depth: int,
-                 start: TreeStart | None = None):
-        """Build a tree on a shared unweighted graph.
+    def __init__(self, graph: DecrementalGraph, root: int, depth: int, _state=None):
+        """Build a tree on a shared unweighted graph by a BFS from ``root``.
 
         ``depth`` is the distance range: any node farther than ``depth`` from
-        ``root`` has level infinity; ``bound`` holds it. With ``start``, the
-        state ``RootDistances.starts`` set for this root and depth at the
-        graph's current version, the tree takes it instead of searching.
+        ``root`` has level infinity; ``bound`` holds it. ``_state`` is
+        ``from_rows``'s alone.
         """
-        if start is not None and (start.graph is not graph or start.version != graph.version):
-            raise InvalidParameters(
-                f"the distances are not of this graph at its version {graph.version}")
-        self._setup(graph._adj, root, depth, start)
+        self._setup(graph._adj, root, depth, _state)
+
+    @classmethod
+    def from_rows(cls, rows: RootDistances, roots: list[int], depth: int) -> list[EsTree]:
+        """The trees of ``roots``, all in the current block of ``rows``, to
+        depth ``depth``, set from their rows in one vectorised pass instead
+        of a search each. Raises ``InvalidParameters`` before it builds a
+        tree if a root is not in the block or the graph has changed."""
+        return [cls(rows.graph, x, depth, _state=state)
+                for x, state in zip(roots, rows.starts(roots, depth))]
 
     def after_delete(self, u: int, v: int, cut=None) -> set[int]:
         """Repair levels after (u, v) was removed from the shared graph.

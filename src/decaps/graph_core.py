@@ -12,9 +12,9 @@ version of a ``DecrementalGraph``, and hands out the distances and support
 counts it reads off that search's bit-planes a block of roots at a time:
 the deterministic index and the emulator's hub trees set the exact trees
 they build at construction from each block's rows, many trees in one
-vectorised pass, and hold one block of rows at a time. A level's gather
-stays within ``_SLAB`` words (one per edge at least), and no temporary
-holds an integer per pair of nodes.
+vectorised pass (``EsTree.from_rows``), and hold one block of rows at a
+time. A level's gather stays within ``_SLAB`` words (one per edge at
+least), and no temporary holds an integer per pair of nodes.
 """
 
 from __future__ import annotations
@@ -231,31 +231,20 @@ _BLOCK = 64       # roots one block hands out
 _WORD = np.dtype("<u8")  # little-endian, so unpackbits reads bit i as root i
 
 
-class TreeStart(NamedTuple):
-    """An exact tree's initial state, read off a ``RootDistances`` block:
-    the levels and support counts of ``root``'s tree cut at ``bound``, in
-    ``graph`` at ``version``."""
-
-    graph: "DecrementalGraph"
-    version: int
-    root: int
-    bound: int
-    level: list
-    count: list
-
-
 class RootDistances:
     """Distances from ``roots``, ascending distinct nodes of a
     ``DecrementalGraph`` (every node by default), at one version: ``blocks``,
-    ``starts`` and ``within`` raise ``InvalidParameters`` once the graph has
-    changed.
+    ``starts``, ``within`` and ``farthest`` raise ``InvalidParameters`` once
+    the graph has changed. Only this module reads the rows; trees are set
+    from them through ``EsTree.from_rows``.
 
     ``blocks`` hands out the roots in ascending blocks of ``_BLOCK``. While a
     block is current, ``dist[i, y]`` is the distance from its i-th root to y,
     or ``unreached`` if y is not in that root's component: int16 below 32,767
     nodes. ``unreached`` is the dtype's largest value, above every distance;
-    ``starts`` and ``within`` cut at unreached - 1 at most, so no depth
-    bound, n or more included, gives an unreached node a finite level.
+    ``starts``, ``within`` and ``farthest`` cut at unreached - 1 at most, so
+    no depth bound, n or more included, gives an unreached node a finite
+    level.
     ``count[i, y]``, of the same dtype, is the number of y's neighbours one
     level below y from the i-th root: the support count of y in that root's
     exact tree at any depth bound y's level is within. A block of b roots
@@ -412,11 +401,11 @@ class RootDistances:
             raise InvalidParameters(f"root {root} is not in the current block {self.roots}")
         return self.roots.index(root)
 
-    def starts(self, roots: list[int], bound: int) -> list[TreeStart]:
-        """The exact trees of ``roots``, all in the current block, cut at
-        ``bound``, set in one vectorised pass: per tree the levels (ints, INF
-        past the bound or out of reach) and, per node, the number of
-        neighbours one level lower (0 past the bound)."""
+    def starts(self, roots: list[int], bound: int) -> list[tuple[list, list]]:
+        """The states of the exact trees of ``roots``, all in the current
+        block, cut at ``bound``, set in one vectorised pass: per tree the
+        levels (ints, INF past the bound or out of reach) and, per node, the
+        number of neighbours one level lower (0 past the bound)."""
         if not roots:
             return []
         at = [self._row(x) for x in roots]
@@ -426,15 +415,19 @@ class RootDistances:
         level[past] = INF
         count = self.count[at]
         count[past] = 0
-        g, version = self.graph, self.version
-        return [TreeStart(g, version, x, bound, lv, c)
-                for x, lv, c in zip(roots, level.tolist(), count.tolist())]
+        return list(zip(level.tolist(), count.tolist()))
 
     def within(self, root: int, radius: int) -> list[int]:
         """The nodes at distance at most ``radius`` from ``root``, a root of
         the current block, ascending."""
         row = self.dist[self._row(root)]
         return np.flatnonzero(row <= min(radius, self.unreached - 1)).tolist()
+
+    def farthest(self) -> int:
+        """The largest finite distance from a root of the current block."""
+        self._check_version()
+        dist = self.dist
+        return int(dist.max(initial=0, where=dist < self.unreached))
 
 
 def _check_weight(w) -> None:

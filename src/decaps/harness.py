@@ -36,7 +36,7 @@ from .graph_core import (
     write_edge_list,
     write_trace,
 )
-from .oracle import NumpyBfsOracle, check_locally_persevering, check_stretch
+from .oracle import DEF8_NODE_CAP, NumpyBfsOracle, check_locally_persevering, check_stretch
 from .randomized_apsp import ApspIndexRandom
 
 CSV_SCHEMA = "#schema=2"
@@ -48,7 +48,6 @@ CSV_HEADER = "version,algorithm," + ",".join(CSV_COUNTERS)
 AUDIT_LEVELS = ("none", "stretch", "full")
 FULL_AUDIT_NODE_CAP = 64
 SLACK = 1e-9  # added to beta, so that rounding in alpha * d fails no answer at the bound
-DEF8_NODE_CAP = 12
 
 
 @dataclass
@@ -96,9 +95,12 @@ def build_graph(cfg: ExperimentConfig) -> DecrementalGraph:
         n, m = cfg.gnm
         return gnm_graph(n, m, cfg.seed)
     kind, _, rest = cfg.generator.partition(":")
-    if kind not in ("path", "grid"):
-        raise ConfigInvalid(f"unknown generator {cfg.generator!r}")
-    sizes = [int(size) for size in rest.split(":")]
+    try:
+        sizes = [int(size) for size in rest.split(":")]
+    except ValueError:
+        sizes = []
+    if len(sizes) != {"path": 1, "grid": 2}.get(kind):
+        raise ConfigInvalid(f"generator {cfg.generator!r} is not 'path:N' or 'grid:R:C'")
     if min(sizes) < 1:
         raise ConfigInvalid(f"generator sizes must be at least 1, got {cfg.generator!r}")
     if kind == "path":

@@ -75,8 +75,8 @@ Every weight is an integer of at least 1 (``WeightedAdjacency`` rejects
 others). Levels start from a bucket (Dial) search over those weights, which
 on unit weights is a BFS and counts every node's supports in the same pass:
 c(u) = |{v : level(v) + w(u, v) <= level(u)}|. An exact tree may instead
-be set from its root's row of a BFS from a block of roots at once
-(``RootDistances.starts``): on unit weights c(u) counts the neighbours one
+be set from its root's row of a BFS from many roots at once
+(``EsTree.from_rows``): on unit weights c(u) counts the neighbours one
 level lower, so the row gives the same levels and counts. The repair
 raises a node without support by one unit at a time. ``parent`` scans the
 node's adjacency, O(deg).
@@ -101,10 +101,10 @@ class MonotoneEsTree:
         self._setup(h.adj, root, bound)
 
     def _setup(self, adj: list[dict[int, int]], root: int, bound: int,
-               start=None) -> None:
-        """Check the parameters and set the initial levels: from ``start``
-        (a ``TreeStart`` of the unit-weight graph ``adj``) when given, else
-        by the bucket search."""
+               state=None) -> None:
+        """Check the parameters and set the initial levels: from ``state``,
+        the levels and counts ``EsTree.from_rows`` read off the root's row,
+        when given, else by the bucket search."""
         n = len(adj)
         if not 0 <= root < n:
             raise NodeOutOfRange(f"root {root} not in [0, {n})")
@@ -116,14 +116,10 @@ class MonotoneEsTree:
         self.level_increases = 0
         self.ops = 0
         self._adj = adj  # shared with every tree on the graph; read only
-        if start is None:
+        if state is None:
             self._init_levels()
-        elif start.root != root or start.bound != self.bound:
-            raise InvalidParameters(
-                f"the state is of root {start.root} at depth {start.bound}, "
-                f"not of root {root} at depth {self.bound}")
         else:
-            self.level, self._count = start.level, start.count
+            self.level, self._count = state
 
     # -- initialization ----------------------------------------------------
 

@@ -232,6 +232,9 @@ def _persevering_path_exists(n, snapshots, t1, x, y, bounds) -> bool:
     return False
 
 
+DEF8_NODE_CAP = 12  # the most nodes check_locally_persevering takes
+
+
 def check_locally_persevering(n: int, initial_edges, trace, h_snapshots,
                               alpha: float, beta: float, tau: int):
     """Brute-force check of the locally-persevering emulator conditions.
@@ -240,10 +243,10 @@ def check_locally_persevering(n: int, initial_edges, trace, h_snapshots,
     sorted edge pairs to weights. Returns (ok, counterexample) where the
     counterexample carries the violating pair, time, and reason.
 
-    Exponential in spirit; refuses graphs with more than 12 nodes.
+    Exponential in spirit; refuses graphs of more than DEF8_NODE_CAP nodes.
     """
-    if n > 12:
-        raise TooLarge(f"brute-force checker capped at 12 nodes, got {n}")
+    if n > DEF8_NODE_CAP:
+        raise TooLarge(f"brute-force checker capped at {DEF8_NODE_CAP} nodes, got {n}")
     k = len(trace)
     if len(h_snapshots) != k + 1:
         raise ShapeMismatch(f"need {k + 1} emulator snapshots, got {len(h_snapshots)}")

@@ -121,6 +121,8 @@ class ApspIndexRandom:
                  sampling_constant: float = 3.0, hubs=None):
         if not 0 < eps <= 1:
             raise InvalidEpsilon(f"eps must be in (0, 1], got {eps}")
+        if not sampling_constant > 0:  # NaN too
+            raise InvalidParameters(f"need a sampling constant > 0, got {sampling_constant}")
         self.g = g
         self.eps = eps
         self.eps_hat = eps / 18.0

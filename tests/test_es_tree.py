@@ -262,8 +262,8 @@ def test_tree_set_from_row_equals_searched_tree(data):
         for block in rows.blocks():
             assert len(block) == min(size, n - block.start)
             roots = [x for x in block if rng.random() < 0.7]
-            for x, start in zip(roots, rows.starts(roots, depth)):
-                trees[x] = from_row = EsTree(g, x, depth, start)
+            for x, from_row in zip(roots, EsTree.from_rows(rows, roots, depth)):
+                trees[x] = from_row
                 searched = EsTree(g, x, depth)
                 for a, b in zip(from_row.level, searched.level):
                     assert a is INF if b is INF else type(a) is int and a == b
@@ -336,24 +336,29 @@ def test_tree_rejects_rows_of_another_graph_or_version(fig_graph):
     for roots in ([2, 0, 2], [1, 1], [3, 1]):  # a repeated root would overwrite its own bit
         with pytest.raises(InvalidParameters):
             RootDistances(fig_graph, roots)
+    # from_rows refuses before it builds any tree: a spy counts the builds
+    setup = mock.patch.object(EsTree, "_setup", autospec=True, side_effect=EsTree._setup)
     rows = RootDistances(fig_graph)
-    with mock.patch.object(graph_core, "_BLOCK", 3):
+    with mock.patch.object(graph_core, "_BLOCK", 3), setup as built:
         blocks = rows.blocks()
         next(blocks)
-        start = rows.starts([0], 3)[0]
         with pytest.raises(InvalidParameters):
             rows.starts([3], 3)  # a root of another block
         with pytest.raises(InvalidParameters):
-            EsTree(fig_graph.copy(), 0, 3, start)
+            EsTree.from_rows(rows, [0, 3], 3)
+        assert built.call_count == 0
+        assert [t.root for t in EsTree.from_rows(rows, [2, 0], 3)] == [2, 0]
         with pytest.raises(NodeOutOfRange):
-            EsTree(fig_graph, -1, 3, start)
+            EsTree(fig_graph, -1, 3)
         with pytest.raises(InvalidParameters):
-            EsTree(fig_graph, 1, 3, start)  # another root
-        with pytest.raises(InvalidParameters):
-            EsTree(fig_graph, 0, 4, start)  # another depth
+            EsTree(fig_graph, 0, 0)
         next(blocks)
+        built.reset_mock()
         with pytest.raises(InvalidParameters):
             rows.within(0, 1)  # the block has passed
+        with pytest.raises(InvalidParameters):
+            EsTree.from_rows(rows, [0], 3)
+        assert built.call_count == 0
     rows = RootDistances(fig_graph)
     next(rows.blocks())
     fig_graph.delete_edge(0, 1)  # the graph moves on while the block is current
@@ -362,7 +367,11 @@ def test_tree_rejects_rows_of_another_graph_or_version(fig_graph):
     with pytest.raises(InvalidParameters):
         rows.starts([0], 3)
     with pytest.raises(InvalidParameters):
-        EsTree(fig_graph, 0, 3, start)
+        rows.farthest()
+    with setup as built:
+        with pytest.raises(InvalidParameters):
+            EsTree.from_rows(rows, [0], 3)
+        assert built.call_count == 0
     # one search holds every root of the path 0-1-2-3; once the graph has
     # moved on, the next block refuses before it unpacks or searches
     path = DecrementalGraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])

@@ -97,7 +97,7 @@ def test_config_validation():
     with pytest.raises(ConfigInvalid):
         run_experiment(ExperimentConfig(algorithm="det_apsp", gnm=(100, 200),
                                         audit="full"))
-    for generator in ("path:0", "grid:3:0", "ring:4"):
+    for generator in ("path:0", "grid:3:0", "ring:4", "grid:3", "path:3:4", "path:x", "path:"):
         with pytest.raises(ConfigInvalid):
             run_experiment(ExperimentConfig(algorithm="fully_dynamic", generator=generator))
     for gnm in ((5, -3), (0, 0), (-2, 0)):

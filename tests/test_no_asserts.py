@@ -3,7 +3,8 @@
 Invariants must raise typed errors, not ``assert``: assert statements vanish
 under ``python -O``. A tree's support counts are the tree engine's own, and
 so are its work counters: every other module reads them through ``stats()``.
-A deterministic cover is built in one place, ``build_covers``.
+A deterministic cover is built in one place, ``build_covers``, and the
+rows of a ``RootDistances`` are read in one place, ``graph_core``.
 """
 
 import ast
@@ -38,6 +39,12 @@ def test_only_the_tree_engine_reads_support_counts():
     assert _readers("_count") == {"es_tree", "monotone_es_tree"}
 
 
+def test_only_graph_core_reads_the_rows():
+    # the row format (the int16 rows and their sentinel) stays in graph_core:
+    # trees are set through starts, a build trigger asks farthest()
+    assert _readers("unreached", "dist") == {"graph_core"}
+
+
 def test_only_the_tree_engine_reads_work_counters():
     # every structure, a tree too, reports its work through stats(), which
     # es_tree.tree_stats sums over a list of trees
@@ -70,3 +77,9 @@ def test_only_build_covers_builds_a_deterministic_cover():
     # both through build_covers: a cover built from scratch on the graph as
     # it stands has one build path
     assert _call_sites("DetCenterCover", "MovingCenters") == ["deterministic_apsp.build_covers"]
+
+
+def test_only_from_rows_sets_trees_from_rows():
+    # every tree set from rows goes through EsTree.from_rows and so through
+    # EsTree.__init__, where the benchmark's tracer records its build
+    assert _call_sites("starts") == ["es_tree.from_rows"]

@@ -107,6 +107,10 @@ def test_apsp_init_validation(fig_graph):
         ApspIndexRandom(fig_graph, 0.0)
     with pytest.raises(InvalidEpsilon):
         ApspIndexRandom(fig_graph, 2.0)
+    # 0 and -1 would sample no hub and no center, NaN every node
+    for constant in (0, -1, math.nan):
+        with pytest.raises(InvalidParameters):
+            ApspIndexRandom(fig_graph, 1.0, sampling_constant=constant)
 
 
 def test_apsp_layer_parameters(fig_graph):
