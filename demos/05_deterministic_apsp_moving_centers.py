@@ -7,13 +7,17 @@ Layer-level opens stay below 2n/q and the total moving distance below n.
 """
 
 from decaps import ApspIndexDet, DecrementalGraph, bfs_apsp, build_covers
+from decaps.es_tree import after_delete_all
 
 
 def delete(cov, u, v):
-    """Delete (u, v) as ApspIndexDet.delete does for each of its covers: from
-    the graph, then the split search, then the cover's coverage upkeep."""
+    """Delete (u, v) as ApspIndexDet.delete does: from the graph, then the
+    split search, the cover's first step, the repair of the trees it reads,
+    and its last step."""
     cov.g.delete_edge(u, v)
-    cov.on_deleted(u, v, cov.g.split_side(u, v))
+    cut = cov.g.split_side(u, v)
+    cov.on_deleted(u, v)
+    cov.after_delete(dict(after_delete_all(cov.trees, u, v, cut)))
 
 
 def main():

@@ -7,9 +7,11 @@ whose weights are all 1, kept to depth bound ``depth``. A tree starts from
 a BFS from its root, or from its root's row of a ``graph_core.RootDistances``
 block: ``EsTree.from_rows`` sets the trees of many roots of a block in one
 vectorised pass, as ``ApspIndexDet`` and the emulator's hub trees do at
-build time. The owner deletes an edge from the graph once and repairs its
-trees with ``after_delete_all``, which calls ``after_delete`` only on the
-trees whose levels the deletion changes. Levels, the one-step drop of a
+build time. ``set_depth`` changes the depth a tree is kept to in place, so
+one tree serves readers of several depths, as ``ApspIndexDet``'s do. The
+owner deletes an edge from the graph once and repairs its trees with
+``after_delete_all``, which calls ``after_delete`` only on the trees whose
+levels the deletion changes. Levels, the one-step drop of a
 cut-off side and the work counters (``level_increases``, and ``ops``,
 which counts neighbour checks) are the monotone tree's;
 ``monotone_es_tree`` shows why they are exact. Other modules read them
@@ -20,7 +22,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .graph_core import DecrementalGraph, RootDistances
+import numpy as np
+
+from .errors import InvalidParameters
+from .graph_core import INF, DecrementalGraph, RootDistances
 from .monotone_es_tree import MonotoneEsTree
 
 __all__ = ["EsTree", "after_delete_all", "tree_stats"]
@@ -37,13 +42,41 @@ class EsTree(MonotoneEsTree):
         self._setup(graph._adj, root, depth, _state)
 
     @classmethod
-    def from_rows(cls, rows: RootDistances, roots: list[int], depth: int) -> list[EsTree]:
+    def from_rows(cls, rows: RootDistances, roots: list[int],
+                  depth: int | list[int]) -> list[EsTree]:
         """The trees of ``roots``, all in the current block of ``rows``, to
-        depth ``depth``, set from their rows in one vectorised pass instead
-        of a search each. Raises ``InvalidParameters`` before it builds a
-        tree if a root is not in the block or the graph has changed."""
-        return [cls(rows.graph, x, depth, _state=state)
-                for x, state in zip(roots, rows.starts(roots, depth))]
+        ``depth``, one for all or one per root, set from their rows in one
+        vectorised pass instead of a search each. Raises
+        ``InvalidParameters`` before it builds a tree if a root is not in
+        the block or the graph has changed."""
+        depths = np.broadcast_to(depth, len(roots)).tolist()
+        return [cls(rows.graph, x, d, _state=state)
+                for x, d, state in zip(roots, depths, rows.starts(roots, depths))]
+
+    def set_depth(self, depth: int, like: EsTree | None = None) -> None:
+        """Keep the tree to ``depth`` from now on, in the same ``level`` and
+        ``_count`` lists, so every reader's list stays valid. A deeper tree
+        is searched anew on the graph as it stands, or takes the state of
+        ``like``, a tree of the same root and depth that ``from_rows`` set on
+        the graph as it stands; a shallower one sets every level past
+        ``depth`` to INF and its count to 0, the state of a tree kept to
+        ``depth``. Neither counts as work."""
+        if depth < 1:
+            raise InvalidParameters(f"need a depth bound of at least 1, got {depth}")
+        if like is not None and (like.root, like.bound) != (self.root, depth):
+            raise InvalidParameters(
+                f"need a tree of root {self.root} and depth {depth}, "
+                f"got root {like.root} and depth {like.bound}")
+        level, count = self.level, self._count
+        if depth > self.bound:
+            self.bound = depth
+            level[:], count[:] = self._search() if like is None else (like.level, like._count)
+        elif depth < self.bound:
+            self.bound = depth
+            for y, ly in enumerate(level):
+                if ly > depth:  # INF too
+                    level[y] = INF
+                    count[y] = 0
 
     def after_delete(self, u: int, v: int, cut=None) -> set[int]:
         """Repair levels after (u, v) was removed from the shared graph.

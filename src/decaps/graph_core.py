@@ -401,16 +401,18 @@ class RootDistances:
             raise InvalidParameters(f"root {root} is not in the current block {self.roots}")
         return self.roots.index(root)
 
-    def starts(self, roots: list[int], bound: int) -> list[tuple[list, list]]:
+    def starts(self, roots: list[int], bound: int | list[int]) -> list[tuple[list, list]]:
         """The states of the exact trees of ``roots``, all in the current
-        block, cut at ``bound``, set in one vectorised pass: per tree the
-        levels (ints, INF past the bound or out of reach) and, per node, the
-        number of neighbours one level lower (0 past the bound)."""
+        block, cut at ``bound``, one for all or one per root, set in one
+        vectorised pass: per tree the levels (ints, INF past the bound or out
+        of reach) and, per node, the number of neighbours one level lower (0
+        past the bound)."""
         if not roots:
             return []
         at = [self._row(x) for x in roots]
         rows = self.dist[at]
-        past = rows > min(bound, self.unreached - 1)
+        cap = np.minimum(bound, self.unreached - 1).astype(self._dtype)
+        past = rows > np.reshape(cap, (-1, 1))
         level = rows.astype(object)
         level[past] = INF
         count = self.count[at]

@@ -116,15 +116,13 @@ class MonotoneEsTree:
         self.level_increases = 0
         self.ops = 0
         self._adj = adj  # shared with every tree on the graph; read only
-        if state is None:
-            self._init_levels()
-        else:
-            self.level, self._count = state
+        self.level, self._count = self._search() if state is None else state
 
     # -- initialization ----------------------------------------------------
 
-    def _init_levels(self) -> None:
-        """Bucket search to the depth bound; counts supports on the way.
+    def _search(self) -> tuple[list, list]:
+        """The levels and support counts of a bucket search to the depth
+        bound, which counts supports on the way.
 
         Buckets are settled in increasing level, and every weight is at
         least 1, so a node's supports are all settled, and counted, before
@@ -153,8 +151,7 @@ class MonotoneEsTree:
                             buckets.append([])
                         buckets[nd].append(z)
             d += 1
-        self.level = level
-        self._count = count
+        return level, count
 
     # -- queries -------------------------------------------------------------
 
@@ -240,16 +237,18 @@ class MonotoneEsTree:
         return raised
 
     def _drop_side(self, cut) -> set[int]:
-        """Set every finite level on the root-less side of a split to INF.
+        """Set every finite level on the root-less side of a split to INF
+        and its count to 0, as in a tree built after the split.
 
         Counted in units, as a rise to bound + 1; costs no op.
         """
-        level = self.level
+        level, count = self.level, self._count
         gone = cut_off(level, self.root, cut)
         top = self.bound + 1
         for y in gone:
             self.level_increases += top - level[y]
             level[y] = INF
+            count[y] = 0
         return set(gone)
 
     # -- level maintenance -----------------------------------------------------

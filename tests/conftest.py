@@ -4,6 +4,7 @@ import random
 import pytest
 
 from decaps.emulator import LocallyPerseveringEmulator
+from decaps.es_tree import after_delete_all
 from decaps.graph_core import INF, DecrementalGraph
 from decaps.monotone_es_tree import MonotoneEsTree
 from decaps.randomized_apsp import RandomCenterCover, _sample_centers, depth_bound_floor
@@ -58,7 +59,8 @@ def delete_edge(structure, u: int, v: int) -> None:
 
     A ``RandomCenterCover`` (from ``standalone_cover``): the emulator's
     batch, every tree's repair, then ``on_batch``. A ``DetCenterCover``: the
-    graph deletion, ``split_side``, then ``on_deleted``.
+    graph deletion and ``split_side``, then ``on_deleted``, the repair of
+    every tree the cover reads and ``after_delete``.
     """
     if isinstance(structure, RandomCenterCover):
         em = structure.emulator
@@ -68,20 +70,34 @@ def delete_edge(structure, u: int, v: int) -> None:
         return
     g = structure.g
     g.delete_edge(u, v)
-    structure.on_deleted(u, v, g.split_side(u, v))
+    cut = g.split_side(u, v)
+    structure.on_deleted(u, v)
+    structure.after_delete(dict(after_delete_all(structure.trees, u, v, cut)))
 
 
 def tree_state(t):
-    """A tree's root, levels, support counts and work counters."""
-    return t.root, t.levels(), list(t._count), t.level_increases, t.ops
+    """A tree's root, depth, levels, support counts and work counters."""
+    return t.root, t.bound, t.levels(), list(t._count), t.level_increases, t.ops
+
+
+def cut_state(t, bound: int):
+    """The root, levels and support counts of a tree kept to ``bound``, read
+    off ``t``, an exact tree at least as deep: levels past ``bound`` read
+    INF and their counts 0."""
+    past = [ly > bound for ly in t.level]
+    return (t.root, [INF if p else ly for p, ly in zip(past, t.level)],
+            [0 if p else c for p, c in zip(past, t._count)])
 
 
 def cover_state(layer):
     """Everything a deletion may change in a ``DetCenterCover``: its
-    centers, trees, cover lists, counters and ledger."""
-    return (layer._location, [tree_state(t) for t in layer._trees],
-            [list(level) for level in layer._levels], layer._cover, layer.opens,
-            layer.moving_distance, layer.stats(), layer.collected, layer.radius2)
+    centers, their trees read through their locations and cut at the
+    cover's bound, cover lists, counters and ledger."""
+    trees = [layer.trees[x] for x in layer._location]
+    return (layer._location, [cut_state(t, layer.bound) for t in trees],
+            [t.level is level for t, level in zip(trees, layer._levels)],
+            layer._cover, layer.opens, layer.moving_distance, layer.stats(),
+            layer.collected, layer.radius2)
 
 
 def det_state(idx):

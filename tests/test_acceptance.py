@@ -404,10 +404,12 @@ def test_criterion_10_work_accounting():
 
 def test_criterion_11_det_total_work():
     # the paper bounds the deterministic index's total update time by
-    # O~(m n / eps); ops counts every neighbour check of every tree it built.
-    # Each tree of depth bound b raises each of its n nodes at most b + 1
-    # times (Even-Shiloach): the n patch trees, and per layer one tree per
-    # open and per move, which charges a moving distance of at least 1
+    # O~(m n / eps); ops counts every neighbour check of its n trees. A tree
+    # of depth bound b raises each of its n nodes at most b + 1 times
+    # (Even-Shiloach) between two searches, and lowering the bound raises
+    # none: the n trees start at the patch's range or at a cover's bound,
+    # and an open or a move (which charges a moving distance of at least 1)
+    # searches one tree anew to its layer's bound
     t0 = time.time()
     eps = 0.5
     runs = []

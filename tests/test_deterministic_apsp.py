@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decaps.deterministic_apsp import ApspIndexDet, build_covers
+from decaps.es_tree import EsTree
 from decaps.errors import (
     EdgeAbsent,
     InvalidEpsilon,
+    InvalidParameters,
     InvalidRange,
     NodeOutOfRange,
     RateViolation,
@@ -35,6 +38,12 @@ from conftest import (
     random_graph_and_trace,
     reference_search,
 )
+
+
+def patch_level(idx, x, y):
+    """The patch's level of y from x: the tree at x cut at ``patch_range``."""
+    level = idx.patch[x].level_query(y)
+    return level if level <= idx.patch_range else INF
 
 
 def fig3_path(q):
@@ -79,6 +88,21 @@ def test_mc_rate_violation(fig_graph):
     mc.move(j, 5, bfs_levels(fig_graph, 0)[5])  # fine after a deletion
     with pytest.raises(RateViolation):
         mc.move(j, 2, bfs_levels(fig_graph, 5)[2])
+
+
+def test_mc_one_center_per_node():
+    # a cover reads the one tree at each node, so no two centers share one
+    g = DecrementalGraph.from_edge_list(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    mc = build_covers(g, [(4, 4)])[0]
+    i, j = mc.open(0), mc.open(3)
+    with pytest.raises(InvalidParameters):
+        mc.open(0)
+    with pytest.raises(InvalidParameters):
+        mc.move(j, 0, INF)
+    assert mc.centers == [0, 3] and (mc.opens, mc.moving_distance) == (2, 0)
+    delete_edge(mc, 1, 2)
+    mc.move(i, 0, 0)  # a move to its own node
+    assert mc.centers == [0, 3] and mc.find_center(1) == i and mc.find_center(2) is None
 
 
 def test_mc_move_across_components():
@@ -273,12 +297,15 @@ def test_incremental_greedy_matches_full_scan(data):
 # fell by exactly the lower one's. The grid's covers are built with the
 # index; the gnm graph's distances stay within the patch's range until its
 # 117th deletion, which builds them (built with the index, they read 23
-# opens and 23 moving distance in layer 2, 546,385 and 260,335).
+# opens and 23 moving distance in layer 2, 546,385 and 260,335). One tree
+# per root, shared by the patch and every cover, took the totals from
+# 302,876 and 21,153, 539,944 and 236,643: a cover no longer repairs a tree
+# of its own at a node the patch already roots.
 PINNED_COUNTERS = [
     ("grid", "adversarial-path-peel",
-     [100, 39, 12, 5, 2], [0, 0, 12, 15, 14], 302876, 21153),
+     [100, 39, 12, 5, 2], [0, 0, 12, 15, 14], 244362, 12337),
     ("gnm", "random",
-     [120, 52, 22, 7, 2], [0, 0, 22, 19, 10], 539944, 236643),
+     [120, 52, 22, 7, 2], [0, 0, 22, 19, 10], 377437, 149414),
 ]
 
 
@@ -295,7 +322,7 @@ def test_det_apsp_counters_pinned(graph, order, opens, moving, increases, ops):
     trees = {}  # every tree that ever lived, kept alive so ids stay unique
 
     def collect():
-        for tree in idx.patch + [t for layer in idx.layers for t in layer._trees]:
+        for tree in idx.patch:
             trees[id(tree)] = tree
     collect()
     for u, v in trace:
@@ -303,9 +330,10 @@ def test_det_apsp_counters_pinned(graph, order, opens, moving, increases, ops):
         collect()
     assert [layer.opens for layer in idx.layers] == opens
     assert [layer.moving_distance for layer in idx.layers] == moving
+    # opens and moves change a tree's depth, never the tree
+    assert len(trees) == g.n
     assert sum(t.level_increases for t in trees.values()) == increases
     assert sum(t.ops for t in trees.values()) == ops
-    # the index's own tallies count the trees that moves retired
     stats = idx.stats()
     assert stats["level_increases"] == increases
     assert stats["ops"] == ops
@@ -325,7 +353,7 @@ def test_a_deletion_past_the_patch_range_builds_the_layers():
     assert idx.query(0, 8) == 8
     idx.delete(0, 15)
     assert idx.layers
-    assert idx.patch[0].level[15] is INF
+    assert idx.patch[0].level[15] > idx.patch_range  # cut off by the patch
     assert 15 <= idx.query(0, 15) <= 1.5 * 15
 
 
@@ -491,7 +519,8 @@ def test_det_apsp_full_trace_sandwich(data):
 
 def test_search_layers_matches_reference_search():
     # the grid peel moves centers in the top three covers, and each move
-    # replaces a tree, so the search must read the new tree's levels
+    # hands the center another node's tree, so the search must read that
+    # tree's levels (test_one_shared_tree_per_root checks the level lists)
     g = build_graph(ExperimentConfig("det_apsp", generator="grid:10:10"))
     trace = generate_trace(g, "adversarial-path-peel")
     idx = ApspIndexDet(g, 0.5)
@@ -499,13 +528,11 @@ def test_search_layers_matches_reference_search():
     for deletion in [None, *trace]:
         if deletion is not None:
             idx.delete(*deletion)
-        for layer in idx.layers:
-            assert all(level is tree.level for level, tree in zip(layer._levels, layer._trees))
         for x in range(0, 100, 7):
             for y in range(100):
                 ref = reference_search(idx.layers, x, y)
                 assert search_layers(idx.layers, x, y) == ref
-                patch = idx.patch[x].level_query(y)
+                patch = patch_level(idx, x, y)
                 assert idx.query(x, y) == (ref if patch is INF else patch)
                 layered += patch is INF and ref is not INF
     assert sum(layer.moving_distance for layer in idx.layers) > 0 and layered > 0
@@ -534,10 +561,85 @@ def test_det_apsp_answers_pinned():
                 idx.delete(u, v)
                 answers = [[idx.query(x, y) for y in range(g.n)] for x in range(g.n)]
                 digest.update(repr(answers).encode())
-                layered += sum(idx.patch[x].level_query(y) is INF and answers[x][y] is not INF
+                layered += sum(patch_level(idx, x, y) is INF and answers[x][y] is not INF
                                for x in range(g.n) for y in range(g.n))
     assert layered > 0  # the covers answer some pairs, not only the patch
     assert digest.hexdigest() == ANSWERS_SHA256
+
+
+def check_shared_trees(idx):
+    """Every root's one tree holds the levels and counts of a fresh tree of
+    its depth, that depth is its deepest reader's (the patch's range, or the
+    bound of a cover with a center there), and every center reads the tree
+    at its node."""
+    g = idx.g
+    for x, tree in enumerate(idx.patch):
+        assert tree.root == x
+        assert tree.bound == max([idx.patch_range] + [
+            layer.bound for layer in idx.layers if x in layer.centers])
+        fresh = EsTree(g, x, tree.bound)
+        assert tree.level == fresh.level and tree._count == fresh._count
+    for layer in idx.layers:
+        assert all(level is idx.patch[layer.location(j)].level
+                   for j, level in enumerate(layer._levels))
+
+
+@pytest.mark.parametrize("graph", ["grid", "gnm", "later-block"])
+def test_one_shared_tree_per_root(graph):
+    # the 10x10 grid builds its covers with the index, and its peel moves
+    # centers; G(120, 360) builds them in its 117th deletion; the clique
+    # with arms in its second block of roots
+    if graph == "grid":
+        g = build_graph(ExperimentConfig("det_apsp", generator="grid:10:10"))
+        trace = generate_trace(g, "adversarial-path-peel")
+    elif graph == "gnm":
+        g = gnm_graph(120, 360, seed=1)
+        trace = generate_trace(g, "random", seed=1)
+    else:
+        g = clique_with_arms()
+        trace = [(0, 64), (2, 3), (70, 71), (1, 70)]
+    idx = ApspIndexDet(g, 0.5)
+    check_shared_trees(idx)
+    for u, v in trace:
+        idx.delete(u, v)
+        check_shared_trees(idx)
+    if graph != "later-block":
+        # centers moved, so trees were lowered and deepened
+        assert sum(layer.moving_distance for layer in idx.layers) > 0
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_scales_in_any_order_read_trees_of_their_depth(shared):
+    # covers built in descending order of their bounds open what ascending
+    # ones do, and every tree holds the depth of its deepest reader, whether
+    # build_covers sets the trees or deepens an index's from depth 4
+    g = build_graph(ExperimentConfig("det_apsp", generator="grid:10:10"))
+    scales = [(1, 8), (2, 16), (4, 32)]
+    trees = [EsTree(g, x, 4) for x in range(g.n)] if shared else None
+    objects = list(trees) if shared else None
+    covers = build_covers(g, scales[::-1], trees, 4 if shared else 1)
+    ascending = build_covers(g.copy(), scales)
+    assert [cover_state(c) for c in covers] == [cover_state(c) for c in ascending[::-1]]
+    trees = covers[0].trees
+    if shared:
+        assert all(a is b for a, b in zip(trees, objects))
+    for x, tree in enumerate(trees):
+        assert tree.bound == max([4 if shared else 1] + [
+            c.bound for c in covers if x in c.centers])
+        fresh = EsTree(g, x, tree.bound)
+        assert tree.level == fresh.level and tree._count == fresh._count
+
+
+def test_one_tree_object_per_node():
+    # the patch and every cover of the 30x30 grid read the same 900 trees
+    g = build_graph(ExperimentConfig("det_apsp", generator="grid:30:30"))
+
+    def trees():
+        gc.collect()
+        return sum(isinstance(obj, EsTree) for obj in gc.get_objects())
+    before = trees()
+    idx = ApspIndexDet(g, 0.5)
+    assert idx.layers and trees() - before == g.n == len(idx.patch)
 
 
 def test_build_temporaries_stay_small():

@@ -254,27 +254,33 @@ def test_tree_set_from_row_equals_searched_tree(data):
     g = DecrementalGraph.from_edge_list(n, g.edges())
     # blocks of one root, of a few, and of more roots than there are nodes
     size = data.draw(st.sampled_from([1, 2, 7, n, n + 3]))
-    # depth bounds below, at and above n
-    depth = data.draw(st.sampled_from([1, 2, max(1, n - 1), n, n + 1, 3 * n]))
+    # depth bounds below, at and above n, one for all roots or one per root
+    bounds = [1, 2, max(1, n - 1), n, n + 1, 3 * n]
+    depth = data.draw(st.sampled_from(bounds))
+    per_root = data.draw(st.booleans())
     rows = RootDistances(g)
     trees = {}
     with mock.patch.object(graph_core, "_BLOCK", size):
         for block in rows.blocks():
             assert len(block) == min(size, n - block.start)
             roots = [x for x in block if rng.random() < 0.7]
-            for x, from_row in zip(roots, EsTree.from_rows(rows, roots, depth)):
+            depths = [rng.choice(bounds) if per_root else depth for _ in roots]
+            built = EsTree.from_rows(rows, roots, depths if per_root else depth)
+            for x, d, from_row in zip(roots, depths, built):
                 trees[x] = from_row
-                searched = EsTree(g, x, depth)
+                searched = EsTree(g, x, d)
+                assert from_row.bound == d
                 for a, b in zip(from_row.level, searched.level):
                     assert a is INF if b is INF else type(a) is int and a == b
                 assert from_row._count == searched._count
-                assert rows.within(x, depth) == [
+                assert rows.within(x, d) == [
                     y for y, ly in enumerate(searched.level) if ly is not INF]
     assert rows.dist is None  # the last block is freed
     if not trees:
         return
     root = data.draw(st.sampled_from(sorted(trees)))
-    from_row, searched = trees[root], EsTree(g, root, depth)
+    from_row = trees[root]
+    searched = EsTree(g, root, from_row.bound)
     order = g.edges()
     rng.shuffle(order)
     for u, v in order[:data.draw(st.integers(0, 6))]:
@@ -282,6 +288,43 @@ def test_tree_set_from_row_equals_searched_tree(data):
         cut = g.split_side(u, v) if data.draw(st.booleans()) else None
         assert from_row.after_delete(u, v, cut) == searched.after_delete(u, v, cut)
         assert from_row.levels() == searched.levels()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_set_depth_gives_a_fresh_tree_in_the_same_lists(data):
+    # deeper, shallower or the same depth after each deletion, a cut dropped
+    # or raised unit by unit: the state of a tree searched at that depth,
+    # in the lists readers hold, and no work counted
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(1, 30))
+    g, order = random_graph_and_trace(rng, n, 2 * n)
+    root = rng.randrange(n)
+    tree = EsTree(g, root, data.draw(st.integers(1, n + 1)))
+    level, count = tree.level, tree._count
+    for u, v in order:
+        g.delete_edge(u, v)
+        tree.after_delete(u, v, g.split_side(u, v) if data.draw(st.booleans()) else None)
+        depth = data.draw(st.integers(1, n + 1))
+        work = tree.stats()
+        if data.draw(st.booleans()):  # the state of a tree set from rows
+            rows = RootDistances(g, [root])
+            for block in rows.blocks():
+                [like] = EsTree.from_rows(rows, block, depth)
+            tree.set_depth(depth, like=like)
+        else:
+            tree.set_depth(depth)
+        fresh = EsTree(g, root, depth)
+        assert tree.level is level and tree._count is count
+        assert tree.bound == depth
+        assert tree.level == fresh.level and tree._count == fresh._count
+        assert tree.stats() == work
+    with pytest.raises(InvalidParameters):
+        tree.set_depth(0)
+    bound = tree.bound
+    with pytest.raises(InvalidParameters):  # a tree of another depth
+        tree.set_depth(bound + 1, like=EsTree(g, root, bound + 2))
+    assert tree.bound == bound
 
 
 @settings(max_examples=60, deadline=None)
