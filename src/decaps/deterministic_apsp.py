@@ -32,26 +32,25 @@ them are built at once, on the graph as it stands, when a finite distance
 first passes the range:
 
 * At construction, in the first block of rows that holds such a
-  distance: ``build_covers`` builds the covers over the blocks before it,
-  and they join the index's sweep from that block on.
+  distance: ``build_covers`` builds the covers over the trees of the
+  blocks before it, and they join the index's sweep from that block on.
 * In the deletion that first pushes one past it. Distances only grow, so
   its tree had the far node in range and drops it to INF. A cut that
   ``split_side`` found changes no distance on the root's side, so only a
   deletion without one fires; a split the capped search missed drops
   nodes the same way and builds the covers early, which is safe.
 
-Construction is block-major (``graph_core.RootDistances``): one wide
-bit-parallel BFS from as many roots as keep a level's gather within
-``_SLAB`` words (all of them on small graphs) hands out their rows a block
-of 64 roots at a time, in ascending blocks, with support counts read off
-its bit-planes. Over each block every cover runs its greedy pass over the
-block's nodes, registering each open's ball from its row, and then one
-``EsTree.from_rows`` call sets the block's trees, each at its depth; a
-trigger's covers deepen the index's existing trees from the same call.
-Covers open in ascending node order and the decision at x reads only the
-cover lists of centers opened at smaller nodes, so this opens what one
-pass over all nodes would. Only one block of rows is held at a time; opens
-and moves after a deletion search from their root.
+Construction is block-major: one wide search from many roots
+(``graph_core.RootDistances``) hands out their rows and support counts a
+block of 64 roots at a time, in ascending blocks. Over each block every
+cover runs its greedy pass over the block's nodes, registering each
+open's ball from its row, and then one ``EsTree.from_rows`` call sets the
+block's trees, each at its depth. Covers open in ascending node order and
+the decision at x reads only the cover lists of centers opened at smaller
+nodes, so this opens what one pass over all nodes would. Only one block
+of rows is held at a time. Over trees that exist already,
+``build_covers`` opens through ``open``, as a deletion does: it deepens
+the tree at its node.
 
 A deletion runs in three steps and costs work in proportion to what it
 changes, not to n:
@@ -104,15 +103,15 @@ class DetCenterCover(CenterCover):
     which the candidate lookup needs. A center lies in its own ball (r^j >=
     0 after every move), so no two sit at one node.
 
-    ``open`` and ``move`` deepen the tree at their node. The construction's
-    greedy pass opens with ``_register`` instead, the ball read off a
-    ``RootDistances`` block. A cover is built only by ``build_covers``.
+    ``open`` and ``move`` deepen the tree at their node. The index's sweep
+    (``_build_block``) opens with ``_register`` instead, the ball read off
+    a ``RootDistances`` block. A cover is built only by ``build_covers``.
     """
 
     def __init__(self, g: DecrementalGraph, q: int, Q: int, trees: list[EsTree],
                  peers: list[DetCenterCover], floor: int):
-        if not 1 <= q <= Q:
-            raise InvalidRange(f"need 1 <= q <= Q, got q={q}, Q={Q}")
+        if not (isinstance(q, int) and isinstance(Q, int) and 1 <= q <= Q):
+            raise InvalidRange(f"need integers 1 <= q <= Q, got q={q!r}, Q={Q!r}")
         super().__init__(g.n, q, Q)
         self.g = g
         self.trees = trees    # the shared tree at every root
@@ -180,10 +179,7 @@ class DetCenterCover(CenterCover):
             self._cover[y].pop(j, None)
         self._location[j] = None
         del self._at[x]
-        depth = self._floor
-        for cover in self._peers:
-            if cover.bound > depth and x in cover._at:
-                depth = cover.bound
+        depth = max([self._floor] + [c.bound for c in self._peers if x in c._at])
         self.trees[x].set_depth(depth)
         return popped
 
@@ -218,8 +214,9 @@ class DetCenterCover(CenterCover):
     def _greedy_open(self, nodes, rows: RootDistances | None = None) -> None:
         """Open a center at each uncovered node whose component has >= q nodes.
 
-        Visits ``nodes`` in ascending id order. With ``rows`` (a build), the
-        nodes lie in its current block and each open only registers.
+        Visits ``nodes`` in ascending id order. With ``rows`` (the index's
+        sweep), the nodes lie in its current block and each open only
+        registers.
         """
         cover = self._cover
         g = self.g
@@ -277,44 +274,38 @@ class DetCenterCover(CenterCover):
 def _build_block(covers: list[DetCenterCover], trees: list[EsTree], floor: int,
                  block: range, rows: RootDistances) -> None:
     """Every cover's greedy pass over ``block``, the current block of
-    ``rows`` (every earlier block must have had its pass), then the block's
-    trees at the depth of their deepest reader, set from the rows by one
-    ``from_rows`` call: new trees, or, where an index's trees already
-    exist, the ones a center needs deeper, deepened in place."""
+    ``rows`` (``trees`` holds the trees of every earlier block, and every
+    cover has had its pass over them), then the block's trees at the depth
+    of their deepest reader, set from the rows by one ``from_rows`` call."""
     depth = {}
     for cover in covers:
         first = len(cover._location)
         cover._greedy_open(block, rows)
         for x in cover._location[first:]:
             depth[x] = max(depth.get(x, floor), cover.bound)
-    if len(trees) == block.start:
-        trees += EsTree.from_rows(rows, block, [depth.get(x, floor) for x in block])
-    else:
-        deeper = [x for x, d in depth.items() if trees[x].bound < d]
-        for fresh in EsTree.from_rows(rows, deeper, [depth[x] for x in deeper]):
-            trees[fresh.root].set_depth(fresh.bound, like=fresh)
+    trees += EsTree.from_rows(rows, block, [depth.get(x, floor) for x in block])
     for cover in covers:
         cover._levels += [trees[x].level for x in cover._location[len(cover._levels):]]
 
 
 def build_covers(g: DecrementalGraph, scales, trees: list[EsTree] | None = None,
-                 floor: int = 1, upto: int | None = None) -> list[DetCenterCover]:
+                 floor: int = 1) -> list[DetCenterCover]:
     """One cover per (q, Q) in ``scales``, in their order, built on ``g`` as
-    it stands: each cover's greedy pass over the ``RootDistances`` blocks of
-    the roots below ``upto`` (every node by default).
+    it stands: each cover's greedy pass over the roots of ``trees`` opens
+    through ``open``, which deepens the tree at its node.
 
-    ``trees`` is an index's list of trees at every root below ``upto``, kept
-    to ``floor``; the covers deepen the trees their centers read, from the
-    same rows. Without it, the covers get a list of their own: a tree at
-    every node, of depth ``floor`` where no center reads it. With ``upto`` <
-    n, the caller hands the covers every later block through
-    ``_build_block``."""
-    rows = RootDistances(g, None if upto is None else range(upto))
-    trees = [] if trees is None else trees
+    ``trees`` is an index's list of trees at the roots 0, 1, ..., kept to
+    ``floor``; the index hands the covers every later root through
+    ``_build_block``. Without it, the covers first get trees of depth
+    ``floor`` at every node from one ``RootDistances`` sweep."""
+    if trees is None:
+        rows = RootDistances(g)
+        trees = [tree for block in rows.blocks()
+                 for tree in EsTree.from_rows(rows, block, floor)]
     covers: list[DetCenterCover] = []
     covers += [DetCenterCover(g, q, Q, trees, covers, floor) for q, Q in scales]
-    for block in rows.blocks():
-        _build_block(covers, trees, floor, block, rows)
+    for cover in covers:
+        cover._greedy_open(range(len(trees)))
     return covers
 
 
@@ -356,8 +347,7 @@ class ApspIndexDet:
         self.patch: list[EsTree] = []
         for block in rows.blocks():  # block-major, see the module docstring
             if not self.layers and rows.farthest() > self.patch_range:
-                self.layers = build_covers(g, self._scales, self.patch,
-                                           self.patch_range, block.start)
+                self.layers = build_covers(g, self._scales, self.patch, self.patch_range)
             _build_block(self.layers, self.patch, self.patch_range, block, rows)
 
     def delete(self, u: int, v: int) -> None:

@@ -8,8 +8,9 @@ a BFS from its root, or from its root's row of a ``graph_core.RootDistances``
 block: ``EsTree.from_rows`` sets the trees of many roots of a block in one
 vectorised pass, as ``ApspIndexDet`` and the emulator's hub trees do at
 build time. ``set_depth`` changes the depth a tree is kept to in place, so
-one tree serves readers of several depths, as ``ApspIndexDet``'s do. The
-owner deletes an edge from the graph once and repairs its trees with
+one tree serves readers of several depths, as ``ApspIndexDet``'s do; a
+deeper tree continues its search from its old depth, exact on unit weights.
+The owner deletes an edge from the graph once and repairs its trees with
 ``after_delete_all``, which calls ``after_delete`` only on the trees whose
 levels the deletion changes. Levels, the one-step drop of a
 cut-off side and the work counters (``level_increases``, and ``ops``,
@@ -48,31 +49,27 @@ class EsTree(MonotoneEsTree):
         ``depth``, one for all or one per root, set from their rows in one
         vectorised pass instead of a search each. Raises
         ``InvalidParameters`` before it builds a tree if a root is not in
-        the block or the graph has changed."""
+        the block, the graph has changed or ``depth`` is a list of another
+        length."""
+        if np.ndim(depth) and len(depth) != len(roots):
+            raise InvalidParameters(f"need {len(roots)} depths, got {len(depth)}")
         depths = np.broadcast_to(depth, len(roots)).tolist()
         return [cls(rows.graph, x, d, _state=state)
                 for x, d, state in zip(roots, depths, rows.starts(roots, depths))]
 
-    def set_depth(self, depth: int, like: EsTree | None = None) -> None:
+    def set_depth(self, depth: int) -> None:
         """Keep the tree to ``depth`` from now on, in the same ``level`` and
         ``_count`` lists, so every reader's list stays valid. A deeper tree
-        is searched anew on the graph as it stands, or takes the state of
-        ``like``, a tree of the same root and depth that ``from_rows`` set on
-        the graph as it stands; a shallower one sets every level past
-        ``depth`` to INF and its count to 0, the state of a tree kept to
-        ``depth``. Neither counts as work."""
-        if depth < 1:
-            raise InvalidParameters(f"need a depth bound of at least 1, got {depth}")
-        if like is not None and (like.root, like.bound) != (self.root, depth):
-            raise InvalidParameters(
-                f"need a tree of root {self.root} and depth {depth}, "
-                f"got root {like.root} and depth {like.bound}")
-        level, count = self.level, self._count
-        if depth > self.bound:
-            self.bound = depth
-            level[:], count[:] = self._search() if like is None else (like.level, like._count)
-        elif depth < self.bound:
-            self.bound = depth
+        continues its search from the nodes at its old depth on the graph
+        as it stands (``MonotoneEsTree._search``); a shallower one sets
+        every level past ``depth`` to INF and its count to 0, the state of
+        a tree kept to ``depth``. Neither counts as work."""
+        old = self.bound
+        self._set_bound(depth)
+        if depth > old:
+            self._search(old)
+        elif depth < old:
+            level, count = self.level, self._count
             for y, ly in enumerate(level):
                 if ly > depth:  # INF too
                     level[y] = INF

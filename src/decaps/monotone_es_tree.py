@@ -72,14 +72,17 @@ unit-raise paths report the same figure. ``ops`` counts neighbour checks; a
 drop costs none.
 
 Every weight is an integer of at least 1 (``WeightedAdjacency`` rejects
-others). Levels start from a bucket (Dial) search over those weights, which
-on unit weights is a BFS and counts every node's supports in the same pass:
-c(u) = |{v : level(v) + w(u, v) <= level(u)}|. An exact tree may instead
-be set from its root's row of a BFS from many roots at once
-(``EsTree.from_rows``): on unit weights c(u) counts the neighbours one
-level lower, so the row gives the same levels and counts. The repair
-raises a node without support by one unit at a time. ``parent`` scans the
-node's adjacency, O(deg).
+others), and so is the depth bound. Levels start from a bucket (Dial)
+search over those weights, which on unit weights is a BFS and counts every
+node's supports in the same pass: c(u) = |{v : level(v) + w(u, v) <=
+level(u)}|. An exact tree may instead be set from its root's row of a BFS
+from many roots at once (``EsTree.from_rows``): on unit weights c(u)
+counts the neighbours one level lower, so the row gives the same levels
+and counts. An exact tree kept to depth d deepens by continuing the search
+from its nodes at level d (``EsTree.set_depth``): with unit weights only,
+a node past d leans only on nodes at d or beyond, so the levels up to d,
+already exact, stay. The repair raises a node without support by one unit
+at a time. ``parent`` scans the node's adjacency, O(deg).
 """
 
 from __future__ import annotations
@@ -108,11 +111,9 @@ class MonotoneEsTree:
         n = len(adj)
         if not 0 <= root < n:
             raise NodeOutOfRange(f"root {root} not in [0, {n})")
-        if bound < 1:
-            raise InvalidParameters(f"need a depth bound of at least 1, got {bound}")
         self.n = n
         self.root = root
-        self.bound = bound
+        self._set_bound(bound)
         self.level_increases = 0
         self.ops = 0
         self._adj = adj  # shared with every tree on the graph; read only
@@ -120,9 +121,16 @@ class MonotoneEsTree:
 
     # -- initialization ----------------------------------------------------
 
-    def _search(self) -> tuple[list, list]:
+    def _set_bound(self, bound) -> None:
+        """Keep the tree to ``bound``; the repair drops a node at it."""
+        if not isinstance(bound, int) or bound < 1:
+            raise InvalidParameters(f"need an integer depth bound of at least 1, got {bound!r}")
+        self.bound = bound
+
+    def _search(self, d: int = 0) -> tuple[list, list]:
         """The levels and support counts of a bucket search to the depth
-        bound, which counts supports on the way.
+        bound, which counts supports on the way: from the root, or from the
+        nodes at level ``d`` > 0 of an exact tree kept to depth ``d``.
 
         Buckets are settled in increasing level, and every weight is at
         least 1, so a node's supports are all settled, and counted, before
@@ -130,11 +138,13 @@ class MonotoneEsTree:
         """
         adj = self._adj
         bound = self.bound
-        level = [INF] * self.n
-        count = [0] * self.n
-        level[self.root] = 0
-        buckets = [[self.root]]
-        d = 0
+        if d:
+            level, count = self.level, self._count
+            start = [y for y, ly in enumerate(level) if ly == d]
+        else:
+            level, count, start = [INF] * self.n, [0] * self.n, [self.root]
+            level[self.root] = 0
+        buckets = [None] * d + [start]  # every level below d is settled
         while d < len(buckets):
             for y in buckets[d]:
                 if level[y] != d:

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import random
 import tracemalloc
 
@@ -153,10 +154,10 @@ def test_cc_init_complete_graph_one_center():
 
 
 def test_cc_validation(fig_graph):
-    with pytest.raises(InvalidRange):
-        build_covers(fig_graph, [(0, 4)])
-    with pytest.raises(InvalidRange):
-        build_covers(fig_graph, [(5, 4)])
+    # a non-integer Q would become a tree's depth bound, and q its ball's
+    for scale in [(0, 4), (5, 4), (2.5, 8), (2, 8.0), (2, math.inf)]:
+        with pytest.raises(InvalidRange):
+            build_covers(fig_graph, [scale])
 
 
 def test_cc_fig3_open_then_move():

@@ -1,3 +1,4 @@
+import math
 import random
 from unittest import mock
 
@@ -293,9 +294,11 @@ def test_tree_set_from_row_equals_searched_tree(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_set_depth_gives_a_fresh_tree_in_the_same_lists(data):
-    # deeper, shallower or the same depth after each deletion, a cut dropped
-    # or raised unit by unit: the state of a tree searched at that depth,
-    # in the lists readers hold, and no work counted
+    # one to three depth changes between deletions, each deeper, shallower
+    # or the same, after a cut dropped or raised unit by unit, so a search
+    # continued from the old depth may start from a tree another one set:
+    # the state of a tree searched at that depth, in the lists readers
+    # hold, and no work counted
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     n = data.draw(st.integers(1, 30))
     g, order = random_graph_and_trace(rng, n, 2 * n)
@@ -305,26 +308,42 @@ def test_set_depth_gives_a_fresh_tree_in_the_same_lists(data):
     for u, v in order:
         g.delete_edge(u, v)
         tree.after_delete(u, v, g.split_side(u, v) if data.draw(st.booleans()) else None)
-        depth = data.draw(st.integers(1, n + 1))
-        work = tree.stats()
-        if data.draw(st.booleans()):  # the state of a tree set from rows
-            rows = RootDistances(g, [root])
-            for block in rows.blocks():
-                [like] = EsTree.from_rows(rows, block, depth)
-            tree.set_depth(depth, like=like)
-        else:
+        for depth in data.draw(st.lists(st.integers(1, n + 1), min_size=1, max_size=3)):
+            work = tree.stats()
             tree.set_depth(depth)
-        fresh = EsTree(g, root, depth)
-        assert tree.level is level and tree._count is count
-        assert tree.bound == depth
-        assert tree.level == fresh.level and tree._count == fresh._count
-        assert tree.stats() == work
-    with pytest.raises(InvalidParameters):
-        tree.set_depth(0)
+            fresh = EsTree(g, root, depth)
+            assert tree.level is level and tree._count is count
+            assert tree.bound == depth
+            assert tree.level == fresh.level and tree._count == fresh._count
+            assert tree.stats() == work
     bound = tree.bound
-    with pytest.raises(InvalidParameters):  # a tree of another depth
-        tree.set_depth(bound + 1, like=EsTree(g, root, bound + 2))
+    for depth in (0, 2.5, math.inf, "3"):
+        with pytest.raises(InvalidParameters):
+            tree.set_depth(depth)
     assert tree.bound == bound
+
+
+def test_a_depth_bound_must_be_a_positive_integer():
+    # the repair drops a node only at a level equal to the bound: at the
+    # bound 2.5 or INF, the path 0-1-2-3 losing (0, 1) raised its nodes
+    # forever
+    path = DecrementalGraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    for bound in (0, 2.5, math.inf, 3.0, None):
+        with pytest.raises(InvalidParameters):
+            EsTree(path, 0, bound)
+        with pytest.raises(InvalidParameters):
+            MonotoneEsTree(WeightedAdjacency(4, {}), 0, bound)
+    tree = EsTree(path, 0, 3)
+    path.delete_edge(0, 1)
+    assert tree.after_delete(0, 1) == {1, 2, 3}
+    assert tree.levels() == [0, INF, INF, INF]
+    # one depth for all roots, or exactly one per root
+    rows = RootDistances(path)
+    next(rows.blocks())
+    for depths in ([3], (3, 3, 3, 3, 3), [2.5, 3, 3, 3]):
+        with pytest.raises(InvalidParameters):
+            EsTree.from_rows(rows, [0, 1, 2, 3], depths)
+    assert [t.bound for t in EsTree.from_rows(rows, [0, 1, 2, 3], [1, 2, 3, 4])] == [1, 2, 3, 4]
 
 
 @settings(max_examples=60, deadline=None)

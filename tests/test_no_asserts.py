@@ -3,8 +3,9 @@
 Invariants must raise typed errors, not ``assert``: assert statements vanish
 under ``python -O``. A tree's support counts are the tree engine's own, and
 so are its work counters: every other module reads them through ``stats()``.
-A deterministic cover is built in one place, ``build_covers``, and the
-rows of a ``RootDistances`` are read in one place, ``graph_core``.
+A deterministic cover is built in one place, ``build_covers``, the
+rows of a ``RootDistances`` are read in one place, ``graph_core``, and a
+tree is deepened in one way, by ``set_depth`` continuing its own search.
 """
 
 import ast
@@ -83,3 +84,12 @@ def test_only_from_rows_sets_trees_from_rows():
     # every tree set from rows goes through EsTree.from_rows and so through
     # EsTree.__init__, where the benchmark's tracer records its build
     assert _call_sites("starts") == ["es_tree.from_rows"]
+
+
+def test_one_way_to_deepen_a_tree():
+    # a tree is deepened only where a center arrives (open, move) and
+    # lowered only where one leaves; a deeper tree continues its own search
+    assert _call_sites("set_depth") == ["deterministic_apsp._deepen", "deterministic_apsp._leave"]
+    # (graph_core.blocks calls RootDistances' own wide search)
+    assert _call_sites("_search") == [
+        "es_tree.set_depth", "graph_core.blocks", "monotone_es_tree._setup"]
